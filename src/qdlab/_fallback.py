@@ -1,7 +1,6 @@
-"""Numpy fallback implementations of the compiled kernels.
+"""Numpy implementations of the hot kernels, the only ones qdlab has.
 
-Same signatures as qdlab._kernels.  These are the reference versions: the
-Cython module is an optimization, not a semantic change.  Vectorization is
+Callers reach them through qdlab.backend.kernels.  Vectorization is
 over whatever axis is wide (phases, grid rows, chunk indices); sequential
 recurrences that cannot be vectorized fall back to plain Python loops.
 """

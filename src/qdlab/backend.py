@@ -1,30 +1,11 @@
-"""Kernel backend selection.
+"""The kernel module.
 
 The hot inner loops (orbit chunk generation, cocycle products, Chebyshev
-propagation, discrepancy scans) exist twice: a Cython extension
-(qdlab._kernels) and a numpy fallback (qdlab._fallback) with identical
-signatures.  The extension is preferred when importable; set
-QDLAB_BACKEND=fallback (or =compiled) to force a choice.
+propagation, discrepancy scans) live in one numpy module, qdlab._fallback.
+Callers reach them as qdlab.backend.kernels, and BACKEND names the set in
+run metadata.
 """
 
-import os
+from qdlab import _fallback as kernels  # noqa: F401
 
-_requested = os.environ.get("QDLAB_BACKEND", "").strip().lower()
-
-if _requested == "fallback":
-    from qdlab import _fallback as kernels
-    BACKEND = "fallback"
-elif _requested == "compiled":
-    from qdlab import _kernels as kernels  # noqa: F401
-    BACKEND = "compiled"
-else:
-    try:
-        from qdlab import _kernels as kernels
-        BACKEND = "compiled"
-    except ImportError:
-        from qdlab import _fallback as kernels
-        BACKEND = "fallback"
-
-
-def get_kernels():
-    return kernels
+BACKEND = "fallback"

@@ -1,27 +1,16 @@
 """Command-line driver: run experiment configs and the acceptance suite.
 
 Exit codes: 0 on success, 1 when a criterion or declared threshold fails,
-2 on config errors.  QDLAB_WORKERS caps intra-experiment parallelism (the
-pipelines are deterministic and sequential by default; the cap is honored
-as an upper bound, never a requirement).
+2 on config errors.
 """
 
 import argparse
 import json
-import os
 import sys
 
 from .acceptance import acceptance_suite
 from .experiments import ConfigError, EXPERIMENT_KINDS, load_config, \
     run_experiment
-
-
-def worker_cap():
-    raw = os.environ.get("QDLAB_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _cmd_run(args):

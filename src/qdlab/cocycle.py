@@ -4,7 +4,7 @@ The one-step transfer matrix at phase theta and energy z is
 [[z - phi(theta), -1], [1, 0]]; n-step products are carried as a unit-scale
 2x2 matrix plus an accumulated log-scale, and their spectral norms come from
 the closed-form singular values.  Bulk products (phase batches, per-step
-norm traces) are delegated to the compiled/fallback kernels.
+norm traces) are delegated to the numpy kernels in qdlab._fallback.
 """
 
 import math
@@ -15,10 +15,11 @@ import numpy as np
 from .backend import kernels
 from .torus import TorusPoint, step_array, inverse_step_array
 
-# rescale once the Frobenius norm passes 1e25 (squared norm 1e50, matching
-# the kernels): the closed-form spectral norm squares the squared Frobenius
-# norm, so a later threshold would overflow the discriminant q^2 - 4 det^2
-RENORM_NORM = 1e25
+# rescale once the Frobenius norm passes the square root of the kernels'
+# squared-norm threshold: the closed-form spectral norm squares the squared
+# Frobenius norm, so a later threshold would overflow the discriminant
+# q^2 - 4 det^2
+RENORM_NORM = math.sqrt(kernels._RENORM_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,38 @@ def test_grid_2d_brackets_the_exact_value():
     assert exact <= rep.d_n + 4.0 / g + 1e-12
 
 
+def brute_anchored_sup(pts, lattice):
+    """max |#{p < c}/N - vol[0, c)| over corners c in lattice^d."""
+    n, d = pts.shape
+    corners = np.stack(np.meshgrid(*([lattice] * d), indexing="ij"),
+                       axis=-1).reshape(-1, d)
+    best = 0.0
+    for block in np.array_split(corners, max(1, corners.shape[0] // 4096)):
+        below = np.all(pts[None, :, :] < block[:, None, :], axis=2)
+        dev = np.abs(below.sum(axis=1) / n - np.prod(block, axis=1))
+        best = max(best, float(dev.max()))
+    return best
+
+
+def test_grid_anchored_3d_matches_brute_force():
+    # points on the dyadic lattice (k + 0.5)/32 bin exactly into g = 16 cells
+    rng = np.random.default_rng(31)
+    m, d, n = 32, 3, 200
+    pts = (rng.integers(0, m, size=(n, d)) + 0.5) / m
+    g = 16
+    expected = brute_anchored_sup(pts, np.arange(g + 1) / g)
+    direct = eq._grid_discrepancy_nd(pts, g)
+    routed = eq.discrepancy_box(PointSet(pts), grid=64)
+    for rep in (direct, routed):
+        assert rep.method == f"grid-anchored({g})"
+        assert rep.error_bound == pytest.approx(2.0 * d / g)
+        assert rep.d_n == pytest.approx(expected, abs=1e-12)
+    # the finer lattice's corners include the grid's and stay within the bound
+    fine = brute_anchored_sup(pts, np.arange(2 * m + 1) / (2 * m))
+    assert direct.d_n <= fine + 1e-12
+    assert fine <= direct.d_n + direct.error_bound
+
+
 def test_degenerate_point_sets():
     # a single point at the origin: D_N = 1 (the point is in every box
     # touching 0, and boxes of volume -> 1 avoid it)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import qdlab.experiments as ex
-from qdlab.cli import main, worker_cap
+from qdlab.cli import main
 
 
 def test_config_digest_is_order_invariant():
@@ -164,14 +164,3 @@ def test_cli_list_experiments(capsys):
     out = capsys.readouterr().out
     for kind in ex.EXPERIMENT_KINDS:
         assert kind in out
-
-
-def test_worker_cap_env(monkeypatch):
-    monkeypatch.delenv("QDLAB_WORKERS", raising=False)
-    assert worker_cap() == 1
-    monkeypatch.setenv("QDLAB_WORKERS", "6")
-    assert worker_cap() == 6
-    monkeypatch.setenv("QDLAB_WORKERS", "zero")
-    assert worker_cap() == 1
-    monkeypatch.setenv("QDLAB_WORKERS", "-3")
-    assert worker_cap() == 1
