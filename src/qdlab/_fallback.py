@@ -88,28 +88,34 @@ def grid_discrepancy_2d(counts, n_points):
     counts: (G, G) array of per-cell point counts (axis 0 = x, axis 1 = y).
     Exact for the grid-restricted box family; the caller reports the 2d/G
     additive error of restricting to the grid.
+
+    For the x-band [i1, i2), let P be the exact integer 2d prefix sum and
+    h[j] = fl(fl((P[i2, j] - P[i1, j]) / N) - ((i2 - i1)/G) * (j/G)).  The
+    box [i1, i2) x [j1, j2) deviates by h[j2] - h[j1], so the band's sup
+    is max(h) - min(h).  Each h is the count over N, rounded, minus the
+    area, rounded; as rounding is monotone, fl(max(h) - min(h)) is the
+    largest fl(h[j2] - h[j1]) over all pairs, so the result is bit for bit
+    that of a scan over every grid box with these h.
     """
     counts = np.asarray(counts, dtype=np.float64)
     g = counts.shape[0]
     fn = float(n_points)
-    # prefix over x: p[i, j] = sum of counts[:i, j]
-    p = np.zeros((g + 1, g), dtype=np.float64)
-    np.cumsum(counts, axis=0, out=p[1:])
+    # p[i, j] = sum of counts[:i, :j]; integers, exact in float64
+    p = np.zeros((g + 1, g + 1), dtype=np.float64)
+    np.cumsum(counts, axis=0, out=p[1:, 1:])
+    np.cumsum(p[1:, 1:], axis=1, out=p[1:, 1:])
+    # area[w - 1, j] = (w/G) * (j/G), the area of [0, w/G) x [0, j/G)
     jgrid = np.arange(g + 1, dtype=np.float64) / g
+    area = (np.arange(1, g + 1, dtype=np.float64) / g)[:, None] * jgrid
+    h = np.empty((g, g + 1), dtype=np.float64)
     best = 0.0
-    c = np.empty((g, g + 1), dtype=np.float64)
     for i1 in range(g):
         rows = g - i1
-        band = p[i1 + 1:] - p[i1]                 # (rows, g)
-        c[:rows, 0] = 0.0
-        np.cumsum(band, axis=1, out=c[:rows, 1:])
-        w = (np.arange(i1 + 1, g + 1, dtype=np.float64) - i1) / g
-        gmat = c[:rows] / fn - w[:, None] * jgrid[None, :]
-        run = np.maximum.accumulate(-gmat[:, :-1], axis=1)
-        dplus = np.max(gmat[:, 1:] + run)
-        run = np.maximum.accumulate(gmat[:, :-1], axis=1)
-        dminus = np.max(-gmat[:, 1:] + run)
-        best = max(best, dplus, dminus)
+        hb = h[:rows]                             # bands [i1, i1 + w)
+        np.subtract(p[i1 + 1:], p[i1], out=hb)
+        np.divide(hb, fn, out=hb)
+        np.subtract(hb, area[:rows], out=hb)
+        best = max(best, np.max(hb.max(axis=1) - hb.min(axis=1)))
     return float(best)
 
 

@@ -87,12 +87,20 @@ def orbit_point_set(kind, freqs, y0, n, bits=128):
 
 def orbit_grid_counts(kind, freqs, y0, n, g, bits=128):
     """(g, g) int64 cell counts of a d=2 orbit, without materializing it."""
-    counts = np.zeros(g * g, dtype=np.int64)
+    counts = np.zeros((g, g), dtype=np.int64)
     for _, block in orbit_chunks(kind, freqs, y0, n, bits=bits):
-        ix = np.minimum((block[:, 0] * g).astype(np.int64), g - 1)
-        iy = np.minimum((block[:, 1] * g).astype(np.int64), g - 1)
-        counts += np.bincount(ix * g + iy, minlength=g * g)
-    return counts.reshape(g, g)
+        counts += _cell_counts(block, g)
+    return counts
+
+
+def _cell_counts(points, g):
+    """(g,)*d int64 counts of (N, d) points in the cells of side 1/g."""
+    n, d = points.shape
+    idx = np.minimum((points * g).astype(np.int64), g - 1)
+    lin = np.zeros(n, dtype=np.int64)
+    for i in range(d):
+        lin = lin * g + idx[:, i]
+    return np.bincount(lin, minlength=g ** d).reshape((g,) * d)
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +145,7 @@ def discrepancy_box(point_set, grid=GRID_RESOLUTION):
     if d == 2 and n <= EXACT_2D_LIMIT:
         return DiscrepancyReport(n, _exact_discrepancy_2d(pts), "exact")
     if d == 2:
-        counts = np.zeros((grid, grid), dtype=np.int64)
-        ix = np.minimum((pts[:, 0] * grid).astype(np.int64), grid - 1)
-        iy = np.minimum((pts[:, 1] * grid).astype(np.int64), grid - 1)
-        np.add.at(counts, (ix, iy), 1)
-        val = kernels.grid_discrepancy_2d(counts, n)
+        val = kernels.grid_discrepancy_2d(_cell_counts(pts, grid), n)
         return DiscrepancyReport(n, float(val), f"grid({grid})", 2.0 * d / grid)
     # generic grid method for d >= 3
     g = max(4, int(round(grid ** (2.0 / d))))
@@ -159,7 +163,10 @@ def _exact_discrepancy_2d(pts):
 
     For every pair of y-cuts drawn from the sample (plus sentinels), the x
     problem collapses to the 1d prefix-max scan; overfilled boxes use
-    inclusive cuts at data values, underfilled ones exclusive cuts.
+    inclusive cuts at data values, underfilled ones exclusive cuts.  Each
+    lower cut scans all its upper cuts at once: one row per upper cut, one
+    column per point in x order, with the points outside the band masked
+    out of the in-band index (a cumsum) and the prefix max (as -inf).
     """
     n = pts.shape[0]
     fn = float(n)
@@ -169,69 +176,51 @@ def _exact_discrepancy_2d(pts):
     yvals = np.unique(y)
     best = 0.0
     # overfilled: y-band [yl, yh] inclusive, minimal width/height
-    for li in range(yvals.shape[0]):
-        yl = yvals[li]
-        for hi in range(li, yvals.shape[0]):
-            yh = yvals[hi]
-            h = yh - yl
-            sel = (y >= yl) & (y <= yh)
-            xs = x[sel]
-            if xs.shape[0] == 0:
-                continue
-            idx = np.arange(xs.shape[0], dtype=np.float64)
-            prem = np.maximum.accumulate(h * xs - idx / fn)
-            cand = np.max((idx + 1.0) / fn - h * xs + prem)
-            if cand > best:
-                best = cand
-    # underfilled: y-band (yl, yh) exclusive with sentinels 0, 1
-    ycuts = np.concatenate(([0.0], yvals, [1.0]))
-    for li in range(ycuts.shape[0]):
-        yl = ycuts[li]
-        for hi in range(li + 1, ycuts.shape[0]):
-            yh = ycuts[hi]
-            h = yh - yl
-            if h <= 0.0:
-                continue
-            sel = (y > yl) & (y < yh)
-            xs = np.concatenate(([0.0], x[sel], [1.0]))
-            m = xs.shape[0]
-            ids = np.arange(m, dtype=np.float64)
-            b = ids / fn - h * xs
-            premb = np.empty(m, dtype=np.float64)
-            premb[0] = 0.0
-            np.maximum.accumulate(b[:-1], out=premb[1:])
-            cand = np.max(h * xs - (ids - 1.0) / fn + premb)
-            if cand > best:
-                best = cand
+    for li, yl in enumerate(yvals):
+        above = y >= yl
+        yh = yvals[li:, None]
+        inside = y[above] <= yh
+        idx = np.cumsum(inside, axis=1) - 1.0
+        hx = (yh - yl) * x[above]
+        prem = np.where(inside, hx - idx / fn, -np.inf)
+        np.maximum.accumulate(prem, axis=1, out=prem)
+        cand = (idx + 1.0) / fn - hx + prem
+        best = np.max(cand, where=inside, initial=best)
+    # underfilled: y-band (yl, yh) exclusive with sentinels 0, 1; the cuts
+    # are distinct, so every band has height h > 0
+    ycuts = np.unique(np.concatenate(([0.0], yvals, [1.0])))
+    for li, yl in enumerate(ycuts[:-1]):
+        yh = ycuts[li + 1:, None]
+        above = y > yl
+        xs = np.concatenate(([0.0], x[above], [1.0]))
+        inside = np.ones((yh.shape[0], xs.shape[0]), dtype=bool)
+        inside[:, 1:-1] = y[above] < yh
+        ids = np.cumsum(inside, axis=1) - 1.0
+        hx = (yh - yl) * xs
+        b = np.where(inside, ids / fn - hx, -np.inf)
+        premb = np.empty_like(b)
+        premb[:, 0] = 0.0
+        np.maximum.accumulate(b[:, :-1], axis=1, out=premb[:, 1:])
+        cand = hx - (ids - 1.0) / fn + premb
+        best = np.max(cand, where=inside, initial=best)
     return float(best)
 
 
 def _grid_discrepancy_nd(pts, g):
     n, d = pts.shape
-    idx = np.minimum((pts * g).astype(np.int64), g - 1)
-    flat = np.zeros(g ** d, dtype=np.int64)
-    lin = np.zeros(n, dtype=np.int64)
-    for i in range(d):
-        lin = lin * g + idx[:, i]
-    flat += np.bincount(lin, minlength=g ** d)
-    counts = flat.reshape((g,) * d)
     # anchored prefix sums, then scan all grid boxes (d <= 3 in practice)
-    pref = counts.astype(np.float64)
+    pref = _cell_counts(pts, g).astype(np.float64)
     for ax in range(d):
         pref = np.cumsum(pref, axis=ax)
     pref = np.pad(pref, [(1, 0)] * d)
     # general-box scans are too costly for d >= 3: report the anchored-box
-    # sup (a lower bound; the general value is at most 2^d times larger)
-    best = 0.0
-    vol_cell = 1.0 / g
-    for corner in np.ndindex(*((g + 1,) * d)):
-        c = pref[corner]
-        vol = 1.0
-        for ci in corner:
-            vol *= ci * vol_cell
-        dev = abs(c / n - vol)
-        if dev > best:
-            best = dev
+    # sup (a lower bound; the general value is at most 2^d times larger).
+    # vol[c] = (c_0/g) * (c_1/g) * ..., multiplied left to right
+    side = np.arange(g + 1, dtype=np.float64) * (1.0 / g)
+    vol = np.ones(())
+    for _ in range(d):
+        vol = np.multiply.outer(vol, side)
+    best = np.max(np.abs(pref / n - vol), initial=0.0)
     return DiscrepancyReport(n, float(best), f"grid-anchored({g})", 2.0 * d / g)
 
 

@@ -166,11 +166,26 @@ def _tuples(s, r_max):
             yield rest + (r,)
 
 
+def _sample_sizes(values):
+    """params.n_grid as distinct positive ints; integral floats (1e4) pass."""
+    if not values:
+        raise ConfigError("params.n_grid", "grid must be nonempty")
+    sizes = []
+    for v in values:
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or isinstance(v, float) and not v.is_integer() or v < 1):
+            raise ConfigError("params.n_grid",
+                              f"sample sizes must be positive integers, "
+                              f"got {v!r}")
+        sizes.append(int(v))
+    if len(set(sizes)) != len(sizes):
+        raise ConfigError("params.n_grid", "sample sizes must be distinct")
+    return sizes
+
+
 def _run_discrepancy_decay(config):
     mp = _parse_map(config)
-    n_grid = [int(n) for n in _get(config, "params.n_grid", kind=list)]
-    if not n_grid:
-        raise ConfigError("params.n_grid", "grid must be nonempty")
+    n_grid = _sample_sizes(_get(config, "params.n_grid", kind=list))
     y0 = tuple(_get(config, "params.y0", [0.0] * mp["d"], kind=list))
     if len(y0) != mp["d"]:
         raise ConfigError("params.y0", "dimension mismatch with the map")

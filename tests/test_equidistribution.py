@@ -67,8 +67,19 @@ def test_exact_1d_matches_brute_force():
 
 def test_exact_2d_matches_brute_force():
     rng = np.random.default_rng(23)
-    for n in (2, 5, 12, 25):
-        pts = rng.random((n, 2))
+    sets = [rng.random((n, 2)) for n in (2, 5, 12, 25)]
+    # tied x and tied y: dyadic-lattice points, repeated points, and
+    # points at 0, whose y-cut coincides with the sentinel cut at 0
+    rng = np.random.default_rng(37)
+    for n in (1, 3, 17, 40):
+        sets.append(rng.integers(0, 8, size=(n, 2)) / 8.0)
+        sets.append(rng.random((5, 2))[rng.integers(0, 5, size=n)])
+        at_zero = rng.integers(0, 4, size=(n, 2)) / 4.0
+        at_zero[::3, 0] = 0.0
+        at_zero[::2, 1] = 0.0
+        sets.append(at_zero)
+    sets.append(np.zeros((6, 2)))
+    for pts in sets:
         rep = eq.discrepancy_box(PointSet(pts))
         assert rep.method == "exact"
         assert rep.d_n == pytest.approx(brute_discrepancy_2d(pts), abs=1e-12)
@@ -86,6 +97,43 @@ def test_grid_2d_brackets_the_exact_value():
     rep = eq.discrepancy_from_grid_counts(counts, 300)
     assert rep.d_n <= exact + 1e-12
     assert exact <= rep.d_n + 4.0 / g + 1e-12
+
+
+def brute_grid_discrepancy_2d(counts, n):
+    """max |count/N - area| over every grid box [i1,i2) x [j1,j2)."""
+    g = counts.shape[0]
+    best = 0.0
+    for i1 in range(g):
+        for i2 in range(i1 + 1, g + 1):
+            for j1 in range(g):
+                for j2 in range(j1 + 1, g + 1):
+                    area = (i2 - i1) * (j2 - j1) / (g * g)
+                    count = counts[i1:i2, j1:j2].sum()
+                    best = max(best, abs(count / n - area))
+    return best
+
+
+@pytest.mark.parametrize("g", [1, 2, 8, 16])
+def test_grid_2d_matches_brute_force(g):
+    rng = np.random.default_rng(41 + g)
+    cases = [rng.multinomial(n, np.full(g * g, 1.0 / (g * g))).reshape(g, g)
+             for n in (3, 50, 997)]
+    one_cell = np.zeros((g, g), dtype=np.int64)
+    one_cell[rng.integers(g), rng.integers(g)] = 200
+    cases.append(one_cell)
+    holes = rng.multinomial(400, np.full(g * g, 1.0 / (g * g))).reshape(g, g)
+    holes[rng.integers(g)] = 0
+    holes[:, rng.integers(g)] = 0
+    cases.append(holes)
+    single = np.zeros((g, g), dtype=np.int64)
+    single[g - 1, 0] = 1
+    cases.append(single)
+    for counts in cases:
+        n = max(int(counts.sum()), 1)
+        rep = eq.discrepancy_from_grid_counts(counts, n)
+        assert rep.method == f"grid({g})"
+        assert rep.d_n == pytest.approx(brute_grid_discrepancy_2d(counts, n),
+                                        abs=1e-12)
 
 
 def brute_anchored_sup(pts, lattice):

@@ -78,6 +78,30 @@ def test_slope_threshold_needs_enough_scales():
                                       "max_slope": -0.5}})
 
 
+@pytest.mark.parametrize("n_grid", [
+    [0],
+    [-5],
+    ["a"],
+    [100, 316, 1000, 1000, 3162, 10000],
+    [10.7],
+], ids=["zero", "negative", "string", "repeated", "fractional"])
+def test_bad_sample_size_names_the_field(n_grid):
+    with pytest.raises(ex.ConfigError) as err:
+        ex.run_experiment({"experiment": "discrepancy_decay",
+                           "map": {"kind": "shift", "alpha": "golden"},
+                           "params": {"n_grid": n_grid}})
+    assert err.value.path == "params.n_grid"
+
+
+def test_integral_float_sample_sizes_are_accepted():
+    cfg = json.loads('{"experiment": "discrepancy_decay",'
+                     ' "map": {"kind": "shift", "alpha": "golden"},'
+                     ' "params": {"n_grid": [1e2, 1000]}}')
+    rec = ex.run_experiment(cfg)
+    assert [row[0] for row in rec.rows] == [100, 1000]
+    assert all(type(row[0]) is int for row in rec.rows)
+
+
 def test_discrepancy_decay_with_fit(tmp_path):
     out = tmp_path / "decay.csv"
     rec = ex.run_experiment({
