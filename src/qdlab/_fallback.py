@@ -1,8 +1,11 @@
 """Numpy implementations of the hot kernels, the only ones qdlab has.
 
 Callers reach them through qdlab.backend.kernels.  Vectorization is
-over whatever axis is wide (phases, grid rows, chunk indices); sequential
-recurrences that cannot be vectorized fall back to plain Python loops.
+over whatever axis is wide (cocycle rows, grid rows, chunk indices);
+sequential recurrences that cannot be vectorized fall back to plain Python
+loops.  A cocycle row is one product: one phase orbit at one energy, so a
+Lyapunov scan puts every energy x phase pair in one batch, and a
+CocycleState carries the products across column blocks of the orbits.
 """
 
 import math
@@ -140,34 +143,63 @@ def _spectral_lognorm(a, b, c, d, logs):
     return 0.5 * np.log(smax2) + logs
 
 
-def cocycle_batch(v, e, eta=0.0, inverse=False):
+class CocycleState:
+    """A product that cocycle_batch carries across split columns.
+
+    Holds the unit-scale entries (a, b, c, d) and the log-scale of every
+    row after `steps` columns.  A fresh state is the identity; the first
+    cocycle_batch call that receives it sets it up.
+    """
+
+    def __init__(self):
+        self.entries = None
+        self.logs = None
+        self.steps = 0
+
+
+def cocycle_batch(v, e, eta=0.0, inverse=False, state=None):
     """Final log spectral norm and determinant drift of transfer products.
 
-    v: (P, n) potential samples along the orbit (row p = phase p).
+    v: (P, n) potential samples, one row per product (a phase orbit at
+    one energy).  e, eta: the energy z = e + i eta, a scalar or one per row.
     Forward: A_n = A(theta_{n-1}) ... A(theta_0) with A = [[z-v, -1],[1, 0]].
     Inverse: products of A^{-1} = [[0, 1],[-1, z-v]] in the given order.
-    Returns (lognorm, detlog_err) of shape (P,): detlog_err is
-    log|det| + 2*logscale, zero for an exact unimodular product.
+    state: a CocycleState to continue; the n columns of v then extend the
+    product it carries, it is advanced in place, and the renormalisation
+    checks fall on the global steps 16, 32, ... of the whole product, so
+    splitting the columns over several calls gives the same bits as one.
+    Returns (lognorm, detlog_err) of shape (P,) for the product so far:
+    detlog_err is log|det| + 2*logscale, zero for an exact unimodular
+    product.
     """
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
     pcount, n = v.shape
-    if pcount == 1 and n > 4096:
-        ln, dl = _cocycle_scalar(v[0], e, eta, inverse)
-        return np.array([ln]), np.array([dl])
-    dtype = np.complex128 if eta != 0.0 else np.float64
-    z = e + 1j * eta if eta != 0.0 else e
-    a = np.ones(pcount, dtype=dtype)
-    b = np.zeros(pcount, dtype=dtype)
-    c = np.zeros(pcount, dtype=dtype)
-    d = np.ones(pcount, dtype=dtype)
-    logs = np.zeros(pcount, dtype=np.float64)
+    if state is None:
+        if pcount == 1 and n > 4096:
+            ln, dl = _cocycle_scalar(v[0], e, eta, inverse)
+            return np.array([ln]), np.array([dl])
+        state = CocycleState()
+    if np.any(eta != 0.0):
+        dtype = np.complex128
+        z = e + 1j * eta
+    else:
+        dtype = np.float64
+        z = e
+    if state.entries is None:
+        state.entries = (np.ones(pcount, dtype=dtype),
+                         np.zeros(pcount, dtype=dtype),
+                         np.zeros(pcount, dtype=dtype),
+                         np.ones(pcount, dtype=dtype))
+        state.logs = np.zeros(pcount, dtype=np.float64)
+    a, b, c, d = state.entries
+    logs = state.logs
     for k in range(n):
         t = z - v[:, k]
         if inverse:
             a, b, c, d = c, d, -a + t * c, -b + t * d
         else:
             a, b, c, d = t * a - c, t * b - d, a, b
-        if (k + 1) % _RENORM_EVERY == 0:
+        if (state.steps + k + 1) % _RENORM_EVERY == 0:
             q = (np.abs(a) ** 2 + np.abs(b) ** 2
                  + np.abs(c) ** 2 + np.abs(d) ** 2)
             s = np.where(q > _RENORM_THRESHOLD, np.sqrt(q), 1.0)
@@ -176,6 +208,8 @@ def cocycle_batch(v, e, eta=0.0, inverse=False):
             c = c / s
             d = d / s
             logs += np.log(s)
+    state.entries = (a, b, c, d)
+    state.steps += n
     lognorm = _spectral_lognorm(a, b, c, d, logs)
     det = np.abs(a * d - b * c)
     with np.errstate(divide="ignore"):

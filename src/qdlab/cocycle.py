@@ -187,18 +187,41 @@ def cocycle_product(map_spec, theta, z, n, phi):
     return TransferProduct(m, logscale, n, z)
 
 
-def _batch_lognorms(map_spec, thetas, z, n, phi):
-    """log ||A_n|| for a batch of phases, via the kernel product."""
+# column block of the batched orbit walk: at most this many potential
+# samples per block of product rows, so no (rows x n) array is ever held
+_BLOCK_CELLS = 1 << 17
+
+
+def _batch_lognorms(map_spec, thetas, z, n, phi, orbit=None):
+    """log ||A_n|| of a batch of product rows, via the kernel product.
+
+    thetas: (R, d) start phases.  Their orbits are walked once with
+    step_array in column blocks, and phi samples each block in one call.
+    orbit: (M,) index of the phase orbit each product row follows (default:
+    one row per phase); z: the energy, a scalar or one per row.  The kernel
+    carries every row's product from block to block.  Returns (lognorm,
+    detlog) of shape (M,).
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
-    pcount = thetas.shape[0]
-    v = np.empty((pcount, n), dtype=np.float64)
-    cur = thetas.copy()
-    for k in range(n):
-        v[:, k] = phi(cur)
-        cur = step_array(map_spec, cur)
-    e = z.real if isinstance(z, complex) else float(z)
-    eta = z.imag if isinstance(z, complex) else 0.0
-    lognorm, detlog = kernels.cocycle_batch(v, e, eta)
+    count, d = thetas.shape
+    if orbit is None:
+        orbit = np.arange(count)
+    z = np.asarray(z)
+    e, eta = (z.real, z.imag) if np.iscomplexobj(z) else (z, 0.0)
+    state = kernels.CocycleState()
+    width = max(1, _BLOCK_CELLS // orbit.shape[0])
+    cur = thetas
+    for start in range(0, n, width):
+        cols = min(width, n - start)
+        pts = np.empty((cols, count, d), dtype=np.float64)
+        for j in range(cols):
+            pts[j] = cur
+            cur = step_array(map_spec, cur)
+        v = phi(pts.reshape(cols * count, d)).reshape(cols, count)
+        lognorm, detlog = kernels.cocycle_batch(v.T[orbit], e, eta,
+                                                state=state)
     return lognorm, detlog
 
 
@@ -211,25 +234,53 @@ class LyapunovEstimate:
     phases: int
 
 
+def lyapunov_scan(map_spec, energies, n, phases, seeds, phi):
+    """lyapunov_estimate at every energy, from one batched orbit walk.
+
+    Energy i averages over the uniform phase sample seeded by seeds[i];
+    all energies share one deterministic phase grid.  Every phase orbit is
+    walked once and feeds the products of all energies that use it, so the
+    estimates are bit for bit those of one lyapunov_estimate per energy.
+    """
+    if n < 1 or phases < 1:
+        raise ValueError("need n >= 1 and phases >= 1")
+    if len(energies) == 0 or len(seeds) != len(energies):
+        raise ValueError("need at least one energy and one seed per energy")
+    d = map_spec.d
+    count = len(energies)
+    grid_thetas = np.zeros((phases, d))
+    grid_thetas[:, 0] = (np.arange(phases) + 0.5) / phases
+    thetas = np.concatenate(
+        [np.random.default_rng(s).random((phases, d)) for s in seeds]
+        + [grid_thetas])
+    # product rows: each energy on its own random phases, then each energy
+    # on the shared grid, whose orbits are the last `phases` of thetas
+    own = count * phases
+    orbit = np.concatenate([np.arange(own),
+                            own + np.tile(np.arange(phases), count)])
+    z = np.repeat(np.asarray(energies), phases)
+    lognorm, _ = _batch_lognorms(map_spec, thetas, np.concatenate([z, z]),
+                                 n, phi, orbit)
+    random_rows = lognorm[:own].reshape(count, phases)
+    grid_rows = lognorm[own:].reshape(count, phases)
+    out = []
+    for i in range(count):
+        vals = random_rows[i] / n
+        stderr = float(np.std(vals, ddof=1) / math.sqrt(phases)) \
+            if phases > 1 else 0.0
+        out.append(LyapunovEstimate(float(np.mean(vals)), stderr,
+                                    float(np.mean(grid_rows[i]) / n), n,
+                                    phases))
+    return out
+
+
 def lyapunov_estimate(map_spec, z, n, phases, seed, phi):
     """Finite-n Lyapunov estimate (1/n) E_theta log ||A_n||.
 
     Averages over a seeded uniform phase sample; a deterministic phase grid
     of the same size is reported alongside as a bias guard.
     """
-    if n < 1 or phases < 1:
-        raise ValueError("need n >= 1 and phases >= 1")
-    d = map_spec.d
-    rng = np.random.default_rng(seed)
-    random_thetas = rng.random((phases, d))
-    grid_thetas = np.zeros((phases, d))
-    grid_thetas[:, 0] = (np.arange(phases) + 0.5) / phases
-    vals, _ = _batch_lognorms(map_spec, random_thetas, z, n, phi)
-    vals = vals / n
-    grid_vals, _ = _batch_lognorms(map_spec, grid_thetas, z, n, phi)
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(phases)) if phases > 1 else 0.0
-    return LyapunovEstimate(float(np.mean(vals)), stderr,
-                            float(np.mean(grid_vals) / n), n, phases)
+    return lyapunov_scan(map_spec, [z], n, phases, [seed], phi)[0]
 
 
 def uniform_upper_scan(map_spec, z, n, phase_grid, phi):
@@ -311,14 +362,32 @@ def kkl_truncation(map_spec, theta, z, eps, phi, max_window=4096):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    a1 = transfer_matrix(theta, z, phi)
+    return _kkl_lengths(_kkl_sequences(map_spec, theta, phi, max_window),
+                        z, eps)
+
+
+def _kkl_sequences(map_spec, theta, phi, max_window):
+    """The backward and forward potential sequences kkl_truncation reads."""
+    return tuple(potential_sequence(map_spec, theta, max_window, phi,
+                                    forward=forward)
+                 for forward in (False, True))
+
+
+def _kkl_lengths(sequences, z, eps):
+    """kkl_truncation at energy z from its two sampled sequences.
+
+    The one-step matrix at theta is rebuilt from the first forward sample,
+    which is phi(theta) as transfer_matrix samples it.
+    """
+    v_bwd, v_fwd = sequences
+    max_window = v_fwd.shape[0]
+    dtype = np.complex128 if isinstance(z, complex) else np.float64
+    a1 = np.array([[z - v_fwd[0], -1.0], [1.0, 0.0]], dtype=dtype)
     target = (2.0 * math.exp(_spectral_log(a1)) / eps) ** 2
     e = z.real if isinstance(z, complex) else float(z)
     eta = z.imag if isinstance(z, complex) else 0.0
     out = []
-    for forward in (False, True):
-        v = potential_sequence(map_spec, theta, max_window, phi,
-                               forward=forward)
+    for v, forward in ((v_bwd, False), (v_fwd, True)):
         lognorms = kernels.cocycle_lognorms_all(v, e, eta,
                                                 inverse=not forward)
         sq = np.exp(np.minimum(2.0 * lognorms, 700.0))

@@ -166,14 +166,19 @@ def _tuples(s, r_max):
             yield rest + (r,)
 
 
+def _is_count(v):
+    """A positive integer; integral floats such as JSON's 1e4 count too."""
+    return (not isinstance(v, bool) and isinstance(v, (int, float))
+            and (isinstance(v, int) or v.is_integer()) and v >= 1)
+
+
 def _sample_sizes(values):
     """params.n_grid as distinct positive ints; integral floats (1e4) pass."""
     if not values:
         raise ConfigError("params.n_grid", "grid must be nonempty")
     sizes = []
     for v in values:
-        if (isinstance(v, bool) or not isinstance(v, (int, float))
-                or isinstance(v, float) and not v.is_integer() or v < 1):
+        if not _is_count(v):
             raise ConfigError("params.n_grid",
                               f"sample sizes must be positive integers, "
                               f"got {v!r}")
@@ -270,26 +275,50 @@ def _run_brs_remainder(config):
     return header, rows, {"sup": sup, "bound": bound}, passed
 
 
+def _energy_grid(values):
+    """params.energies as (lo, hi, count): finite lo <= hi, count >= 1."""
+    if len(values) != 3:
+        raise ConfigError("params.energies",
+                          f"expected [lo, hi, count], got {values!r}")
+    lo, hi, count = values
+    for v in (lo, hi):
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or not math.isfinite(v)):
+            raise ConfigError("params.energies",
+                              f"energy bounds must be finite numbers, "
+                              f"got {v!r}")
+    if lo > hi:
+        raise ConfigError("params.energies",
+                          f"lower bound {lo!r} exceeds upper bound {hi!r}")
+    if not _is_count(count):
+        raise ConfigError("params.energies",
+                          f"count must be a positive integer, got {count!r}")
+    return float(lo), float(hi), int(count)
+
+
+def _positive_int(config, path):
+    value = _get(config, path, kind=int)
+    if isinstance(value, bool) or value < 1:
+        raise ConfigError(path, f"expected a positive integer, got {value!r}")
+    return value
+
+
 def _run_lyapunov_scan(config):
     mp = _parse_map(config)
     phi = _parse_potential(config)
     seed = _require_seed(config)
-    lo, hi, count = _get(config, "params.energies", kind=list)
-    n = _get(config, "params.n", kind=int)
-    phases = _get(config, "params.phases", kind=int)
+    lo, hi, count = _energy_grid(_get(config, "params.energies", kind=list))
+    n = _positive_int(config, "params.n")
+    phases = _positive_int(config, "params.phases")
     min_l = _get(config, "params.min_l", None)
     header = ["E", "lhat", "stderr", "lhat_grid", "n", "phases"]
-    rows = []
-    passed = True
-    worst = math.inf
-    for i, e in enumerate(np.linspace(float(lo), float(hi), int(count))):
-        est = cc.lyapunov_estimate(mp["spec"], float(e), n, phases,
-                                   seed + i, phi)
-        rows.append((float(e), est.lhat, est.stderr, est.lhat_grid,
-                     n, phases))
-        worst = min(worst, est.lhat)
-        if min_l is not None and est.lhat < float(min_l):
-            passed = False
+    energies = [float(e) for e in np.linspace(lo, hi, count)]
+    scan = cc.lyapunov_scan(mp["spec"], energies, n, phases,
+                            [seed + i for i in range(count)], phi)
+    rows = [(e, est.lhat, est.stderr, est.lhat_grid, n, phases)
+            for e, est in zip(energies, scan)]
+    worst = min(est.lhat for est in scan)
+    passed = min_l is None or worst >= float(min_l)
     return header, rows, {"min_lhat": worst}, passed
 
 

@@ -363,7 +363,7 @@ def kkl_check(map_spec, theta, phi, big_t, l1, l2, e_count,
     an energy grid whose truncation lengths fit the window.  No universal
     constant ties the two; both are returned.
     """
-    from .cocycle import kkl_truncation
+    from .cocycle import _kkl_lengths, _kkl_sequences
 
     if min(l1, l2) <= 2:
         raise ValueError("window bounds must exceed 2")
@@ -386,11 +386,11 @@ def kkl_check(map_spec, theta, phi, big_t, l1, l2, e_count,
     grid_weight = np.bincount(bins, weights=weights, minlength=e_count)
     rhs = 0.0
     eps = 1.0 / big_t
+    sequences = _kkl_sequences(map_spec, th, phi, max_window)
     for e, gw in zip(es, grid_weight):
         if gw == 0.0:
             continue
-        minus, plus = kkl_truncation(map_spec, th, float(e), eps, phi,
-                                     max_window=max_window)
+        minus, plus = _kkl_lengths(sequences, float(e), eps)
         if minus.satisfied and plus.satisfied \
                 and minus.length <= l1 and plus.length <= l2:
             rhs += gw

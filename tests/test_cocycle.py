@@ -73,6 +73,67 @@ def test_python_product_matches_kernel_batch():
         assert prod.log_norm() == pytest.approx(float(lognorm[0]), abs=1e-9)
 
 
+@pytest.mark.parametrize("spec, phi", [
+    (SHIFT1, cc.CosinePotential(3.0)),
+    (SkewShift(GOLDEN, 2), cc.TabulatedPotential([-3.0, 1.5, 0.5, 2.5, -1.0])),
+], ids=["shift-cosine", "skew2-tabulated"])
+def test_lyapunov_scan_equals_per_energy_estimates(monkeypatch, spec, phi):
+    # small blocks: the 3-energy scan walks 37 columns per block, each
+    # one-energy estimate 111, and n = 300 is a multiple of neither, nor of
+    # the renormalisation period 16, so block boundaries fall inside
+    # renormalisation intervals and the last block is partial
+    energies, phases, n = [-4.0, 0.3, 5.5], 4, 300
+    monkeypatch.setattr(cc, "_BLOCK_CELLS", 2 * len(energies) * phases * 37)
+    assert n % 16 and n % 37 and n % 111 and 37 % 16
+    seeds = [11, 12, 13]
+    scan = cc.lyapunov_scan(spec, energies, n, phases, seeds, phi)
+    for e, seed, est in zip(energies, seeds, scan):
+        one = cc.lyapunov_estimate(spec, e, n, phases, seed, phi)
+        assert (est.lhat, est.stderr, est.lhat_grid) == \
+            (one.lhat, one.stderr, one.lhat_grid)
+    # the growing products were renormalised along the way
+    assert max(est.lhat for est in scan) * n > 2 * math.log(cc.RENORM_NORM)
+
+
+def test_batched_rows_match_the_per_step_product(monkeypatch):
+    # 4 blocks of 40 columns; the hyperbolic rows (|E| = 5, 6 > 2 + 2 lam)
+    # pass the renormalisation threshold several times
+    monkeypatch.setattr(cc, "_BLOCK_CELLS", 5 * 40)
+    phi = cc.CosinePotential(1.0)
+    n = 150
+    thetas = np.array([[0.123], [0.5], [0.871]])
+    orbit = np.array([0, 1, 2, 0, 2])
+    z = np.array([0.4, 5.0, 5.0, -6.0, complex(0.4, 0.01)])
+    lognorm, _ = cc._batch_lognorms(SHIFT1, thetas, z, n, phi, orbit)
+    assert lognorm.max() > 2 * math.log(cc.RENORM_NORM)
+    for row, (p, zr) in enumerate(zip(orbit, z)):
+        prod = cc.cocycle_product(SHIFT1, thetas[p], complex(zr), n, phi)
+        assert float(lognorm[row]) == pytest.approx(prod.log_norm(),
+                                                    abs=1e-9)
+
+
+@pytest.mark.parametrize("e, eta, inverse", [
+    (np.array([0.3, 5.0, -2.0]), 0.0, False),
+    (0.3, 0.01, False),
+    (np.array([0.3, 5.0, -2.0]), 0.0, True),
+], ids=["real", "complex", "inverse"])
+def test_carried_state_over_split_columns_is_bitwise(e, eta, inverse):
+    from qdlab.backend import kernels
+    rng = np.random.default_rng(4)
+    v = 6.0 * rng.random((3, 300)) - 3.0
+    whole = kernels.cocycle_batch(v, e, eta, inverse=inverse)
+    state = kernels.CocycleState()
+    cuts = [0, 7, 40, 41, 173, 300]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        split = kernels.cocycle_batch(v[:, lo:hi], e, eta, inverse=inverse,
+                                      state=state)
+    assert state.steps == 300
+    for got, want in zip(split, whole):
+        assert got.tobytes() == want.tobytes()
+    # renormalisation did rescale the products
+    assert np.any(state.logs > 0.0)
+
+
 def test_potential_sequence_directions():
     phi = cc.CosinePotential(1.0)
     theta = TorusPoint((0.25,))

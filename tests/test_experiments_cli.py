@@ -102,6 +102,44 @@ def test_integral_float_sample_sizes_are_accepted():
     assert all(type(row[0]) is int for row in rec.rows)
 
 
+def _lyapunov_config(**params):
+    return {"experiment": "lyapunov_scan",
+            "map": {"kind": "shift", "alpha": "golden"},
+            "potential": {"kind": "cosine", "coupling": 3.0},
+            "params": {"energies": [-1.0, 1.0, 3], "n": 50, "phases": 4,
+                       **params},
+            "seed": 5}
+
+
+@pytest.mark.parametrize("params, field", [
+    ({"energies": [-1.0, 1.0]}, "params.energies"),
+    ({"energies": [-1.0, 1.0, 3, 4]}, "params.energies"),
+    ({"energies": [-1.0, 1.0, 0]}, "params.energies"),
+    ({"energies": [-1.0, 1.0, 2.5]}, "params.energies"),
+    ({"energies": [-1.0, 1.0, True]}, "params.energies"),
+    ({"energies": [1.0, -1.0, 3]}, "params.energies"),
+    ({"energies": [-1.0, float("inf"), 3]}, "params.energies"),
+    ({"energies": ["a", 1.0, 3]}, "params.energies"),
+    ({"n": 0}, "params.n"),
+    ({"n": True}, "params.n"),
+    ({"phases": 0}, "params.phases"),
+    ({"phases": True}, "params.phases"),
+], ids=["two-entries", "four-entries", "zero-count", "fractional-count",
+        "bool-count", "reversed", "infinite", "string", "zero-n", "bool-n",
+        "zero-phases", "bool-phases"])
+def test_bad_lyapunov_scan_input_names_the_field(params, field):
+    with pytest.raises(ex.ConfigError) as err:
+        ex.run_experiment(_lyapunov_config(**params))
+    assert err.value.path == field
+
+
+def test_integral_float_energy_count_is_accepted():
+    cfg = json.loads(json.dumps(_lyapunov_config(energies=[-1, 1, 3.0])))
+    rec = ex.run_experiment(cfg)
+    assert [row[0] for row in rec.rows] == [-1.0, 0.0, 1.0]
+    assert rec.rows == ex.run_experiment(_lyapunov_config()).rows
+
+
 def test_discrepancy_decay_with_fit(tmp_path):
     out = tmp_path / "decay.csv"
     rec = ex.run_experiment({
