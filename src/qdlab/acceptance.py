@@ -43,37 +43,15 @@ def _shift_spec(tags):
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _fit_shift_golden_d1():
-    samples = []
-    fr = _freqs([GOLDEN])
-    for n in N_GRID_LONG:
-        rep = eq.discrepancy_box(eq.orbit_point_set("shift", fr, (0.0,), n))
-        samples.append((n, rep.d_n))
-    return eq.decay_rate_fit(samples)
+def _decay_fit(kind, tags, n_grid):
+    """Decay-rate fit of D_N over n_grid along the orbit of the origin.
 
-
-@functools.lru_cache(maxsize=None)
-def _fit_shift_pair_d2():
-    samples = []
-    fr = _freqs(PAIR)
-    for n in N_GRID_LONG:
-        counts = eq.orbit_grid_counts("shift", fr, (0.0, 0.0), n,
-                                      eq.GRID_RESOLUTION)
-        rep = eq.discrepancy_from_grid_counts(counts, n)
-        samples.append((n, rep.d_n))
-    return eq.decay_rate_fit(samples)
-
-
-@functools.lru_cache(maxsize=None)
-def _fit_skew_golden_d2():
-    samples = []
-    fr = parse_frequency(GOLDEN)
-    for n in N_GRID_SHORT:
-        counts = eq.orbit_grid_counts("skew", fr, (0.0, 0.0), n,
-                                      eq.GRID_RESOLUTION)
-        rep = eq.discrepancy_from_grid_counts(counts, n)
-        samples.append((n, rep.d_n))
-    return eq.decay_rate_fit(samples)
+    Shift orbits live on T^len(tags); the skew orbits here are on T^2.
+    """
+    freqs = _freqs(tags)
+    y0 = (0.0,) * (2 if kind == "skew" else len(tags))
+    return eq.decay_rate_fit(
+        [(n, eq.orbit_discrepancy(kind, freqs, y0, n).d_n) for n in n_grid])
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +117,8 @@ def criterion_2():
 
 def criterion_3():
     """Shift discrepancy decay: golden d=1 and the quadratic pair d=2."""
-    fit1 = _fit_shift_golden_d1()
-    fit2 = _fit_shift_pair_d2()
+    fit1 = _decay_fit("shift", (GOLDEN,), N_GRID_LONG)
+    fit2 = _decay_fit("shift", PAIR, N_GRID_LONG)
     ok = fit1.slope <= -0.85 and fit2.slope <= -0.6
     return ok, (f"d1 slope {fit1.slope:.3f} (need <= -0.85, "
                 f"stderr {fit1.stderr:.3f}); d2 slope {fit2.slope:.3f} "
@@ -149,7 +127,7 @@ def criterion_3():
 
 def criterion_4():
     """Skew-shift decay at golden alpha and at planted Liouville scales."""
-    fit = _fit_skew_golden_d2()
+    fit = _decay_fit("skew", (GOLDEN,), N_GRID_SHORT)
     ok = fit.slope <= -0.25
     detail = f"skew d2 golden slope {fit.slope:.3f} (need <= -0.25)"
     freq, cf = liouville_construct(3.0, 4, initial_quotient=4)
@@ -157,13 +135,7 @@ def criterion_4():
     scales = [q for q in scales if 2 <= q <= 4_000_000]
     checks = []
     for q in scales:
-        if q <= eq.EXACT_2D_LIMIT:
-            rep = eq.discrepancy_box(
-                eq.orbit_point_set("skew", freq, (0.0, 0.0), q))
-        else:
-            counts = eq.orbit_grid_counts("skew", freq, (0.0, 0.0), q,
-                                          eq.GRID_RESOLUTION)
-            rep = eq.discrepancy_from_grid_counts(counts, q)
+        rep = eq.orbit_discrepancy("skew", freq, (0.0, 0.0), q)
         thr = q ** -0.05
         checks.append((q, rep.d_n, thr))
         ok &= rep.d_n <= thr
@@ -213,7 +185,7 @@ def criterion_6():
     ok = abs(slope - 1.0) <= 0.2
     detail = f"d1 golden slope {slope:.3f} (need 1.0 +- 0.2)"
 
-    delta1 = _fit_shift_golden_d1().delta_hat
+    delta1 = _decay_fit("shift", (GOLDEN,), N_GRID_LONG).delta_hat
     chain1 = all(res.m_cover <= res.radius ** (-2.0 / delta1)
                  for res in results)
     ok &= chain1
@@ -221,13 +193,13 @@ def criterion_6():
 
     shift2, _ = _shift_spec(PAIR)
     res2 = cov.covering_time(shift2, 0.05, (0.0, 0.0), 200000)
-    delta2 = _fit_shift_pair_d2().delta_hat
+    delta2 = _decay_fit("shift", PAIR, N_GRID_LONG).delta_hat
     ok &= res2.covered and res2.m_cover <= 0.05 ** (-4.0 / delta2)
     detail += f"; d2 pair M={res2.m_cover}"
 
     skew = SkewShift(float(parse_frequency(GOLDEN)), 2)
     res3 = cov.covering_time(skew, 0.05, (0.0, 0.0), 200000)
-    delta3 = _fit_skew_golden_d2().delta_hat
+    delta3 = _decay_fit("skew", (GOLDEN,), N_GRID_SHORT).delta_hat
     ok &= res3.covered and res3.m_cover <= 0.05 ** (-4.0 / delta3)
     detail += f"; skew d2 M={res3.m_cover}"
     return ok, detail

@@ -20,6 +20,7 @@ from .torus import TorusPoint, step_array, inverse_step_array
 # Frobenius norm, so a later threshold would overflow the discriminant
 # q^2 - 4 det^2
 RENORM_NORM = math.sqrt(kernels._RENORM_THRESHOLD)
+HOLDER_SCALE = 1e-3        # per-coordinate offset of holder_certificate pairs
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +98,12 @@ class ZeroPotential:
         return np.zeros(pts.shape[0])
 
 
-def holder_certificate(phi, d, pairs, seed, scale=1e-3):
+def holder_certificate(phi, d, pairs, seed):
     """Max observed |phi(a)-phi(b)| / dist(a,b)^gamma over nearby pairs."""
     gamma, const = phi.holder
     rng = np.random.default_rng(seed)
     a = rng.random((pairs, d))
-    b = a + rng.uniform(-scale, scale, size=(pairs, d))
+    b = a + rng.uniform(-HOLDER_SCALE, HOLDER_SCALE, size=(pairs, d))
     b -= np.floor(b)
     delta = np.abs(a - b)
     delta = np.minimum(delta, 1.0 - delta)

@@ -47,7 +47,7 @@ def _torus_dist2(pts, center):
     return np.einsum("ij,ij->i", delta, delta)
 
 
-def covering_time(map_spec, r, c, mmax, grid=None):
+def covering_time(map_spec, r, c, mmax):
     """Minimal M with every grid point's backward orbit entering B_{3r/4}(c).
 
     Returns a CoveringResult; m_cover is None (with the count of uncovered
@@ -63,10 +63,9 @@ def covering_time(map_spec, r, c, mmax, grid=None):
         # the ball alone reaches every point of the torus
         return CoveringResult(r, tuple(center), type(map_spec).__name__,
                               1, 0, 0.0, True)
-    if grid is None:
-        grid = 1
-        while 1.0 / grid > r / 4.0 and grid < GRID_CAP:
-            grid *= 2
+    grid = 1
+    while 1.0 / grid > r / 4.0 and grid < GRID_CAP:
+        grid *= 2
     spacing = 1.0 / grid
     certified = spacing <= r / 4.0
 

@@ -14,11 +14,12 @@ import numpy as np
 
 from qdlab.arithmetic import Frequency, parse_frequency
 from qdlab.backend import kernels
-from qdlab.torus import PointSet
+from qdlab.torus import PointSet, skew_iterate_ints
 
 GRID_RESOLUTION = 1024
 EXACT_2D_LIMIT = 512
 ORBIT_CHUNK = 16384
+ANCHOR_BITS = 128
 
 
 # ---------------------------------------------------------------------------
@@ -33,19 +34,7 @@ def _fixed_ints(values, bits):
     return out
 
 
-def _skew_anchor(a_int, y_ints, n, modulus):
-    d = len(y_ints)
-    anchor = []
-    for i in range(1, d + 1):
-        acc = y_ints[i - 1]
-        for j in range(1, i):
-            acc += math.comb(n, j) * y_ints[i - 1 - j]
-        acc += math.comb(n, i) * a_int
-        anchor.append((acc % modulus) / modulus)
-    return np.array(anchor, dtype=np.float64)
-
-
-def orbit_chunks(kind, freqs, y0, n, bits=128, chunk=ORBIT_CHUNK):
+def orbit_chunks(kind, freqs, y0, n):
     """Yields (start_index, (m, d) float64 array) chunks of the orbit.
 
     kind: 'shift' (freqs = one Frequency per coordinate) or 'skew'
@@ -53,14 +42,14 @@ def orbit_chunks(kind, freqs, y0, n, bits=128, chunk=ORBIT_CHUNK):
     anchors are computed in exact fixed-point integers, so error never
     accumulates beyond a single chunk (~1e-8 worst case for d=2).
     """
+    bits = ANCHOR_BITS
     modulus = 1 << bits
     y_ints = [int(round(float(c) * modulus)) % modulus for c in y0]
-    d = len(y_ints)
     if kind == "shift":
         a_ints = _fixed_ints(freqs, bits)
         alpha = np.array([a / modulus for a in a_ints], dtype=np.float64)
-        for start in range(0, n, chunk):
-            m = min(chunk, n - start)
+        for start in range(0, n, ORBIT_CHUNK):
+            m = min(ORBIT_CHUNK, n - start)
             anchor = np.array(
                 [((y + start * a) % modulus) / modulus
                  for y, a in zip(y_ints, a_ints)], dtype=np.float64)
@@ -69,28 +58,43 @@ def orbit_chunks(kind, freqs, y0, n, bits=128, chunk=ORBIT_CHUNK):
         a_int = _fixed_ints([freqs] if isinstance(freqs, (Frequency, str, float))
                             else list(freqs)[:1], bits)[0]
         alpha = a_int / modulus
-        for start in range(0, n, chunk):
-            m = min(chunk, n - start)
-            anchor = _skew_anchor(a_int, y_ints, start, modulus)
+        for start in range(0, n, ORBIT_CHUNK):
+            m = min(ORBIT_CHUNK, n - start)
+            anchor = np.array(
+                [v / modulus
+                 for v in skew_iterate_ints(a_int, y_ints, start, bits)],
+                dtype=np.float64)
             yield start, kernels.skew_chunk(anchor, alpha, m)
     else:
         raise ValueError(f"unknown orbit kind {kind!r}")
 
 
-def orbit_point_set(kind, freqs, y0, n, bits=128):
+def orbit_point_set(kind, freqs, y0, n):
     d = len(tuple(y0))
     pts = np.empty((n, d), dtype=np.float64)
-    for start, block in orbit_chunks(kind, freqs, y0, n, bits=bits):
+    for start, block in orbit_chunks(kind, freqs, y0, n):
         pts[start:start + block.shape[0]] = block
     return PointSet(pts, provenance=f"{kind} orbit, n={n}")
 
 
-def orbit_grid_counts(kind, freqs, y0, n, g, bits=128):
+def orbit_grid_counts(kind, freqs, y0, n, g):
     """(g, g) int64 cell counts of a d=2 orbit, without materializing it."""
     counts = np.zeros((g, g), dtype=np.int64)
-    for _, block in orbit_chunks(kind, freqs, y0, n, bits=bits):
+    for _, block in orbit_chunks(kind, freqs, y0, n):
         counts += _cell_counts(block, g)
     return counts
+
+
+def orbit_discrepancy(kind, freqs, y0, n):
+    """Box discrepancy of the first n orbit points, exact where affordable.
+
+    A d=2 orbit too long for the exact scan is binned chunk by chunk on the
+    GRID_RESOLUTION grid and never materialized.
+    """
+    if len(y0) == 2 and n > EXACT_2D_LIMIT:
+        counts = orbit_grid_counts(kind, freqs, y0, n, GRID_RESOLUTION)
+        return discrepancy_from_grid_counts(counts, n)
+    return discrepancy_box(orbit_point_set(kind, freqs, y0, n))
 
 
 def _cell_counts(points, g):
@@ -133,8 +137,9 @@ class DiscrepancyReport:
     j_n_lower: float = None
 
 
-def discrepancy_box(point_set, grid=GRID_RESOLUTION):
+def discrepancy_box(point_set):
     """Sup over half-open axis boxes of |count/N - volume|."""
+    grid = GRID_RESOLUTION
     pts = point_set.points
     n, d = pts.shape
     if n < 1:

@@ -90,7 +90,7 @@ def _parse_map(config):
         alpha = _get(config, "map.alpha")
         if isinstance(alpha, list):
             raise ConfigError("map.alpha", "skew map takes a scalar frequency")
-        d = _get(config, "map.d", 2, kind=int)
+        d = _positive_int(config, "map.d", 2)
         try:
             freq = parse_frequency(alpha)
         except ValueError as exc:
@@ -117,24 +117,37 @@ def _parse_potential(config, default_zero=True):
     raise ConfigError("potential.kind", f"unknown potential kind {kind!r}")
 
 
+def _positive_int(config, path, default=KeyError):
+    value = _get(config, path, default, kind=int)
+    if isinstance(value, bool) or value < 1:
+        raise ConfigError(path, f"expected a positive integer, got {value!r}")
+    return value
+
+
+def _point(config, path, d):
+    """A point of T^d as d finite coordinates; the origin when absent."""
+    coords = _get(config, path, [0.0] * d, kind=list)
+    if len(coords) != d:
+        raise ConfigError(path, f"expected {d} coordinates, got {coords!r}")
+    if not all(_is_number(c) for c in coords):
+        raise ConfigError(path, f"coordinates must be finite numbers, "
+                                f"got {coords!r}")
+    return tuple(float(c) for c in coords)
+
+
+def _bracket(config, low, high):
+    """Whether [low, high] meets params.require_low and require_high."""
+    lo = _get(config, "params.require_low", None)
+    hi = _get(config, "params.require_high", None)
+    return ((lo is None or low >= float(lo))
+            and (hi is None or high <= float(hi)))
+
+
 def _require_seed(config):
     seed = config.get("seed")
     if not isinstance(seed, int):
         raise ConfigError("seed", "a seed is mandatory for randomized runs")
     return seed
-
-
-def _orbit_discrepancy(mp, y0, n):
-    """Discrepancy of the first n orbit points, exact where affordable."""
-    if mp["d"] == 1:
-        ps = eq.orbit_point_set(mp["kind"], mp["freqs"], y0, n)
-        return eq.discrepancy_box(ps)
-    if mp["d"] == 2 and n > eq.EXACT_2D_LIMIT:
-        counts = eq.orbit_grid_counts(mp["kind"], mp["freqs"], y0, n,
-                                      eq.GRID_RESOLUTION)
-        return eq.discrepancy_from_grid_counts(counts, n)
-    ps = eq.orbit_point_set(mp["kind"], mp["freqs"], y0, n)
-    return eq.discrepancy_box(ps)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +179,12 @@ def _tuples(s, r_max):
             yield rest + (r,)
 
 
+def _is_number(v):
+    """A finite int or float (bools excluded)."""
+    return (not isinstance(v, bool) and isinstance(v, (int, float))
+            and math.isfinite(v))
+
+
 def _is_count(v):
     """A positive integer; integral floats such as JSON's 1e4 count too."""
     return (not isinstance(v, bool) and isinstance(v, (int, float))
@@ -191,14 +210,12 @@ def _sample_sizes(values):
 def _run_discrepancy_decay(config):
     mp = _parse_map(config)
     n_grid = _sample_sizes(_get(config, "params.n_grid", kind=list))
-    y0 = tuple(_get(config, "params.y0", [0.0] * mp["d"], kind=list))
-    if len(y0) != mp["d"]:
-        raise ConfigError("params.y0", "dimension mismatch with the map")
+    y0 = _point(config, "params.y0", mp["d"])
     header = ["n", "d_n", "method", "error_bound"]
     rows = []
     samples = []
     for n in sorted(n_grid):
-        rep = _orbit_discrepancy(mp, y0, n)
+        rep = eq.orbit_discrepancy(mp["kind"], mp["freqs"], y0, n)
         rows.append((n, rep.d_n, rep.method, rep.error_bound))
         samples.append((n, rep.d_n))
     summary = {}
@@ -219,9 +236,13 @@ def _run_discrepancy_decay(config):
 
 def _run_covering(config):
     mp = _parse_map(config)
-    radii = [float(r) for r in _get(config, "params.radii", kind=list)]
-    center = tuple(_get(config, "params.center", [0.0] * mp["d"], kind=list))
-    mmax = _get(config, "params.mmax", 100000, kind=int)
+    radii = _get(config, "params.radii", kind=list)
+    if not all(_is_number(r) and r > 0 for r in radii):
+        raise ConfigError("params.radii",
+                          f"radii must be positive numbers, got {radii!r}")
+    radii = [float(r) for r in radii]
+    center = _point(config, "params.center", mp["d"])
+    mmax = _positive_int(config, "params.mmax", 100000)
     header = ["r", "m_cover", "grid", "certified"]
     rows = []
     passed = True
@@ -242,8 +263,7 @@ def _run_covering(config):
 
 def _run_brs_remainder(config):
     variant = _get(config, "params.variant", kind=str)
-    nmax = _get(config, "params.nmax", kind=int)
-    x0 = config.get("params", {}).get("x0")
+    nmax = _positive_int(config, "params.nmax")
     if variant == "interval":
         alpha = parse_frequency(_get(config, "params.alpha"))
         tf = brs.interval_transfer(float(alpha),
@@ -263,9 +283,11 @@ def _run_brs_remainder(config):
         alpha_vec = [float(a1), float(a2)]
     else:
         raise ConfigError("params.variant", f"unknown variant {variant!r}")
-    if x0 is None:
+    if _get(config, "params.x0", None) is None:
         rng = np.random.default_rng(_require_seed(config))
         x0 = rng.random(len(alpha_vec)).tolist()
+    else:
+        x0 = _point(config, "params.x0", len(alpha_vec))
     sup = brs.remainder_sup(tf.membership, tf.volume, alpha_vec,
                             np.asarray(x0, dtype=np.float64), nmax)
     bound = 2.0 * tf.bound
@@ -282,8 +304,7 @@ def _energy_grid(values):
                           f"expected [lo, hi, count], got {values!r}")
     lo, hi, count = values
     for v in (lo, hi):
-        if (isinstance(v, bool) or not isinstance(v, (int, float))
-                or not math.isfinite(v)):
+        if not _is_number(v):
             raise ConfigError("params.energies",
                               f"energy bounds must be finite numbers, "
                               f"got {v!r}")
@@ -294,13 +315,6 @@ def _energy_grid(values):
         raise ConfigError("params.energies",
                           f"count must be a positive integer, got {count!r}")
     return float(lo), float(hi), int(count)
-
-
-def _positive_int(config, path):
-    value = _get(config, path, kind=int)
-    if isinstance(value, bool) or value < 1:
-        raise ConfigError(path, f"expected a positive integer, got {value!r}")
-    return value
 
 
 def _run_lyapunov_scan(config):
@@ -329,7 +343,10 @@ def _run_dt_integral(config):
     rho = float(_get(config, "params.rho"))
     k_bound = float(_get(config, "params.k_bound"))
     e_count = _get(config, "params.e_count", 201, kind=int)
-    theta = tuple(_get(config, "params.theta", [0.0] * mp["d"], kind=list))
+    if isinstance(e_count, bool) or e_count < 2:
+        raise ConfigError("params.e_count",
+                          f"need at least 2 energies, got {e_count!r}")
+    theta = _point(config, "params.theta", mp["d"])
     header = ["T", "integral", "rho", "k_bound"]
     rows = []
     values = []
@@ -353,21 +370,14 @@ def _run_transport_beta(config):
     phi = _parse_potential(config)
     p = float(_get(config, "params.p", 2.0))
     t_grid = [float(t) for t in _get(config, "params.t_grid", kind=list)]
-    theta = tuple(_get(config, "params.theta", [0.0] * mp["d"], kind=list))
+    theta = _point(config, "params.theta", mp["d"])
     l_box = _get(config, "params.l_box", None)
     est = tp.beta_estimate(mp["spec"], TorusPoint(theta), phi, p, t_grid,
                            l_box=l_box)
     header = ["beta_low", "beta_high", "p", "t_max"]
     rows = [(est.low, est.high, p, max(t_grid))]
     summary = {"beta_low": est.low, "beta_high": est.high}
-    passed = True
-    lo = _get(config, "params.require_low", None)
-    hi = _get(config, "params.require_high", None)
-    if lo is not None:
-        passed &= est.low >= float(lo)
-    if hi is not None:
-        passed &= est.high <= float(hi)
-    return header, rows, summary, passed
+    return header, rows, summary, _bracket(config, est.low, est.high)
 
 
 def _run_transport_xi(config):
@@ -375,7 +385,7 @@ def _run_transport_xi(config):
     phi = _parse_potential(config)
     taus = [float(t) for t in _get(config, "params.tau_levels", kind=list)]
     t_grid = [float(t) for t in _get(config, "params.t_grid", kind=list)]
-    theta = tuple(_get(config, "params.theta", [0.0] * mp["d"], kind=list))
+    theta = _point(config, "params.theta", mp["d"])
     l_box = _get(config, "params.l_box", None)
     est = tp.xi_estimate(mp["spec"], TorusPoint(theta), phi, taus, t_grid,
                          l_box=l_box)
@@ -384,14 +394,7 @@ def _run_transport_xi(config):
     rows = [(t, front, lead)
             for t, front in zip(sorted(t_grid), est.fronts[lead])]
     summary = {"xi_low": est.low, "xi_high": est.high}
-    passed = True
-    lo = _get(config, "params.require_low", None)
-    hi = _get(config, "params.require_high", None)
-    if lo is not None:
-        passed &= est.low >= float(lo)
-    if hi is not None:
-        passed &= est.high <= float(hi)
-    return header, rows, summary, passed
+    return header, rows, summary, _bracket(config, est.low, est.high)
 
 
 RUNNERS = {

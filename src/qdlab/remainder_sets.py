@@ -21,6 +21,7 @@ def _frac(x):
 
 
 TWO_PI_I = 2j * math.pi
+REMAINDER_CHUNK = 1 << 16      # orbit points per remainder_sup block
 
 
 def _geom_phase_sum(count, phase):
@@ -207,7 +208,7 @@ def parallelogram_indicator_fourier(tf, mode):
 # remainder scan
 # ---------------------------------------------------------------------------
 
-def remainder_sup(membership, volume, alpha, x0, nmax, chunk=1 << 16):
+def remainder_sup(membership, volume, alpha, x0, nmax):
     """sup over N <= nmax of |A_N - N vol| along the rotation orbit of x0.
 
     membership: vectorized indicator over points; alpha and x0 are scalars
@@ -218,8 +219,8 @@ def remainder_sup(membership, volume, alpha, x0, nmax, chunk=1 << 16):
     d = alpha.shape[0]
     sup = 0.0
     running = 0.0
-    for start in range(0, nmax, chunk):
-        count = min(chunk, nmax - start)
+    for start in range(0, nmax, REMAINDER_CHUNK):
+        count = min(REMAINDER_CHUNK, nmax - start)
         ns = np.arange(start, start + count, dtype=np.float64)
         pts = _frac(x0[None, :] + ns[:, None] * alpha[None, :])
         ind = membership(pts if d > 1 else pts[:, 0]).astype(np.float64)

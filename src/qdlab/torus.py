@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arithmetic import Frequency
+
 _BITS = 53
 _SCALE = 1 << _BITS
 
@@ -154,40 +156,44 @@ def orbit(map_spec, p, n):
     return PointSet(out, provenance=f"{type(map_spec).__name__} orbit")
 
 
-def skew_closed_form(alpha, y, n, frac_bits=None):
-    """n-th skew-shift iterate via exact integer binomials.
+def skew_iterate_ints(a_int, y_ints, n, bits):
+    """Exact n-th skew-shift iterate on the lattice Z / 2^bits.
 
-    Coordinate i (1-based) of the n-th iterate is
-      y_i + C(n,1) y_{i-1} + ... + C(n,i-1) y_1 + C(n,i) alpha,
-    each term reduced mod 1.  alpha may be a float (used on its own dyadic
-    lattice, matching step/orbit exactly) or a string / mpmath value, in
-    which case it is carried at frac_bits (default 128) fractional bits.
+    a_int and y_ints are alpha and the start point as integers over
+    2^bits; coordinate i (1-based) of the result is
+      y_i + C(n,1) y_{i-1} + ... + C(n,i-1) y_1 + C(n,i) alpha  (mod 2^bits).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if isinstance(alpha, float) and frac_bits is None:
-        bits = _BITS
-        a_int = round(_quantize(alpha) * _SCALE)
-    else:
-        bits = 128 if frac_bits is None else int(frac_bits)
-        from mpmath import mp
-        with mp.workprec(bits + 16):
-            a_int = int(mp.floor(mp.frac(mp.mpf(alpha)) * (1 << bits)
-                                 + mp.mpf("0.5")))
     modulus = 1 << bits
-    a_int %= modulus
-    shift = bits - _BITS
-    y_ints = [k << shift for k in y.lattice_ints()]
-    d = len(y_ints)
     out = []
-    for i in range(1, d + 1):
+    for i in range(1, len(y_ints) + 1):
         acc = y_ints[i - 1]
         for j in range(1, i):
             acc += math.comb(n, j) * y_ints[i - 1 - j]
         acc += math.comb(n, i) * a_int
-        acc %= modulus
-        out.append(acc / modulus)
-    return TorusPoint(tuple(out))
+        out.append(acc % modulus)
+    return out
+
+
+def skew_closed_form(alpha, y, n):
+    """n-th skew-shift iterate via exact integer binomials.
+
+    alpha may be a float (used on its own dyadic lattice, matching
+    step/orbit exactly) or a string / mpmath value, in which case it is
+    carried at 128 fractional bits.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if isinstance(alpha, float):
+        bits = _BITS
+        a_int = round(_quantize(alpha) * _SCALE)
+    else:
+        bits = 128
+        a_int = Frequency(alpha, bits).num
+    shift = bits - _BITS
+    y_ints = [k << shift for k in y.lattice_ints()]
+    modulus = 1 << bits
+    return TorusPoint(tuple(v / modulus for v in
+                            skew_iterate_ints(a_int, y_ints, n, bits)))
 
 
 def torus_distance(p, q):

@@ -20,7 +20,10 @@ from .torus import TorusPoint, step, inverse_step
 NORM_DEFECT_TOL = 1e-8
 DEFAULT_BOUNDARY_BUDGET = 1e-8
 COEFF_TOL = 1e-14
+BOX_START = 128
 BOX_CAP = 1 << 17
+ABEL_PANELS = 20
+ABEL_ORDER = 12
 
 
 @dataclass
@@ -49,12 +52,16 @@ class EvolutionState:
     valid: bool
 
 
+def _phase(theta):
+    return theta if isinstance(theta, TorusPoint) else TorusPoint(
+        tuple(np.atleast_1d(theta)))
+
+
 def build_hamiltonian(map_spec, theta, phi, l_box):
     """Potential sampled at f^n theta for |n| <= l_box, exact torus steps."""
     if l_box < 1:
         raise ValueError("box half-width must be >= 1")
-    if not isinstance(theta, TorusPoint):
-        theta = TorusPoint(tuple(np.atleast_1d(theta)))
+    theta = _phase(theta)
     pts = np.empty((2 * l_box + 1, map_spec.d))
     cur = theta
     for n in range(l_box + 1):
@@ -105,14 +112,14 @@ def initial_state(ham, site=0):
     return psi
 
 
-def evolve(ham, t, psi0=None, t0=0.0, budget=DEFAULT_BOUNDARY_BUDGET):
-    """e^{-i (t - t0) H} applied to psi0 (default: delta at the origin)."""
-    if t < t0:
+def evolve(ham, t, psi0=None, budget=DEFAULT_BOUNDARY_BUDGET):
+    """e^{-i t H} applied to psi0 (default: delta at the origin)."""
+    if t < 0:
         raise ValueError("cannot evolve backward")
     psi = initial_state(ham) if psi0 is None else np.asarray(
         psi0, dtype=np.complex128)
-    if t > t0:
-        psi = _apply_propagator(ham, t - t0, psi)
+    if t > 0:
+        psi = _apply_propagator(ham, t, psi)
     return _certify(ham, t, psi, budget)
 
 
@@ -157,10 +164,13 @@ def moment(state, p):
 # Abel averages
 # ---------------------------------------------------------------------------
 
-def abel_nodes(big_t, panels=40, order=16):
-    """Gauss-Legendre nodes/weights for (2/T) int_0^{10T} e^{-2t/T} . dt."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, 10.0 * big_t, panels + 1)
+def abel_nodes(big_t):
+    """Gauss-Legendre nodes/weights for (2/T) int_0^{10T} e^{-2t/T} . dt.
+
+    The cut at 10T drops a tail of weight e^{-20}.
+    """
+    x, w = np.polynomial.legendre.leggauss(ABEL_ORDER)
+    edges = np.linspace(0.0, 10.0 * big_t, ABEL_PANELS + 1)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         t = 0.5 * (b - a) * x + 0.5 * (a + b)
@@ -169,24 +179,9 @@ def abel_nodes(big_t, panels=40, order=16):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def abel_average(observable, big_t, panels=40, order=16):
-    """Exponentially weighted time average, truncated at 10T (tail e^{-20})."""
-    if big_t <= 0:
-        raise ValueError("averaging time must be positive")
-    nodes, weights = abel_nodes(big_t, panels, order)
-    acc = None
-    for t, w in zip(nodes, weights):
-        val = observable(float(t))
-        acc = w * np.asarray(val) if acc is None else acc + w * np.asarray(val)
-    if acc.ndim == 0:
-        return float(acc)
-    return acc
-
-
-def averaged_profile(ham, big_t, site=0, budget=DEFAULT_BOUNDARY_BUDGET,
-                     panels=20, order=12):
+def averaged_profile(ham, big_t, site=0, budget=DEFAULT_BOUNDARY_BUDGET):
     """Abel-averaged site probabilities <a(n, t)>_T for the delta start."""
-    nodes, weights = abel_nodes(big_t, panels, order)
+    nodes, weights = abel_nodes(big_t)
     states = evolve_times(ham, list(nodes),
                           psi0=initial_state(ham, site), budget=budget)
     acc = np.zeros(ham.size)
@@ -208,15 +203,17 @@ def p_theta_t(map_spec, theta, phi, big_t, l_values, l_box,
     l_values = np.asarray(l_values, dtype=np.int64)
     if np.any(l_values > 0.9 * l_box):
         raise ValueError("requested L exceeds 90% of the box")
-    th = theta if isinstance(theta, TorusPoint) else TorusPoint(
-        tuple(np.atleast_1d(theta)))
-    out = []
-    for phase in (th, step(map_spec, th)):
-        ham = build_hamiltonian(map_spec, phase, phi, l_box)
-        prof = averaged_profile(ham, big_t, budget=budget)
-        cum = _symmetric_cumsum(prof, l_box)
-        out.append(cum[l_values])
-    return out[0], out[1]
+    th = _phase(theta)
+    ham = build_hamiltonian(map_spec, th, phi, l_box)
+    cum0, cum1 = _phase_pair_cumsums(map_spec, th, phi, ham, big_t, budget)
+    return cum0[l_values], cum1[l_values]
+
+
+def _phase_pair_cumsums(map_spec, th, phi, ham, big_t, budget):
+    """Cumulative averaged profiles at th (Hamiltonian ham) and at f(th)."""
+    shifted = build_hamiltonian(map_spec, step(map_spec, th), phi, ham.l_box)
+    return [_symmetric_cumsum(averaged_profile(h, big_t, budget=budget),
+                              ham.l_box) for h in (ham, shifted)]
 
 
 def _symmetric_cumsum(profile, l_box):
@@ -243,15 +240,14 @@ def worst_case_box(phi_sup, t_max):
     return int(math.ceil((2.0 + phi_sup) * t_max * 1.05)) + 96
 
 
-def auto_box(map_spec, theta, phi, t_max, budget=DEFAULT_BOUNDARY_BUDGET,
-             start=128):
+def auto_box(map_spec, theta, phi, t_max, budget=DEFAULT_BOUNDARY_BUDGET):
     """Smallest power-of-2-scaled box keeping boundary mass within budget.
 
     Tries geometrically growing half-widths and checks the budget at t_max;
     falls back to the light-cone rule as the hard ceiling.
     """
     ceiling = worst_case_box(phi.sup_bound or 0.0, t_max)
-    l = min(start, ceiling)
+    l = min(BOX_START, ceiling)
     while True:
         ham = build_hamiltonian(map_spec, theta, phi, l)
         # probe with a much smaller budget: near the ballistic edge the
@@ -263,6 +259,13 @@ def auto_box(map_spec, theta, phi, t_max, budget=DEFAULT_BOUNDARY_BUDGET,
         l = min(2 * l, ceiling)
         if l > BOX_CAP:
             raise ValueError("box size exceeds the hard cap")
+
+
+def _box_hamiltonian(map_spec, theta, phi, t_max, budget, l_box):
+    """The Hamiltonian on the given half-width, else auto_box's for t_max."""
+    if l_box is None:
+        return auto_box(map_spec, theta, phi, t_max, budget=budget)
+    return build_hamiltonian(map_spec, theta, phi, l_box)
 
 
 @dataclass
@@ -302,10 +305,7 @@ def beta_estimate(map_spec, theta, phi, p, t_grid,
     t_grid = sorted(float(t) for t in t_grid)
     if len(t_grid) < 8:
         raise ValueError("need at least 8 grid times")
-    if l_box is None:
-        ham = auto_box(map_spec, theta, phi, t_grid[-1], budget=budget)
-    else:
-        ham = build_hamiltonian(map_spec, theta, phi, l_box)
+    ham = _box_hamiltonian(map_spec, theta, phi, t_grid[-1], budget, l_box)
     states = evolve_times(ham, t_grid, budget=budget)
     moments = [moment(st, p) for st in states]
     slopes = running_slopes(p * np.log(t_grid), np.log(moments))
@@ -330,20 +330,13 @@ def xi_estimate(map_spec, theta, phi, tau_levels, t_grid,
     if not tau_levels or tau_levels[0] <= 0.0 or tau_levels[-1] >= 1.0:
         raise ValueError("tau levels must lie in (0, 1)")
     t_grid = sorted(float(t) for t in t_grid)
+    th = _phase(theta)
     fronts = {tau: [] for tau in tau_levels}
     for big_t in t_grid:
-        if l_box is None:
-            box = auto_box(map_spec, theta, phi, 10.0 * big_t, budget=budget).l_box
-        else:
-            box = l_box
-        th = theta if isinstance(theta, TorusPoint) else TorusPoint(
-            tuple(np.atleast_1d(theta)))
-        ham0 = build_hamiltonian(map_spec, th, phi, box)
-        ham1 = build_hamiltonian(map_spec, step(map_spec, th), phi, box)
-        total = _symmetric_cumsum(averaged_profile(ham0, big_t, budget=budget),
-                                  box) \
-            + _symmetric_cumsum(averaged_profile(ham1, big_t, budget=budget),
-                                box)
+        ham = _box_hamiltonian(map_spec, th, phi, 10.0 * big_t, budget, l_box)
+        cum0, cum1 = _phase_pair_cumsums(map_spec, th, phi, ham, big_t,
+                                         budget)
+        total = cum0 + cum1
         for tau in tau_levels:
             fronts[tau].append(max(xi_front(total, tau), 1))
     lead = tau_levels[0]
@@ -367,11 +360,8 @@ def kkl_check(map_spec, theta, phi, big_t, l1, l2, e_count,
 
     if min(l1, l2) <= 2:
         raise ValueError("window bounds must exceed 2")
-    th = theta if isinstance(theta, TorusPoint) else TorusPoint(
-        tuple(np.atleast_1d(theta)))
-    if l_box is None:
-        l_box = auto_box(map_spec, th, phi, 10.0 * big_t, budget=budget).l_box
-    ham = build_hamiltonian(map_spec, th, phi, l_box)
+    th = _phase(theta)
+    ham = _box_hamiltonian(map_spec, th, phi, 10.0 * big_t, budget, l_box)
     lhs = 0.0
     window = ham.sites()
     mask = (window >= -l1) & (window <= l2)

@@ -149,7 +149,7 @@ def brute_anchored_sup(pts, lattice):
     return best
 
 
-def test_grid_anchored_3d_matches_brute_force():
+def test_grid_anchored_3d_matches_brute_force(monkeypatch):
     # points on the dyadic lattice (k + 0.5)/32 bin exactly into g = 16 cells
     rng = np.random.default_rng(31)
     m, d, n = 32, 3, 200
@@ -157,7 +157,8 @@ def test_grid_anchored_3d_matches_brute_force():
     g = 16
     expected = brute_anchored_sup(pts, np.arange(g + 1) / g)
     direct = eq._grid_discrepancy_nd(pts, g)
-    routed = eq.discrepancy_box(PointSet(pts), grid=64)
+    monkeypatch.setattr(eq, "GRID_RESOLUTION", 64)
+    routed = eq.discrepancy_box(PointSet(pts))
     for rep in (direct, routed):
         assert rep.method == f"grid-anchored({g})"
         assert rep.error_bound == pytest.approx(2.0 * d / g)
@@ -196,15 +197,13 @@ def test_skew_orbit_anchoring_across_chunks():
     # force several chunks and compare against the exact closed form
     n = 3 * eq.ORBIT_CHUNK + 500
     pts = np.empty((n, 2))
-    for start, block in eq.orbit_chunks("skew", GOLDEN, (0.0, 0.0), n,
-                                        chunk=eq.ORBIT_CHUNK):
+    for start, block in eq.orbit_chunks("skew", GOLDEN, (0.0, 0.0), n):
         pts[start:start + block.shape[0]] = block
     y0 = TorusPoint((0.0, 0.0))
     for k in (0, eq.ORBIT_CHUNK - 1, eq.ORBIT_CHUNK, 2 * eq.ORBIT_CHUNK + 7,
               n - 1):
         exact = skew_closed_form(
-            "0.618033988749894848204586834365638117720309", y0, k,
-            frac_bits=128)
+            "0.618033988749894848204586834365638117720309", y0, k)
         delta = np.abs(pts[k] - np.array(exact.coords))
         delta = np.minimum(delta, 1.0 - delta)
         assert np.max(delta) < 1e-8
@@ -220,6 +219,25 @@ def test_orbit_grid_counts_consistent_with_points():
     direct = np.zeros((g, g), dtype=np.int64)
     np.add.at(direct, (ix, iy), 1)
     assert np.array_equal(counts, direct)
+
+
+@pytest.mark.parametrize("kind, freqs, y0, n, method", [
+    ("shift", [GOLDEN], (0.3,), 1000, "exact"),
+    ("shift", PAIR, (0.1, 0.7), 512, "exact"),
+    ("skew", GOLDEN, (0.1, 0.7), 513, "grid(1024)"),
+    ("skew", GOLDEN, (0.1, 0.2, 0.3), 700, "grid-anchored(102)"),
+], ids=["d1", "d2-exact-limit", "d2-grid", "d3"])
+def test_orbit_discrepancy_matches_explicit_pipeline(kind, freqs, y0, n,
+                                                     method):
+    got = eq.orbit_discrepancy(kind, freqs, y0, n)
+    if method.startswith("grid("):
+        counts = eq.orbit_grid_counts(kind, freqs, y0, n, eq.GRID_RESOLUTION)
+        want = eq.discrepancy_from_grid_counts(counts, n)
+    else:
+        want = eq.discrepancy_box(eq.orbit_point_set(kind, freqs, y0, n))
+    assert got.method == want.method == method
+    assert (got.n, got.d_n, got.error_bound) == \
+        (want.n, want.d_n, want.error_bound)
 
 
 def test_counting_box_and_callable_agree():

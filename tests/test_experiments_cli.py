@@ -140,6 +140,65 @@ def test_integral_float_energy_count_is_accepted():
     assert rec.rows == ex.run_experiment(_lyapunov_config()).rows
 
 
+SHIFT1 = {"kind": "shift", "alpha": "golden"}
+COSINE = {"kind": "cosine", "coupling": 3.0}
+BAD_INPUTS = {
+    "dt-theta-too-long": (
+        {"experiment": "dt_integral", "map": SHIFT1, "potential": COSINE,
+         "params": {"t_list": [10.0], "rho": 0.5, "k_bound": 9.0,
+                    "theta": [0.1, 0.2]}}, "params.theta"),
+    "beta-theta-too-long": (
+        {"experiment": "transport_beta", "map": SHIFT1,
+         "params": {"t_grid": [5.0 * k for k in range(1, 9)],
+                    "theta": [0.1, 0.2]}}, "params.theta"),
+    "xi-theta-empty": (
+        {"experiment": "transport_xi", "map": SHIFT1,
+         "params": {"tau_levels": [0.5], "t_grid": [5.0, 10.0],
+                    "theta": []}}, "params.theta"),
+    "center-wrong-length": (
+        {"experiment": "covering", "map": SHIFT1,
+         "params": {"radii": [0.3], "center": [0.1, 0.2]}}, "params.center"),
+    "x0-too-long": (
+        {"experiment": "brs_remainder",
+         "params": {"variant": "interval", "alpha": "golden", "q": 1, "p": 0,
+                    "nmax": 100, "x0": [0.1, 0.2, 0.3]}}, "params.x0"),
+    "map-d-zero": (
+        {"experiment": "discrepancy_decay",
+         "map": {"kind": "skew", "alpha": "golden", "d": 0},
+         "params": {"n_grid": [100]}}, "map.d"),
+    "map-d-bool": (
+        {"experiment": "discrepancy_decay",
+         "map": {"kind": "skew", "alpha": "golden", "d": True},
+         "params": {"n_grid": [100]}}, "map.d"),
+    "e-count-zero": (
+        {"experiment": "dt_integral", "map": SHIFT1, "potential": COSINE,
+         "params": {"t_list": [10.0, 20.0], "rho": 0.5, "k_bound": 9.0,
+                    "e_count": 0}}, "params.e_count"),
+    "e-count-one": (
+        {"experiment": "dt_integral", "map": SHIFT1, "potential": COSINE,
+         "params": {"t_list": [10.0, 20.0], "rho": 0.5, "k_bound": 9.0,
+                    "e_count": 1}}, "params.e_count"),
+    "radius-zero": (
+        {"experiment": "covering", "map": SHIFT1,
+         "params": {"radii": [0.3, 0.0]}}, "params.radii"),
+    "radius-negative": (
+        {"experiment": "covering", "map": SHIFT1,
+         "params": {"radii": [-0.1]}}, "params.radii"),
+    "nmax-zero": (
+        {"experiment": "brs_remainder",
+         "params": {"variant": "interval", "alpha": "golden", "q": 1, "p": 0,
+                    "nmax": 0, "x0": [0.1]}}, "params.nmax"),
+}
+
+
+@pytest.mark.parametrize("config, field", list(BAD_INPUTS.values()),
+                         ids=list(BAD_INPUTS))
+def test_bad_runner_input_names_the_field(config, field):
+    with pytest.raises(ex.ConfigError) as err:
+        ex.run_experiment(config)
+    assert err.value.path == field
+
+
 def test_discrepancy_decay_with_fit(tmp_path):
     out = tmp_path / "decay.csv"
     rec = ex.run_experiment({
@@ -219,6 +278,12 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert main(["run", str(broken)]) == 2
+
+
+def test_cli_bad_runner_input_exits_two(tmp_path, capsys):
+    config, field = BAD_INPUTS["center-wrong-length"]
+    assert main(["run", write_config(tmp_path, config)]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
 
 
 def test_cli_list_experiments(capsys):

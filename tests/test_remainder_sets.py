@@ -173,10 +173,17 @@ def test_generic_interval_is_not_bounded_remainder():
     assert sup_large > sup_small
 
 
-def test_remainder_sup_chunking_is_transparent():
+def test_remainder_sup_chunking_is_transparent(monkeypatch):
     tf = brs.interval_transfer(GOLDEN, 1, 0)
-    a = brs.remainder_sup(tf.membership, tf.volume, [GOLDEN],
-                          np.array([0.1]), 30000, chunk=1 << 16)
-    b = brs.remainder_sup(tf.membership, tf.volume, [GOLDEN],
-                          np.array([0.1]), 30000, chunk=777)
+    calls = []
+
+    def member(x):
+        calls.append(len(x))
+        return tf.membership(x)
+
+    a = brs.remainder_sup(member, tf.volume, [GOLDEN], np.array([0.1]), 30000)
+    monkeypatch.setattr(brs, "REMAINDER_CHUNK", 777)
+    b = brs.remainder_sup(member, tf.volume, [GOLDEN], np.array([0.1]), 30000)
+    # one block at the default chunk, then ceil(30000 / 777) = 39 blocks
+    assert calls[0] == 30000 and len(calls) == 1 + 39
     assert a == pytest.approx(b, abs=1e-9)

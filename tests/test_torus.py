@@ -103,8 +103,7 @@ def test_skew_closed_form_high_precision_string():
     y = TorusPoint((0.0, 0.0))
     a_float = float((math.sqrt(5) - 1) / 2)
     lo = skew_closed_form(a_float, y, 1000)
-    hi = skew_closed_form("0.61803398874989484820458683436563811772", y, 1000,
-                          frac_bits=128)
+    hi = skew_closed_form("0.61803398874989484820458683436563811772", y, 1000)
     assert torus_distance(lo, hi) < 1e-9
 
 

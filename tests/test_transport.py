@@ -73,10 +73,13 @@ def test_dense_oracle_rejects_large_boxes():
         tp.dense_evolve(ham, 1.0)
 
 
-def test_abel_average_exponential_closed_form():
+def test_abel_nodes_exponential_closed_form():
+    # the rule averaged_profile uses: 20 panels of 12 Gauss-Legendre nodes
     big_t = 5.0
+    nodes, weights = tp.abel_nodes(big_t)
+    assert nodes.shape == weights.shape == (20 * 12,)
     for a in (0.0, 0.3, 2.0):
-        got = tp.abel_average(lambda t: math.exp(-a * t), big_t)
+        got = float(np.dot(weights, np.exp(-a * nodes)))
         rate = 2.0 / big_t + a
         expect = (2.0 / big_t) / rate * (1.0 - math.exp(-rate * 10.0 * big_t))
         assert got == pytest.approx(expect, abs=1e-10)
@@ -150,6 +153,15 @@ def test_kkl_check_returns_probability_like_values():
     assert lhs > 0.5
 
 
+def test_kkl_check_auto_box_is_the_explicit_box():
+    phi = cc.CosinePotential(3.0)
+    box = tp.auto_box(SHIFT1, THETA, phi, 10.0 * 3.0).l_box
+    auto = tp.kkl_check(SHIFT1, THETA, phi, 3.0, 8, 8, 21, max_window=256)
+    explicit = tp.kkl_check(SHIFT1, THETA, phi, 3.0, 8, 8, 21, l_box=box,
+                            max_window=256)
+    assert auto == explicit
+
+
 def test_estimator_input_validation():
     with pytest.raises(ValueError):
         tp.beta_estimate(SHIFT1, THETA, ZERO, 2.0, [1.0, 2.0, 3.0])
@@ -157,4 +169,4 @@ def test_estimator_input_validation():
         tp.xi_estimate(SHIFT1, THETA, ZERO, [0.0, 0.5],
                        list(np.geomspace(5.0, 50.0, 8)))
     with pytest.raises(ValueError):
-        tp.evolve(tp.build_hamiltonian(SHIFT1, THETA, ZERO, 8), 1.0, t0=2.0)
+        tp.evolve(tp.build_hamiltonian(SHIFT1, THETA, ZERO, 8), -1.0)
