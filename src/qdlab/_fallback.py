@@ -292,29 +292,61 @@ def cocycle_lognorms_all(v, e, eta=0.0, inverse=False):
 # ---------------------------------------------------------------------------
 
 def cheb_apply(diag_scaled, off_scaled, coeffs, psi0):
-    """Sum coeffs[k] * T_k(Hs) psi0 for the scaled tridiagonal Hs.
+    """Sum_k coeffs[p, k] * T_k(Hs_p) psi0[p] for each row p of a block.
 
-    diag_scaled: (M,) float64 diagonal of Hs; off_scaled: scalar off-diagonal
-    coupling of Hs; coeffs: (K,) complex128; psi0: (M,) complex128.
+    Hs_p is the scaled tridiagonal operator of row p.  diag_scaled: (P, M)
+    float64 diagonals; off_scaled: (P, 1) float64 off-diagonal couplings;
+    coeffs: (P, K) complex128, each row zero-padded past its own length;
+    psi0: (P, M) complex128.  Returns (P, M).  A single operator is the
+    P = 1 case and may drop the row axis ((M,), scalar, (K,), (M,)); the
+    result then has shape (M,).
+
+    Every element sees the operations of the one-row recurrence in the same
+    order, so each row equals its own one-row call bit for bit (a
+    zero-padded term can only flip the sign of an exact zero).  Products
+    by the real diagonal, coupling and factor 2 run over the whole block;
+    a complex coefficient multiplies one contiguous row at a time as a
+    scalar times a vector, as the one-row call does: a site-major (M, P)
+    block times a (P,) column takes another SIMD loop, which does not
+    round like it.  The recurrence runs in buffers allocated once per call.
     """
-    diag = np.asarray(diag_scaled, dtype=np.float64)
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    t0 = np.asarray(psi0, dtype=np.complex128).copy()
-    m = t0.shape[0]
+    psi0 = np.asarray(psi0, dtype=np.complex128)
+    t0 = np.array(np.atleast_2d(psi0))
+    rows, m = t0.shape
+    diag = np.asarray(diag_scaled, dtype=np.float64).reshape(rows, m)
+    coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(rows, -1)
+    acc = coeffs[:, :1] * t0
+    if coeffs.shape[1] == 1:
+        return acc.reshape(psi0.shape)
+    diag = diag.astype(np.complex128)
+    off = np.empty_like(t0)
+    off[:] = np.asarray(off_scaled, dtype=np.float64).reshape(rows, 1)
+    t1, y, nb, term = (np.empty_like(t0) for _ in range(4))
+    bands = [(y_row[:-1], nb_row[1:], y_row[1:], nb_row[:-1])
+             for y_row, nb_row in zip(y, nb)]
+    term_rows = list(term)
 
     def matvec(x):
-        y = diag * x
-        y[:-1] += off_scaled * x[1:]
-        y[1:] += off_scaled * x[:-1]
-        return y
+        np.multiply(diag, x, out=y)
+        np.multiply(off, x, out=nb)
+        for y_lo, nb_hi, y_hi, nb_lo in bands:
+            y_lo += nb_hi
+            y_hi += nb_lo
 
-    acc = coeffs[0] * t0
-    if coeffs.shape[0] == 1:
-        return acc
-    t1 = matvec(t0)
-    acc += coeffs[1] * t1
-    for k in range(2, coeffs.shape[0]):
-        t2 = 2.0 * matvec(t1) - t0
-        acc += coeffs[k] * t2
-        t0, t1 = t1, t2
-    return acc
+    def add_term(column, t_rows):
+        for c, t_row, term_row in zip(column, t_rows, term_rows):
+            np.multiply(c, t_row, out=term_row)
+        np.add(acc, term, out=acc)
+
+    matvec(t0)
+    np.copyto(t1, y)
+    # t0 is overwritten by T_k while t1 holds T_{k-1}; then they swap
+    t0_rows, t1_rows = list(t0), list(t1)
+    add_term(coeffs[:, 1], t1_rows)
+    for column in coeffs.T[2:]:
+        matvec(t1)
+        np.multiply(2.0, y, out=y)
+        np.subtract(y, t0, out=t0)
+        add_term(column, t0_rows)
+        t0, t1, t0_rows, t1_rows = t1, t0, t1_rows, t0_rows
+    return acc.reshape(psi0.shape)

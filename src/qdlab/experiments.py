@@ -110,7 +110,7 @@ def _parse_potential(config, default_zero=True):
     if kind == "zero":
         return cc.ZeroPotential()
     if kind == "cosine":
-        return cc.CosinePotential(_get(config, "potential.coupling"))
+        return cc.CosinePotential(_number(config, "potential.coupling"))
     if kind == "tabulated":
         return cc.TabulatedPotential(_get(config, "potential.values",
                                           kind=list))
@@ -122,6 +122,33 @@ def _positive_int(config, path, default=KeyError):
     if isinstance(value, bool) or value < 1:
         raise ConfigError(path, f"expected a positive integer, got {value!r}")
     return value
+
+
+def _number(config, path, default=KeyError):
+    """A finite number (bools excluded) as a float."""
+    value = _get(config, path, default)
+    if not _is_number(value):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _times(config, path, minimum):
+    """At least `minimum` positive finite times as floats."""
+    values = _get(config, path, kind=list)
+    if not all(_is_number(v) and v > 0 for v in values):
+        raise ConfigError(path, f"times must be positive finite numbers, "
+                                f"got {values!r}")
+    if len(values) < minimum:
+        raise ConfigError(path, f"need at least {minimum} times, "
+                                f"got {len(values)}")
+    return [float(v) for v in values]
+
+
+def _l_box(config):
+    """params.l_box: a positive box half-width, or None for auto_box."""
+    if _get(config, "params.l_box", None) is None:
+        return None
+    return _positive_int(config, "params.l_box")
 
 
 def _point(config, path, d):
@@ -339,9 +366,12 @@ def _run_lyapunov_scan(config):
 def _run_dt_integral(config):
     mp = _parse_map(config)
     phi = _parse_potential(config)
-    t_list = [float(t) for t in _get(config, "params.t_list", kind=list)]
-    rho = float(_get(config, "params.rho"))
-    k_bound = float(_get(config, "params.k_bound"))
+    t_list = _times(config, "params.t_list", 1)
+    rho = _number(config, "params.rho")
+    k_bound = _number(config, "params.k_bound")
+    if k_bound < 4.0:
+        raise ConfigError("params.k_bound",
+                          f"energy bound must be >= 4, got {k_bound!r}")
     e_count = _get(config, "params.e_count", 201, kind=int)
     if isinstance(e_count, bool) or e_count < 2:
         raise ConfigError("params.e_count",
@@ -368,10 +398,14 @@ def _run_dt_integral(config):
 def _run_transport_beta(config):
     mp = _parse_map(config)
     phi = _parse_potential(config)
-    p = float(_get(config, "params.p", 2.0))
-    t_grid = [float(t) for t in _get(config, "params.t_grid", kind=list)]
+    p = _number(config, "params.p", 2.0)
+    if p <= 0.0:
+        raise ConfigError("params.p", f"moment order must be positive, "
+                                      f"got {p!r}")
+    # running slopes over the last half of at least 8 times
+    t_grid = _times(config, "params.t_grid", 8)
     theta = _point(config, "params.theta", mp["d"])
-    l_box = _get(config, "params.l_box", None)
+    l_box = _l_box(config)
     est = tp.beta_estimate(mp["spec"], TorusPoint(theta), phi, p, t_grid,
                            l_box=l_box)
     header = ["beta_low", "beta_high", "p", "t_max"]
@@ -383,10 +417,15 @@ def _run_transport_beta(config):
 def _run_transport_xi(config):
     mp = _parse_map(config)
     phi = _parse_potential(config)
-    taus = [float(t) for t in _get(config, "params.tau_levels", kind=list)]
-    t_grid = [float(t) for t in _get(config, "params.t_grid", kind=list)]
+    taus = _get(config, "params.tau_levels", kind=list)
+    if not taus or not all(_is_number(t) and 0.0 < t < 1.0 for t in taus):
+        raise ConfigError("params.tau_levels",
+                          f"levels must be numbers in (0, 1), got {taus!r}")
+    taus = [float(t) for t in taus]
     theta = _point(config, "params.theta", mp["d"])
-    l_box = _get(config, "params.l_box", None)
+    # one running slope needs at least 3 times
+    t_grid = _times(config, "params.t_grid", 3)
+    l_box = _l_box(config)
     est = tp.xi_estimate(mp["spec"], TorusPoint(theta), phi, taus, t_grid,
                          l_box=l_box)
     header = ["T", "front_l", "tau"]

@@ -5,6 +5,12 @@ with unit hoppings and potential sampled along the two-sided orbit of the
 phase.  Time evolution uses the Chebyshev expansion of e^{-itH} with Bessel
 coefficients, truncated below 1e-14, with the norm defect and the mass on
 the outer sites certified on every state.
+
+Hamiltonians on one box can be propagated together as the rows of one
+block (kernels.cheb_apply); the phase pair theta, f(theta) of the in-box
+probabilities is swept that way, and every row equals its one-row
+propagation bit for bit.  Within one sweep the Bessel coefficients of each
+distinct step are evaluated once.
 """
 
 import math
@@ -90,54 +96,86 @@ def _chebyshev_coefficients(tau):
     return coeffs
 
 
-def _apply_propagator(ham, dt, psi):
-    scale = ham.enclosure
-    coeffs = _chebyshev_coefficients(dt * scale)
-    return kernels.cheb_apply(ham.v / scale, 1.0 / scale, coeffs, psi)
-
-
-def _certify(ham, t, psi, budget):
+def _margins(psi):
+    """Norm defect and mass on the outer percent of sites of one row."""
     norm_defect = abs(float(np.vdot(psi, psi).real) - 1.0)
     m = psi.shape[0]
     edge = max(1, int(math.ceil(0.01 * m)))
     prob = np.abs(psi) ** 2
-    boundary = float(np.sum(prob[:edge]) + np.sum(prob[-edge:]))
-    valid = norm_defect <= NORM_DEFECT_TOL and boundary <= budget
+    return norm_defect, float(np.sum(prob[:edge]) + np.sum(prob[-edge:]))
+
+
+def _certify(t, psi, budget):
+    """A state certified by its worst row: valid only if every row is."""
+    margins = [_margins(row) for row in np.atleast_2d(psi)]
+    valid = all(d <= NORM_DEFECT_TOL and b <= budget for d, b in margins)
+    norm_defect, boundary = np.max(margins, axis=0).tolist()
     return EvolutionState(t, psi, norm_defect, boundary, valid)
 
 
-def initial_state(ham, site=0):
+def initial_state(ham):
     psi = np.zeros(ham.size, dtype=np.complex128)
-    psi[ham.l_box + site] = 1.0
+    psi[ham.l_box] = 1.0
     return psi
+
+
+def _sweep(ham, ts, psi0, budget):
+    """Certified states at the nondecreasing times ts, node to node.
+
+    ham is one BoxHamiltonian, or a list of them on one box that advance
+    together as the rows of one block; each row has its own scale and
+    Chebyshev coefficients.  The coefficients of a step are evaluated once
+    per distinct scaled step tau (keyed on the exact float) within the
+    sweep; the Gauss-Legendre hops of an Abel rule repeat bit for bit from
+    panel to panel.
+    """
+    single = isinstance(ham, BoxHamiltonian)
+    hams = [ham] if single else list(ham)
+    scales = [h.enclosure for h in hams]
+    diag = np.array([h.v / s for h, s in zip(hams, scales)])
+    off = np.array([[1.0 / s] for s in scales])
+    psi = np.array([initial_state(h) for h in hams]) if psi0 is None \
+        else np.array(np.broadcast_to(psi0, diag.shape), dtype=np.complex128)
+    coefficients = {}
+    states = []
+    prev = 0.0
+    for t in ts:
+        if t > prev:
+            dt = t - prev
+            rows = []
+            for s in scales:
+                tau = dt * s
+                if tau not in coefficients:
+                    coefficients[tau] = _chebyshev_coefficients(tau)
+                rows.append(coefficients[tau])
+            coeffs = np.zeros((len(rows), max(len(c) for c in rows)),
+                              dtype=np.complex128)
+            for row, c in zip(coeffs, rows):
+                row[:len(c)] = c
+            psi = kernels.cheb_apply(diag, off, coeffs, psi)
+            prev = t
+        states.append(_certify(t, psi[0] if single else psi, budget))
+    return states
 
 
 def evolve(ham, t, psi0=None, budget=DEFAULT_BOUNDARY_BUDGET):
     """e^{-i t H} applied to psi0 (default: delta at the origin)."""
     if t < 0:
         raise ValueError("cannot evolve backward")
-    psi = initial_state(ham) if psi0 is None else np.asarray(
-        psi0, dtype=np.complex128)
-    if t > 0:
-        psi = _apply_propagator(ham, t, psi)
-    return _certify(ham, t, psi, budget)
+    return _sweep(ham, [t], psi0, budget)[0]
 
 
 def evolve_times(ham, ts, psi0=None, budget=DEFAULT_BOUNDARY_BUDGET):
-    """States at an increasing time grid, advancing node to node."""
+    """States at an increasing time grid, advancing node to node.
+
+    ham may also be a list of BoxHamiltonians on one box: they are swept
+    as one row block, each state's psi is then (rows, sites) and its norm
+    defect and boundary mass are the worst row's.
+    """
     ts = list(ts)
     if any(b < a for a, b in zip(ts, ts[1:])) or (ts and ts[0] < 0):
         raise ValueError("time grid must be nonnegative and nondecreasing")
-    psi = initial_state(ham) if psi0 is None else np.asarray(
-        psi0, dtype=np.complex128)
-    states = []
-    prev = 0.0
-    for t in ts:
-        if t > prev:
-            psi = _apply_propagator(ham, t - prev, psi)
-            prev = t
-        states.append(_certify(ham, t, psi, budget))
-    return states
+    return _sweep(ham, ts, psi0, budget)
 
 
 def dense_evolve(ham, t, psi0=None):
@@ -179,12 +217,15 @@ def abel_nodes(big_t):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def averaged_profile(ham, big_t, site=0, budget=DEFAULT_BOUNDARY_BUDGET):
-    """Abel-averaged site probabilities <a(n, t)>_T for the delta start."""
+def averaged_profile(ham, big_t):
+    """Abel-averaged site probabilities <a(n, t)>_T for the delta start.
+
+    For a list of BoxHamiltonians on one box the rows are averaged in one
+    sweep and the profile has one row per Hamiltonian.
+    """
     nodes, weights = abel_nodes(big_t)
-    states = evolve_times(ham, list(nodes),
-                          psi0=initial_state(ham, site), budget=budget)
-    acc = np.zeros(ham.size)
+    states = evolve_times(ham, list(nodes))
+    acc = np.zeros(states[0].psi.shape)
     for st, w in zip(states, weights):
         if not st.valid:
             raise ValueError(
@@ -194,26 +235,16 @@ def averaged_profile(ham, big_t, site=0, budget=DEFAULT_BOUNDARY_BUDGET):
     return acc
 
 
-def p_theta_t(map_spec, theta, phi, big_t, l_values, l_box,
-              budget=DEFAULT_BOUNDARY_BUDGET):
-    """Abel-averaged in-box probabilities for theta and the shifted phase.
+def _phase_pair_cumsums(map_spec, th, phi, ham, big_t):
+    """Cumulative averaged profiles at th (Hamiltonian ham) and at f(th).
 
-    Returns (P_theta(L), P_ftheta(L)) arrays over the requested L values.
+    Both phases are the rows of one sweep; equal potentials (a constant
+    phi) are one row whose profile serves both.
     """
-    l_values = np.asarray(l_values, dtype=np.int64)
-    if np.any(l_values > 0.9 * l_box):
-        raise ValueError("requested L exceeds 90% of the box")
-    th = _phase(theta)
-    ham = build_hamiltonian(map_spec, th, phi, l_box)
-    cum0, cum1 = _phase_pair_cumsums(map_spec, th, phi, ham, big_t, budget)
-    return cum0[l_values], cum1[l_values]
-
-
-def _phase_pair_cumsums(map_spec, th, phi, ham, big_t, budget):
-    """Cumulative averaged profiles at th (Hamiltonian ham) and at f(th)."""
     shifted = build_hamiltonian(map_spec, step(map_spec, th), phi, ham.l_box)
-    return [_symmetric_cumsum(averaged_profile(h, big_t, budget=budget),
-                              ham.l_box) for h in (ham, shifted)]
+    pair = [ham] if np.array_equal(ham.v, shifted.v) else [ham, shifted]
+    profiles = averaged_profile(pair, big_t)
+    return [_symmetric_cumsum(profiles[row], ham.l_box) for row in (0, -1)]
 
 
 def _symmetric_cumsum(profile, l_box):
@@ -240,7 +271,7 @@ def worst_case_box(phi_sup, t_max):
     return int(math.ceil((2.0 + phi_sup) * t_max * 1.05)) + 96
 
 
-def auto_box(map_spec, theta, phi, t_max, budget=DEFAULT_BOUNDARY_BUDGET):
+def auto_box(map_spec, theta, phi, t_max):
     """Smallest power-of-2-scaled box keeping boundary mass within budget.
 
     Tries geometrically growing half-widths and checks the budget at t_max;
@@ -253,7 +284,7 @@ def auto_box(map_spec, theta, phi, t_max, budget=DEFAULT_BOUNDARY_BUDGET):
         # probe with a much smaller budget: near the ballistic edge the
         # boundary mass oscillates over a couple of orders of magnitude, so
         # a box that barely fits at t_max can overflow slightly earlier
-        state = evolve(ham, t_max, budget=1e-4 * budget)
+        state = evolve(ham, t_max, budget=1e-4 * DEFAULT_BOUNDARY_BUDGET)
         if state.valid or l >= ceiling:
             return ham
         l = min(2 * l, ceiling)
@@ -261,10 +292,10 @@ def auto_box(map_spec, theta, phi, t_max, budget=DEFAULT_BOUNDARY_BUDGET):
             raise ValueError("box size exceeds the hard cap")
 
 
-def _box_hamiltonian(map_spec, theta, phi, t_max, budget, l_box):
+def _box_hamiltonian(map_spec, theta, phi, t_max, l_box):
     """The Hamiltonian on the given half-width, else auto_box's for t_max."""
     if l_box is None:
-        return auto_box(map_spec, theta, phi, t_max, budget=budget)
+        return auto_box(map_spec, theta, phi, t_max)
     return build_hamiltonian(map_spec, theta, phi, l_box)
 
 
@@ -295,8 +326,7 @@ def running_slopes(xs, ys):
     return np.asarray(slopes)
 
 
-def beta_estimate(map_spec, theta, phi, p, t_grid,
-                  budget=DEFAULT_BOUNDARY_BUDGET, l_box=None):
+def beta_estimate(map_spec, theta, phi, p, t_grid, l_box=None):
     """Transport exponent bracket from running slopes of ln <|X|^p> vs p ln t.
 
     Uses the last half of the (geometric) time grid, so the early transient
@@ -305,8 +335,8 @@ def beta_estimate(map_spec, theta, phi, p, t_grid,
     t_grid = sorted(float(t) for t in t_grid)
     if len(t_grid) < 8:
         raise ValueError("need at least 8 grid times")
-    ham = _box_hamiltonian(map_spec, theta, phi, t_grid[-1], budget, l_box)
-    states = evolve_times(ham, t_grid, budget=budget)
+    ham = _box_hamiltonian(map_spec, theta, phi, t_grid[-1], l_box)
+    states = evolve_times(ham, t_grid)
     moments = [moment(st, p) for st in states]
     slopes = running_slopes(p * np.log(t_grid), np.log(moments))
     return ExponentEstimate(float(np.min(slopes)), float(np.max(slopes)),
@@ -319,8 +349,7 @@ def xi_front(profile_sum, tau):
     return int(min(idx, profile_sum.shape[0] - 1))
 
 
-def xi_estimate(map_spec, theta, phi, tau_levels, t_grid,
-                budget=DEFAULT_BOUNDARY_BUDGET, l_box=None):
+def xi_estimate(map_spec, theta, phi, tau_levels, t_grid, l_box=None):
     """Spreading-front exponent bracket from ln L(tau, T) vs ln T slopes.
 
     The estimate is reported at the smallest tau level; larger levels are
@@ -333,9 +362,8 @@ def xi_estimate(map_spec, theta, phi, tau_levels, t_grid,
     th = _phase(theta)
     fronts = {tau: [] for tau in tau_levels}
     for big_t in t_grid:
-        ham = _box_hamiltonian(map_spec, th, phi, 10.0 * big_t, budget, l_box)
-        cum0, cum1 = _phase_pair_cumsums(map_spec, th, phi, ham, big_t,
-                                         budget)
+        ham = _box_hamiltonian(map_spec, th, phi, 10.0 * big_t, l_box)
+        cum0, cum1 = _phase_pair_cumsums(map_spec, th, phi, ham, big_t)
         total = cum0 + cum1
         for tau in tau_levels:
             fronts[tau].append(max(xi_front(total, tau), 1))
@@ -345,43 +373,3 @@ def xi_estimate(map_spec, theta, phi, tau_levels, t_grid,
                            list(slopes))
     est.fronts = fronts
     return est
-
-
-def kkl_check(map_spec, theta, phi, big_t, l1, l2, e_count,
-              budget=DEFAULT_BOUNDARY_BUDGET, l_box=None, max_window=2048):
-    """Both sides of the truncated-norm transport criterion, for trends.
-
-    lhs: Abel-averaged probability of the evolutions of the deltas at sites
-    0 and 1 inside the window [-l1, l2].  rhs: spectral-weight fraction of
-    an energy grid whose truncation lengths fit the window.  No universal
-    constant ties the two; both are returned.
-    """
-    from .cocycle import _kkl_lengths, _kkl_sequences
-
-    if min(l1, l2) <= 2:
-        raise ValueError("window bounds must exceed 2")
-    th = _phase(theta)
-    ham = _box_hamiltonian(map_spec, th, phi, 10.0 * big_t, budget, l_box)
-    lhs = 0.0
-    window = ham.sites()
-    mask = (window >= -l1) & (window <= l2)
-    for site in (0, 1):
-        prof = averaged_profile(ham, big_t, site=site, budget=budget)
-        lhs += 0.5 * float(np.sum(prof[mask]))
-
-    w, u = eigh_tridiagonal(ham.v, np.ones(ham.size - 1))
-    weights = np.abs(u[ham.l_box]) ** 2
-    es = np.linspace(w.min(), w.max(), e_count)
-    bins = np.searchsorted(0.5 * (es[1:] + es[:-1]), w)
-    grid_weight = np.bincount(bins, weights=weights, minlength=e_count)
-    rhs = 0.0
-    eps = 1.0 / big_t
-    sequences = _kkl_sequences(map_spec, th, phi, max_window)
-    for e, gw in zip(es, grid_weight):
-        if gw == 0.0:
-            continue
-        minus, plus = _kkl_lengths(sequences, float(e), eps)
-        if minus.satisfied and plus.satisfied \
-                and minus.length <= l1 and plus.length <= l2:
-            rhs += gw
-    return lhs, float(rhs)

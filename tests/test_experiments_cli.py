@@ -142,6 +142,25 @@ def test_integral_float_energy_count_is_accepted():
 
 SHIFT1 = {"kind": "shift", "alpha": "golden"}
 COSINE = {"kind": "cosine", "coupling": 3.0}
+BETA_TIMES = [5.0 * k for k in range(1, 9)]
+
+
+def _beta(**params):
+    return {"experiment": "transport_beta", "map": SHIFT1,
+            "params": {"t_grid": BETA_TIMES, **params}}
+
+
+def _xi(**params):
+    return {"experiment": "transport_xi", "map": SHIFT1,
+            "params": {"tau_levels": [0.5], "t_grid": [5.0, 10.0, 20.0],
+                       **params}}
+
+
+def _dt(**params):
+    return {"experiment": "dt_integral", "map": SHIFT1, "potential": COSINE,
+            "params": {"t_list": [10.0], "rho": 0.5, "k_bound": 9.0,
+                       **params}}
+
 BAD_INPUTS = {
     "dt-theta-too-long": (
         {"experiment": "dt_integral", "map": SHIFT1, "potential": COSINE,
@@ -188,6 +207,33 @@ BAD_INPUTS = {
         {"experiment": "brs_remainder",
          "params": {"variant": "interval", "alpha": "golden", "q": 1, "p": 0,
                     "nmax": 0, "x0": [0.1]}}, "params.nmax"),
+    "beta-p-string": (_beta(p="two"), "params.p"),
+    "beta-p-zero": (_beta(p=0.0), "params.p"),
+    "beta-t-grid-string": (_beta(t_grid=["5"] + BETA_TIMES[1:]),
+                           "params.t_grid"),
+    "beta-t-grid-seven-times": (_beta(t_grid=BETA_TIMES[:7]),
+                                "params.t_grid"),
+    "beta-t-grid-zero-time": (_beta(t_grid=[0.0] + BETA_TIMES[1:]),
+                              "params.t_grid"),
+    "beta-l-box-zero": (_beta(l_box=0), "params.l_box"),
+    "xi-tau-string": (_xi(tau_levels=["0.5"]), "params.tau_levels"),
+    "xi-tau-one": (_xi(tau_levels=[0.5, 1.0]), "params.tau_levels"),
+    "xi-tau-zero": (_xi(tau_levels=[0.0, 0.5]), "params.tau_levels"),
+    "xi-tau-empty": (_xi(tau_levels=[]), "params.tau_levels"),
+    "xi-t-grid-two-times": (_xi(t_grid=[5.0, 10.0]), "params.t_grid"),
+    "xi-l-box-fractional": (_xi(l_box=12.5), "params.l_box"),
+    "dt-t-list-string": (_dt(t_list=["10"]), "params.t_list"),
+    "dt-t-list-zero-time": (_dt(t_list=[0.0, 10.0]), "params.t_list"),
+    "dt-rho-string": (_dt(rho="half"), "params.rho"),
+    "dt-rho-infinite": (_dt(rho=float("inf")), "params.rho"),
+    "dt-k-bound-string": (_dt(k_bound="9"), "params.k_bound"),
+    "dt-k-bound-below-four": (_dt(k_bound=3.5), "params.k_bound"),
+    "coupling-string": (
+        dict(_dt(), potential={"kind": "cosine", "coupling": "3.0"}),
+        "potential.coupling"),
+    "coupling-bool": (
+        dict(_beta(), potential={"kind": "cosine", "coupling": True}),
+        "potential.coupling"),
 }
 
 

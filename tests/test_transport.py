@@ -9,6 +9,7 @@ from scipy.special import jv
 import qdlab.cocycle as cc
 import qdlab.transport as tp
 from qdlab.arithmetic import parse_frequency
+from qdlab.backend import kernels
 from qdlab.torus import Shift, TorusPoint
 
 GOLDEN = float(parse_frequency("golden"))
@@ -133,35 +134,6 @@ def test_localized_moments_stay_flat():
     assert est.high <= 0.15
 
 
-def test_p_theta_t_profiles_are_monotone_probabilities():
-    phi = cc.CosinePotential(3.0)
-    p0, p1 = tp.p_theta_t(SHIFT1, THETA, phi, 20.0, [2, 5, 10, 20], 64)
-    for p in (p0, p1):
-        assert np.all(np.diff(p) >= -1e-12)
-        assert np.all((p >= 0.0) & (p <= 1.0 + 1e-9))
-    with pytest.raises(ValueError):
-        tp.p_theta_t(SHIFT1, THETA, phi, 20.0, [60], 64)
-
-
-def test_kkl_check_returns_probability_like_values():
-    phi = cc.CosinePotential(3.0)
-    lhs, rhs = tp.kkl_check(SHIFT1, THETA, phi, 15.0, 8, 8, 21, l_box=96,
-                            max_window=256)
-    assert 0.0 <= lhs <= 1.0 + 1e-9
-    assert 0.0 <= rhs <= 1.0 + 1e-9
-    # deep in the localized regime most of the mass sits in a short window
-    assert lhs > 0.5
-
-
-def test_kkl_check_auto_box_is_the_explicit_box():
-    phi = cc.CosinePotential(3.0)
-    box = tp.auto_box(SHIFT1, THETA, phi, 10.0 * 3.0).l_box
-    auto = tp.kkl_check(SHIFT1, THETA, phi, 3.0, 8, 8, 21, max_window=256)
-    explicit = tp.kkl_check(SHIFT1, THETA, phi, 3.0, 8, 8, 21, l_box=box,
-                            max_window=256)
-    assert auto == explicit
-
-
 def test_estimator_input_validation():
     with pytest.raises(ValueError):
         tp.beta_estimate(SHIFT1, THETA, ZERO, 2.0, [1.0, 2.0, 3.0])
@@ -170,3 +142,128 @@ def test_estimator_input_validation():
                        list(np.geomspace(5.0, 50.0, 8)))
     with pytest.raises(ValueError):
         tp.evolve(tp.build_hamiltonian(SHIFT1, THETA, ZERO, 8), -1.0)
+
+
+# ---------------------------------------------------------------------------
+# row blocks against the one-row recurrence they replace
+# ---------------------------------------------------------------------------
+
+def _cheb_apply_reference(diag_scaled, off_scaled, coeffs, psi0):
+    """The one-row Chebyshev recurrence, allocating every term."""
+    diag = np.asarray(diag_scaled, dtype=np.float64)
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    t0 = np.asarray(psi0, dtype=np.complex128).copy()
+
+    def matvec(x):
+        y = diag * x
+        y[:-1] += off_scaled * x[1:]
+        y[1:] += off_scaled * x[:-1]
+        return y
+
+    acc = coeffs[0] * t0
+    if coeffs.shape[0] == 1:
+        return acc
+    t1 = matvec(t0)
+    acc += coeffs[1] * t1
+    for k in range(2, coeffs.shape[0]):
+        t2 = 2.0 * matvec(t1) - t0
+        acc += coeffs[k] * t2
+        t0, t1 = t1, t2
+    return acc
+
+
+def _profile_reference(ham, big_t):
+    """averaged_profile of one Hamiltonian, node by node, one row."""
+    nodes, weights = tp.abel_nodes(big_t)
+    scale = ham.enclosure
+    psi = tp.initial_state(ham)
+    acc = np.zeros(ham.size)
+    prev = 0.0
+    for t, w in zip(nodes, weights):
+        coeffs = tp._chebyshev_coefficients((t - prev) * scale)
+        psi = _cheb_apply_reference(ham.v / scale, 1.0 / scale, coeffs, psi)
+        prev = t
+        acc += w * np.abs(psi) ** 2
+    return acc
+
+
+def _hamiltonians(count, l_box=40):
+    phi = cc.CosinePotential(1.5)
+    return [tp.build_hamiltonian(SHIFT1, TorusPoint((0.17 * i,)), phi, l_box)
+            for i in range(count)]
+
+
+@pytest.mark.parametrize("lengths", [[40], [1, 1, 1], [5, 23, 60], [30, 30]],
+                         ids=["one-row", "one-term", "ragged", "equal"])
+def test_cheb_apply_rows_equal_the_one_row_recurrence(lengths):
+    hams = _hamiltonians(len(lengths))
+    scales = [h.enclosure for h in hams]
+    diag = np.array([h.v / s for h, s in zip(hams, scales)])
+    off = np.array([[1.0 / s] for s in scales])
+    # generic complex coefficients: with Bessel ones, each purely real or
+    # imaginary, a fused and an unfused complex product round alike
+    rng = np.random.default_rng(len(lengths))
+    rows = [rng.normal(size=k) + 1j * rng.normal(size=k) for k in lengths]
+    coeffs = np.zeros((len(rows), max(lengths)), complex)
+    for row, c in zip(coeffs, rows):
+        row[:len(c)] = c
+    psi = rng.normal(size=diag.shape) + 1j * rng.normal(size=diag.shape)
+    got = kernels.cheb_apply(diag, off, coeffs, psi)
+    assert got.shape == diag.shape
+    for p, c in enumerate(rows):
+        want = _cheb_apply_reference(diag[p], off[p, 0], c, psi[p])
+        if len(c) == coeffs.shape[1]:
+            assert got[p].tobytes() == want.tobytes()
+        else:
+            # a zero-padded term adds a signed zero, which can flip the
+            # sign of an exactly zero entry but no other bit
+            assert np.array_equal(got[p], want)
+    if len(rows) == 1:
+        flat = kernels.cheb_apply(diag[0], off[0, 0], rows[0], psi[0])
+        assert flat.shape == psi[0].shape
+        assert flat.tobytes() == got[0].tobytes()
+
+
+@pytest.mark.parametrize("phi, phase, l_box", [
+    (cc.CosinePotential(3.0), 0.105, 32), (ZERO, 0.3, 96)],
+    ids=["scales-differ", "free"])
+def test_phase_pair_profile_equals_two_one_row_profiles(phi, phase, l_box):
+    th = TorusPoint((phase,))
+    ham = tp.build_hamiltonian(SHIFT1, th, phi, l_box)
+    shifted = tp.build_hamiltonian(SHIFT1, tp.step(SHIFT1, th), phi, l_box)
+    if phi is ZERO:
+        assert np.array_equal(ham.v, shifted.v)
+    else:
+        assert ham.enclosure != shifted.enclosure
+    big_t = 3.0
+    cum0, cum1 = tp._phase_pair_cumsums(SHIFT1, th, phi, ham, big_t)
+    for cum, h in ((cum0, ham), (cum1, shifted)):
+        want = tp._symmetric_cumsum(_profile_reference(h, big_t), l_box)
+        assert cum.tobytes() == want.tobytes()
+    if phi is not ZERO:
+        pair = tp.averaged_profile([ham, shifted], big_t)
+        assert pair[1].tobytes() == _profile_reference(shifted,
+                                                       big_t).tobytes()
+
+
+def test_bessel_coefficients_once_per_distinct_step(monkeypatch):
+    calls = []
+    original = tp._chebyshev_coefficients
+
+    def counted(tau):
+        calls.append(tau)
+        return original(tau)
+
+    monkeypatch.setattr(tp, "_chebyshev_coefficients", counted)
+    hams = _hamiltonians(2, l_box=32)
+    assert hams[0].enclosure != hams[1].enclosure
+    big_t = 3.0
+    nodes, _ = tp.abel_nodes(big_t)
+    steps = np.diff(np.concatenate(([0.0], nodes)))
+    distinct = {float(dt * h.enclosure) for dt in steps for h in hams}
+    assert len(distinct) < 2 * len(nodes)
+    tp.averaged_profile(hams, big_t)
+    assert sorted(calls) == sorted(distinct)
+    # no cache outlives the call: a second profile evaluates them again
+    tp.averaged_profile(hams, big_t)
+    assert len(calls) == 2 * len(distinct)
