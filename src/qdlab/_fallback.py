@@ -157,13 +157,13 @@ class CocycleState:
         self.steps = 0
 
 
-def cocycle_batch(v, e, eta=0.0, inverse=False, state=None):
+def cocycle_batch(v, e, eta=0.0, state=None):
     """Final log spectral norm and determinant drift of transfer products.
 
     v: (P, n) potential samples, one row per product (a phase orbit at
     one energy).  e, eta: the energy z = e + i eta, a scalar or one per row.
-    Forward: A_n = A(theta_{n-1}) ... A(theta_0) with A = [[z-v, -1],[1, 0]].
-    Inverse: products of A^{-1} = [[0, 1],[-1, z-v]] in the given order.
+    The product is A_n = A(theta_{n-1}) ... A(theta_0) with
+    A = [[z-v, -1],[1, 0]].
     state: a CocycleState to continue; the n columns of v then extend the
     product it carries, it is advanced in place, and the renormalisation
     checks fall on the global steps 16, 32, ... of the whole product, so
@@ -176,7 +176,7 @@ def cocycle_batch(v, e, eta=0.0, inverse=False, state=None):
     pcount, n = v.shape
     if state is None:
         if pcount == 1 and n > 4096:
-            ln, dl = _cocycle_scalar(v[0], e, eta, inverse)
+            ln, dl = _cocycle_scalar(v[0], e, eta)
             return np.array([ln]), np.array([dl])
         state = CocycleState()
     if np.any(eta != 0.0):
@@ -195,10 +195,7 @@ def cocycle_batch(v, e, eta=0.0, inverse=False, state=None):
     logs = state.logs
     for k in range(n):
         t = z - v[:, k]
-        if inverse:
-            a, b, c, d = c, d, -a + t * c, -b + t * d
-        else:
-            a, b, c, d = t * a - c, t * b - d, a, b
+        a, b, c, d = t * a - c, t * b - d, a, b
         if (state.steps + k + 1) % _RENORM_EVERY == 0:
             q = (np.abs(a) ** 2 + np.abs(b) ** 2
                  + np.abs(c) ** 2 + np.abs(d) ** 2)
@@ -217,7 +214,7 @@ def cocycle_batch(v, e, eta=0.0, inverse=False, state=None):
     return np.asarray(lognorm, dtype=np.float64), detlog
 
 
-def _cocycle_scalar(v, e, eta, inverse):
+def _cocycle_scalar(v, e, eta):
     # plain Python floats beat numpy scalar overhead for a single long orbit
     if eta != 0.0:
         z = complex(e, eta)
@@ -230,10 +227,7 @@ def _cocycle_scalar(v, e, eta, inverse):
     k = 0
     for vk in vl:
         t = z - vk
-        if inverse:
-            a, b, c, d = c, d, -a + t * c, -b + t * d
-        else:
-            a, b, c, d = t * a - c, t * b - d, a, b
+        a, b, c, d = t * a - c, t * b - d, a, b
         k += 1
         if k % _RENORM_EVERY == 0:
             q = (abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2)
@@ -255,7 +249,8 @@ def _cocycle_scalar(v, e, eta, inverse):
 def cocycle_lognorms_all(v, e, eta=0.0, inverse=False):
     """log spectral norm of every prefix product A_1 ... A_n.
 
-    v: (n,) potential samples.  Returns float64 (n,).
+    v: (n,) potential samples.  inverse: products of
+    A^{-1} = [[0, 1],[-1, z-v]] in the given order.  Returns float64 (n,).
     """
     v = np.asarray(v, dtype=np.float64)
     n = v.shape[0]

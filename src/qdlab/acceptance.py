@@ -20,7 +20,7 @@ from . import equidistribution as eq
 from . import remainder_sets as brs
 from . import transport as tp
 from .arithmetic import liouville_construct, parse_frequency
-from .experiments import config_digest, run_experiment, write_csv
+from .experiments import run_experiment
 from .torus import Shift, SkewShift, TorusPoint
 
 GOLDEN = "golden"

@@ -1,12 +1,11 @@
-"""Continued fractions, Diophantine classification, Liouville frequencies.
+"""Frequencies, continued fractions and Liouville frequencies.
 
 Frequencies are carried as exact fixed-point integers A/2^B with B >= 80
-fractional bits (default 128).  All distance-to-nearest-integer computations
-reduce to exact integer arithmetic on A, so height scans at 1e4..1e6 do not
-lose precision near good rational approximations.
+fractional bits (default 128), so continued fractions and orbit anchors
+reduce to exact integer arithmetic on A and do not lose precision near good
+rational approximations.
 """
 
-import math
 import re
 from dataclasses import dataclass, field
 
@@ -39,10 +38,6 @@ class Frequency:
     def __float__(self):
         return self.num / self.modulus
 
-    def mpf(self):
-        with mp.workprec(self.bits + 16):
-            return mp.mpf(self.num) / self.modulus
-
     def __repr__(self):
         return f"Frequency({self.label or float(self)}, bits={self.bits})"
 
@@ -66,36 +61,31 @@ _LIOUVILLE_RE = re.compile(r"^liouville\(\s*([0-9.]+)\s*,\s*(\d+)\s*\)$")
 
 
 def parse_frequency(text, bits=DEFAULT_BITS):
-    """Accepts a decimal string or one of the symbolic tags
-    {golden, sqrt2m1, sqrt3m1, liouville(gamma,K)}."""
+    """Accepts a number or decimal string in (0,1), or one of the symbolic
+    tags {golden, sqrt2m1, sqrt3m1, liouville(gamma,K)}."""
     if isinstance(text, Frequency):
         return text
     if isinstance(text, (int, float)):
-        return Frequency(text, bits)
-    text = text.strip()
-    if text == "golden":
-        return _golden(bits)
-    if text == "sqrt2m1":
-        return _sqrt2m1(bits)
-    if text == "sqrt3m1":
-        return _sqrt3m1(bits)
-    m = _LIOUVILLE_RE.match(text)
-    if m:
-        freq, _ = liouville_construct(float(m.group(1)), int(m.group(2)))
-        return freq
-    try:
-        val = mp.mpf(text)
-    except Exception as exc:
-        raise ValueError(f"cannot parse frequency {text!r}") from exc
+        val = text
+    else:
+        text = text.strip()
+        if text == "golden":
+            return _golden(bits)
+        if text == "sqrt2m1":
+            return _sqrt2m1(bits)
+        if text == "sqrt3m1":
+            return _sqrt3m1(bits)
+        m = _LIOUVILLE_RE.match(text)
+        if m:
+            freq, _ = liouville_construct(float(m.group(1)), int(m.group(2)))
+            return freq
+        try:
+            val = mp.mpf(text)
+        except Exception as exc:
+            raise ValueError(f"cannot parse frequency {text!r}") from exc
     if not 0 < val < 1:
         raise ValueError(f"frequency must lie in (0,1), got {text!r}")
     return Frequency(val, bits)
-
-
-def dist_to_integers(freq, k):
-    """Exact ||k * alpha|| computed on the fixed-point lattice."""
-    s = (k * freq.num) % freq.modulus
-    return min(s, freq.modulus - s) / freq.modulus
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +95,9 @@ def dist_to_integers(freq, k):
 @dataclass
 class ContinuedFractionExpansion:
     partial_quotients: list
-    convergents: list          # (p_k, q_k) pairs, k = 1..depth
+    convergents: list          # (p_k, q_k) pairs, one per partial quotient
     truncated: bool = False
     planted: list = field(default_factory=list)   # (q_n, q_{n+1}) growth pairs
-
-    @property
-    def depth(self):
-        return len(self.partial_quotients)
 
     @property
     def denominators(self):
@@ -154,135 +140,6 @@ def continued_fraction(alpha, K):
         p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_next, q_next
         num, den = den, rem
     return ContinuedFractionExpansion(quotients, convergents, truncated)
-
-
-# ---------------------------------------------------------------------------
-# Diophantine scans
-# ---------------------------------------------------------------------------
-
-def _norm_linear_form(freqs, h, bits):
-    modulus = 1 << bits
-    s = 0
-    for hi, f in zip(h, freqs):
-        s += hi * f.fixed_int(bits)
-    s %= modulus
-    return min(s, modulus - s) / modulus
-
-
-def diophantine_check(freqs, tau, H, conditions=("dc", "wdc", "pdc")):
-    """Empirical Diophantine constants up to height H.
-
-    For each requested condition, reports the minimal observed value of
-    ||<h, alpha>|| * r(h)^tau (resp. the WDC / coprime variants) over
-    admissible integer vectors, with the arg-min.  A report, not a boolean:
-    membership is undecidable from finite data.
-    """
-    freqs = [parse_frequency(f) for f in freqs]
-    d = len(freqs)
-    bits = max(f.bits for f in freqs)
-    report = {"tau": float(tau), "H": int(H)}
-
-    if "dc" in conditions:
-        best, argmin = math.inf, None
-        for h in _height_vectors(d, H):
-            r = 1
-            for hi in h:
-                r *= max(abs(hi), 1)
-            val = _norm_linear_form(freqs, h, bits) * r ** tau
-            if val < best:
-                best, argmin = val, h
-        report["dc"] = {"c": best, "h": argmin}
-
-    if "wdc" in conditions:
-        best, argmin = math.inf, None
-        for h in range(1, H + 1):
-            val = max(dist_to_integers(f, h) for f in freqs) * h ** tau
-            if val < best:
-                best, argmin = val, h
-        report["wdc"] = {"c": best, "h": argmin}
-
-    if "pdc" in conditions and d == 2:
-        best, argmin = math.inf, None
-        for h1 in range(0, H + 1):
-            for h2 in range(-H, H + 1):
-                if h1 == 0 and h2 <= 0:
-                    continue
-                if not (h1 * h2 == 0 or math.gcd(h1, abs(h2)) == 1):
-                    continue
-                sup = max(h1, abs(h2))
-                val = _norm_linear_form(freqs, (h1, h2), bits) * sup ** tau
-                if val < best:
-                    best, argmin = val, (h1, h2)
-        report["pdc"] = {"c": best, "h": argmin}
-
-    return report
-
-
-def _height_vectors(d, H):
-    """Nonzero integer vectors with r(h) <= H, up to overall sign."""
-    if d == 1:
-        for h in range(1, H + 1):
-            yield (h,)
-        return
-    if d == 2:
-        for h1 in range(0, H + 1):
-            r1 = max(h1, 1)
-            for h2 in range(-(H // r1), H // r1 + 1):
-                if h1 == 0 and h2 <= 0:
-                    continue
-                yield (h1, h2)
-        return
-    # small-d recursion, first nonzero entry positive
-    def rec(prefix, rem):
-        i = len(prefix)
-        if i == d:
-            if any(prefix):
-                yield tuple(prefix)
-            return
-        lead_zero = not any(prefix)
-        for hi in range(0 if lead_zero else -rem, rem + 1):
-            yield from rec(prefix + [hi], rem // max(abs(hi), 1))
-    yield from rec([], H)
-
-
-# ---------------------------------------------------------------------------
-# best simultaneous approximations
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SimultaneousApproximation:
-    records: list      # (m, l_vector, err) with err strictly decreasing
-
-
-def best_simultaneous_approximations(freqs, qmax):
-    """Strict-improvement records of sum_j ||m alpha_j||^2 for m = 1..qmax."""
-    if qmax < 2:
-        raise ValueError("qmax must be >= 2")
-    freqs = [parse_frequency(f) for f in freqs]
-    bits = max(f.bits for f in freqs)
-    modulus = 1 << bits
-    nums = [f.fixed_int(bits) for f in freqs]
-    state = [0] * len(nums)
-    records = []
-    best = None
-    for m in range(1, qmax + 1):
-        err2 = 0.0
-        for j, a in enumerate(nums):
-            state[j] = (state[j] + a) % modulus
-            s = state[j]
-            dist = min(s, modulus - s)
-            err2 += (dist / modulus) ** 2
-        if best is None or err2 < best:
-            best = err2
-            lvec = tuple((m * a + modulus // 2) // modulus for a in nums)
-            records.append((m, lvec, math.sqrt(err2)))
-    return SimultaneousApproximation(records)
-
-
-def simultaneous_record_bound(d, m_next):
-    """Upper bound on the record error in terms of the next denominator."""
-    return 2.0 * math.gamma(d / 2 + 1) ** (1.0 / d) / (
-        math.sqrt(math.pi) * m_next ** (1.0 / d))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .torus import TorusPoint, step_array, inverse_step_array
 # Frobenius norm, so a later threshold would overflow the discriminant
 # q^2 - 4 det^2
 RENORM_NORM = math.sqrt(kernels._RENORM_THRESHOLD)
-HOLDER_SCALE = 1e-3        # per-coordinate offset of holder_certificate pairs
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +32,6 @@ class CosinePotential:
     def __init__(self, lam):
         self.lam = float(lam)
         self.sup_bound = 2.0 * abs(self.lam)
-        self.holder = (1.0, 4.0 * math.pi * abs(self.lam))
 
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
@@ -43,16 +41,15 @@ class CosinePotential:
 class PiecewiseHolderPotential:
     """Finite list of (box, callable) pieces partitioning the torus.
 
-    Each piece is ((lo tuple, hi tuple), phi_j, gamma, holder constant); a
-    point within 1e-12 of several boxes takes the first matching piece.
+    Each piece is ((lo tuple, hi tuple), phi_j, gamma, holder constant), of
+    which only the box and phi_j are read; a point within 1e-12 of several
+    boxes takes the first matching piece.
     """
 
     def __init__(self, pieces):
         if not pieces:
             raise ValueError("need at least one piece")
         self.pieces = list(pieces)
-        self.holder = (min(p[2] for p in pieces),
-                       sum(p[3] for p in pieces))
         self.sup_bound = None   # unknown until sampled
 
     def __call__(self, pts):
@@ -80,7 +77,6 @@ class TabulatedPotential:
         if self.table.ndim != 1 or self.table.size == 0:
             raise ValueError("table must be a nonempty 1-d array")
         self.sup_bound = float(np.max(np.abs(self.table)))
-        self.holder = None
 
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
@@ -91,41 +87,15 @@ class TabulatedPotential:
 
 class ZeroPotential:
     sup_bound = 0.0
-    holder = (1.0, 0.0)
 
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         return np.zeros(pts.shape[0])
 
 
-def holder_certificate(phi, d, pairs, seed):
-    """Max observed |phi(a)-phi(b)| / dist(a,b)^gamma over nearby pairs."""
-    gamma, const = phi.holder
-    rng = np.random.default_rng(seed)
-    a = rng.random((pairs, d))
-    b = a + rng.uniform(-HOLDER_SCALE, HOLDER_SCALE, size=(pairs, d))
-    b -= np.floor(b)
-    delta = np.abs(a - b)
-    delta = np.minimum(delta, 1.0 - delta)
-    dist = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-    good = dist > 0
-    ratio = np.abs(phi(a[good]) - phi(b[good])) / dist[good] ** gamma
-    return float(np.max(ratio)), const
-
-
 # ---------------------------------------------------------------------------
 # transfer matrices and products
 # ---------------------------------------------------------------------------
-
-def transfer_matrix(theta, z, phi):
-    """One-step matrix [[z - phi(theta), -1], [1, 0]], determinant 1."""
-    coords = np.atleast_2d(np.asarray(
-        theta.coords if isinstance(theta, TorusPoint) else theta,
-        dtype=np.float64))
-    v = float(phi(coords)[0])
-    dtype = np.complex128 if isinstance(z, complex) else np.float64
-    return np.array([[z - v, -1.0], [1.0, 0.0]], dtype=dtype)
-
 
 @dataclass
 class TransferProduct:
@@ -284,35 +254,6 @@ def lyapunov_estimate(map_spec, z, n, phases, seed, phi):
     return lyapunov_scan(map_spec, [z], n, phases, [seed], phi)[0]
 
 
-def uniform_upper_scan(map_spec, z, n, phase_grid, phi):
-    """max over a deterministic phase grid of (1/n) log ||A_n(theta, z)||."""
-    d = map_spec.d
-    thetas = np.zeros((phase_grid, d))
-    thetas[:, 0] = (np.arange(phase_grid) + 0.5) / phase_grid
-    vals, _ = _batch_lognorms(map_spec, thetas, z, n, phi)
-    return float(np.max(vals) / n)
-
-
-def window_lower_bound(map_spec, theta, z, n, w, phi):
-    """min over direction of max over |j| <= w of log ||A_n(f^j theta, z)||.
-
-    The window slides the starting phase; the two directional maxima are
-    computed from one two-sided potential sequence.
-    """
-    if w < 0 or n < 1:
-        raise ValueError("need w >= 0 and n >= 1")
-    back = potential_sequence(map_spec, theta, w, phi, forward=False)[::-1]
-    fwd = potential_sequence(map_spec, theta, w + n, phi, forward=True)
-    v = np.concatenate([back, fwd])        # indices -w .. w+n-1
-    windows = np.lib.stride_tricks.sliding_window_view(v, n)
-    e = z.real if isinstance(z, complex) else float(z)
-    eta = z.imag if isinstance(z, complex) else 0.0
-    lognorms, _ = kernels.cocycle_batch(np.ascontiguousarray(windows), e, eta)
-    fwd_max = float(np.max(lognorms[w:]))      # j = 0 .. w
-    bwd_max = float(np.max(lognorms[:w + 1]))  # j = -w .. 0
-    return min(fwd_max, bwd_max)
-
-
 def dt_integral(map_spec, theta, big_t, rho, e_count, k_bound, phi):
     """Trapezoid integral over [-K, K] of the damped-product criterion.
 
@@ -334,76 +275,3 @@ def dt_integral(map_spec, theta, big_t, rho, e_count, k_bound, phi):
         best = min(float(np.max(fwd)), float(np.max(bwd)))
         integrand[i] = math.exp(-2.0 * max(best, 0.0))
     return float(np.trapezoid(integrand, es)), integrand
-
-
-@dataclass
-class TruncationLength:
-    length: float
-    achieved_norm: float
-    satisfied: bool
-
-
-def _truncated_norm_sq(cum, tail, length):
-    """Fractionally interpolated truncated norm squared at a real length."""
-    lo = int(math.floor(length))
-    lo = min(lo, cum.shape[0])
-    base = cum[lo - 1] if lo >= 1 else 0.0
-    frac = length - math.floor(length)
-    if frac > 0.0 and lo < cum.shape[0]:
-        base += frac * tail[lo]
-    return base
-
-
-def kkl_truncation(map_spec, theta, z, eps, phi, max_window=4096):
-    """Window lengths where the truncated norm of n -> A_n reaches 2||A||/eps.
-
-    Solves the monotone equation in each direction by bisection on the
-    fractionally interpolated truncated norm; an unsatisfiable direction is
-    reported with the achieved norm and satisfied=False.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return _kkl_lengths(_kkl_sequences(map_spec, theta, phi, max_window),
-                        z, eps)
-
-
-def _kkl_sequences(map_spec, theta, phi, max_window):
-    """The backward and forward potential sequences kkl_truncation reads."""
-    return tuple(potential_sequence(map_spec, theta, max_window, phi,
-                                    forward=forward)
-                 for forward in (False, True))
-
-
-def _kkl_lengths(sequences, z, eps):
-    """kkl_truncation at energy z from its two sampled sequences.
-
-    The one-step matrix at theta is rebuilt from the first forward sample,
-    which is phi(theta) as transfer_matrix samples it.
-    """
-    v_bwd, v_fwd = sequences
-    max_window = v_fwd.shape[0]
-    dtype = np.complex128 if isinstance(z, complex) else np.float64
-    a1 = np.array([[z - v_fwd[0], -1.0], [1.0, 0.0]], dtype=dtype)
-    target = (2.0 * math.exp(_spectral_log(a1)) / eps) ** 2
-    e = z.real if isinstance(z, complex) else float(z)
-    eta = z.imag if isinstance(z, complex) else 0.0
-    out = []
-    for v, forward in ((v_bwd, False), (v_fwd, True)):
-        lognorms = kernels.cocycle_lognorms_all(v, e, eta,
-                                                inverse=not forward)
-        sq = np.exp(np.minimum(2.0 * lognorms, 700.0))
-        cum = np.cumsum(sq)
-        if cum[-1] < target:
-            out.append(TruncationLength(float(max_window),
-                                        math.sqrt(cum[-1]), False))
-            continue
-        lo, hi = 0.0, float(max_window)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if _truncated_norm_sq(cum, sq, mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        out.append(TruncationLength(hi, math.sqrt(
-            _truncated_norm_sq(cum, sq, hi)), True))
-    return out[0], out[1]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import Shift, inverse_step_array
+from .torus import inverse_step_array
 
 GRID_CAP = 4096
 
@@ -122,16 +122,3 @@ def covering_exponent_fit(map_spec, c, radii, mmax):
     slope = np.polyfit(xs, ys, 1)[0]
     return float(slope), results
 
-
-def lagarias_determinant(approx, k):
-    """Exact 3x3 determinant of (m, l1, l2) rows at records k, k+1, k+2."""
-    records = approx.records
-    if k < 0 or k + 3 > len(records):
-        raise ValueError("need three consecutive records starting at k")
-    rows = []
-    for m, lvec, _ in records[k:k + 3]:
-        if len(lvec) != 2:
-            raise ValueError("records must come from a two-frequency vector")
-        rows.append((int(m), int(lvec[0]), int(lvec[1])))
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)

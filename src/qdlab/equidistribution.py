@@ -1,10 +1,9 @@
-"""Box and isotropic discrepancy, ETK / Van der Corput oracles, rate fits.
+"""Box discrepancy, ETK / Van der Corput oracles, rate fits.
 
 Point sets are ordered sequences on [0,1)^d.  Box discrepancy is exact in
 d=1 (prefix-max scan over critical endpoints), exact in d=2 for N <= 512
 (critical-box band scan), and otherwise grid-restricted with a certified
-additive error 2d/G.  Isotropic discrepancy is reported as a randomized
-lower estimate only.
+additive error 2d/G.
 """
 
 import math
@@ -12,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from qdlab.arithmetic import Frequency, parse_frequency
+from qdlab.arithmetic import Frequency
 from qdlab.backend import kernels
 from qdlab.torus import PointSet, skew_iterate_ints
 
@@ -108,25 +107,8 @@ def _cell_counts(points, g):
 
 
 # ---------------------------------------------------------------------------
-# counting and box discrepancy
+# box discrepancy
 # ---------------------------------------------------------------------------
-
-def counting(region, point_set):
-    """Number of points in the region.
-
-    region: either a callable mapping an (N, d) array to a boolean mask, or
-    a (beta, kappa) pair of arrays defining the half-open box [beta, kappa).
-    """
-    pts = point_set.points
-    if callable(region):
-        mask = np.asarray(region(pts), dtype=bool)
-    else:
-        beta, kappa = region
-        beta = np.asarray(beta, dtype=np.float64)
-        kappa = np.asarray(kappa, dtype=np.float64)
-        mask = np.all((pts >= beta) & (pts < kappa), axis=1)
-    return int(np.count_nonzero(mask))
-
 
 @dataclass
 class DiscrepancyReport:
@@ -134,7 +116,6 @@ class DiscrepancyReport:
     d_n: float
     method: str
     error_bound: float = 0.0
-    j_n_lower: float = None
 
 
 def discrepancy_box(point_set):
@@ -227,62 +208,6 @@ def _grid_discrepancy_nd(pts, g):
         vol = np.multiply.outer(vol, side)
     best = np.max(np.abs(pref / n - vol), initial=0.0)
     return DiscrepancyReport(n, float(best), f"grid-anchored({g})", 2.0 * d / g)
-
-
-# ---------------------------------------------------------------------------
-# isotropic discrepancy (randomized lower estimate)
-# ---------------------------------------------------------------------------
-
-def isotropic_discrepancy_lower(point_set, trials, seed):
-    """Max deviation over random balls and ball-capped slabs (diameter<1/2)."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    pts = point_set.points
-    n, d = pts.shape
-    best = 0.0
-    for _ in range(trials):
-        center = rng.random(d)
-        r = 0.05 + 0.20 * rng.random()
-        rel = pts - center
-        rel -= np.round(rel)
-        dist2 = np.sum(rel * rel, axis=1)
-        inside = dist2 < r * r
-        if d == 1:
-            vol = 2.0 * r
-        elif d == 2:
-            vol = math.pi * r * r
-        else:
-            vol = (math.pi ** (d / 2) / math.gamma(d / 2 + 1)) * r ** d
-        dev = abs(np.count_nonzero(inside) / n - vol)
-        best = max(best, dev)
-        if d == 2:
-            # slab through the ball: chord constraints a <= <u, x-c> < b
-            phi = 2.0 * math.pi * rng.random()
-            u = np.array([math.cos(phi), math.sin(phi)])
-            a, b = np.sort(rng.uniform(-r, r, size=2))
-            if b - a < 1e-9:
-                continue
-            t = rel @ u
-            dev = abs(np.count_nonzero(inside & (t >= a) & (t < b)) / n
-                      - _disk_band_area(r, a, b))
-            best = max(best, dev)
-    return float(best)
-
-
-def _disk_band_area(r, a, b):
-    """Area of {x in disk of radius r : a <= x_1 < b}."""
-    def left_of(h):
-        # area of the disk portion with first coordinate <= h
-        h = max(-r, min(r, h))
-        return r * r * math.acos(-h / r) + h * math.sqrt(max(r * r - h * h, 0.0))
-
-    return left_of(b) - left_of(a)
-
-
-def isotropic_upper_relation(d, d_n):
-    """The comparison bound (4 d sqrt(d) + 1) * D_N^{1/d}."""
-    return (4.0 * d * math.sqrt(d) + 1.0) * d_n ** (1.0 / d)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +70,8 @@ def _get(config, path, default=KeyError, kind=None):
                 raise ConfigError(path, "missing required field")
             return default
         cur = cur[part]
-    if kind is not None and not isinstance(cur, kind):
+    if kind is not None and (not isinstance(cur, kind)
+                             or kind is int and isinstance(cur, bool)):
         raise ConfigError(path, f"expected {kind.__name__}")
     return cur
 
@@ -80,10 +81,9 @@ def _parse_map(config):
     if kind == "shift":
         alpha = _get(config, "map.alpha")
         tags = alpha if isinstance(alpha, list) else [alpha]
-        try:
-            freqs = [parse_frequency(t) for t in tags]
-        except ValueError as exc:
-            raise ConfigError("map.alpha", str(exc)) from exc
+        if not tags:
+            raise ConfigError("map.alpha", "need at least one frequency")
+        freqs = [_frequency("map.alpha", t) for t in tags]
         spec = Shift(TorusPoint(tuple(float(f) for f in freqs)))
         return {"kind": "shift", "freqs": freqs, "spec": spec, "d": len(freqs)}
     if kind == "skew":
@@ -91,42 +91,52 @@ def _parse_map(config):
         if isinstance(alpha, list):
             raise ConfigError("map.alpha", "skew map takes a scalar frequency")
         d = _positive_int(config, "map.d", 2)
-        try:
-            freq = parse_frequency(alpha)
-        except ValueError as exc:
-            raise ConfigError("map.alpha", str(exc)) from exc
+        freq = _frequency("map.alpha", alpha)
         return {"kind": "skew", "freqs": freq,
                 "spec": SkewShift(float(freq), d), "d": d}
     raise ConfigError("map.kind", f"unknown map kind {kind!r}")
 
 
-def _parse_potential(config, default_zero=True):
-    pot = config.get("potential")
-    if pot is None:
-        if default_zero:
-            return cc.ZeroPotential()
-        raise ConfigError("potential", "missing required field")
+def _frequency(path, value):
+    """parse_frequency(value), a ConfigError naming path when it fails."""
+    if not isinstance(value, (str, int, float)):
+        raise ConfigError(path, f"expected a frequency, got {value!r}")
+    try:
+        return parse_frequency(value)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _parse_potential(config):
+    if config.get("potential") is None:
+        return cc.ZeroPotential()
     kind = _get(config, "potential.kind", kind=str)
     if kind == "zero":
         return cc.ZeroPotential()
     if kind == "cosine":
         return cc.CosinePotential(_number(config, "potential.coupling"))
     if kind == "tabulated":
-        return cc.TabulatedPotential(_get(config, "potential.values",
-                                          kind=list))
+        values = _get(config, "potential.values", kind=list)
+        if not values or not all(_is_number(v) for v in values):
+            raise ConfigError("potential.values",
+                              f"expected finite numbers, got {values!r}")
+        return cc.TabulatedPotential(values)
     raise ConfigError("potential.kind", f"unknown potential kind {kind!r}")
 
 
 def _positive_int(config, path, default=KeyError):
     value = _get(config, path, default, kind=int)
-    if isinstance(value, bool) or value < 1:
+    if value < 1:
         raise ConfigError(path, f"expected a positive integer, got {value!r}")
     return value
 
 
 def _number(config, path, default=KeyError):
-    """A finite number (bools excluded) as a float."""
+    """A finite number (bools excluded) as a float; None when absent and
+    the default is None."""
     value = _get(config, path, default)
+    if value is None and default is None:
+        return None
     if not _is_number(value):
         raise ConfigError(path, f"expected a finite number, got {value!r}")
     return float(value)
@@ -141,6 +151,8 @@ def _times(config, path, minimum):
     if len(values) < minimum:
         raise ConfigError(path, f"need at least {minimum} times, "
                                 f"got {len(values)}")
+    if len(set(values)) != len(values):
+        raise ConfigError(path, f"times must be distinct, got {values!r}")
     return [float(v) for v in values]
 
 
@@ -162,17 +174,18 @@ def _point(config, path, d):
     return tuple(float(c) for c in coords)
 
 
-def _bracket(config, low, high):
-    """Whether [low, high] meets params.require_low and require_high."""
-    lo = _get(config, "params.require_low", None)
-    hi = _get(config, "params.require_high", None)
-    return ((lo is None or low >= float(lo))
-            and (hi is None or high <= float(hi)))
+def _bracket(config):
+    """The test of a bracket [low, high] against params.require_low and
+    require_high, read before the run so bad thresholds fail first."""
+    lo = _number(config, "params.require_low", None)
+    hi = _number(config, "params.require_high", None)
+    return lambda low, high: ((lo is None or low >= lo)
+                              and (hi is None or high <= hi))
 
 
 def _require_seed(config):
     seed = config.get("seed")
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("seed", "a seed is mandatory for randomized runs")
     return seed
 
@@ -182,8 +195,8 @@ def _require_seed(config):
 # ---------------------------------------------------------------------------
 
 def _run_identities(config):
-    s_max = _get(config, "params.s_max", 4, kind=int)
-    r_max = _get(config, "params.r_max", 5, kind=int)
+    s_max = _positive_int(config, "params.s_max", 4)
+    r_max = _positive_int(config, "params.r_max", 5)
     header = ["s", "r", "order_s_minus_1", "order_s", "product", "ok"]
     rows = []
     passed = True
@@ -247,14 +260,14 @@ def _run_discrepancy_decay(config):
         samples.append((n, rep.d_n))
     summary = {}
     passed = True
-    max_slope = _get(config, "params.max_slope", None)
+    max_slope = _number(config, "params.max_slope", None)
     if len(samples) >= 5 and samples[-1][0] / samples[0][0] >= 100:
         fit = eq.decay_rate_fit(samples)
         summary = {"slope": fit.slope, "stderr": fit.stderr,
                    "delta_hat": fit.delta_hat}
         if max_slope is not None:
-            passed = fit.slope <= float(max_slope)
-            summary["max_slope"] = float(max_slope)
+            passed = fit.slope <= max_slope
+            summary["max_slope"] = max_slope
     elif max_slope is not None:
         raise ConfigError("params.n_grid",
                           "a slope threshold needs >= 5 scales over two decades")
@@ -292,24 +305,25 @@ def _run_brs_remainder(config):
     variant = _get(config, "params.variant", kind=str)
     nmax = _positive_int(config, "params.nmax")
     if variant == "interval":
-        alpha = parse_frequency(_get(config, "params.alpha"))
-        tf = brs.interval_transfer(float(alpha),
-                                   _get(config, "params.q", kind=int),
-                                   _get(config, "params.p", kind=int))
-        alpha_vec = [float(alpha)]
+        paths, shape = ("params.alpha",), ()
+        transfer = brs.interval_transfer
     elif variant == "parallelogram":
-        a1 = parse_frequency(_get(config, "params.alpha1"))
-        a2 = parse_frequency(_get(config, "params.alpha2"))
-        tf = brs.parallelogram_transfer(
-            float(a1), float(a2),
-            _get(config, "params.m", kind=int),
-            _get(config, "params.l1", kind=int),
-            _get(config, "params.l2", kind=int),
-            _get(config, "params.q", kind=int),
-            _get(config, "params.p", kind=int))
-        alpha_vec = [float(a1), float(a2)]
+        paths = ("params.alpha1", "params.alpha2")
+        shape = (_positive_int(config, "params.m"),
+                 _get(config, "params.l1", kind=int),
+                 _get(config, "params.l2", kind=int))
+        transfer = brs.parallelogram_transfer
     else:
         raise ConfigError("params.variant", f"unknown variant {variant!r}")
+    alpha_vec = [float(_frequency(path, _get(config, path))) for path in paths]
+    q = _get(config, "params.q", kind=int)
+    p = _get(config, "params.p", kind=int)
+    try:
+        tf = transfer(*alpha_vec, *shape, q, p)
+    except ValueError as exc:
+        # a degenerate set: |q alpha - p|, or the parallelogram's base
+        # length |q v1/v2 - p|, outside (0, 1), or a spanning v2 = 0
+        raise ConfigError("params.q", str(exc)) from exc
     if _get(config, "params.x0", None) is None:
         rng = np.random.default_rng(_require_seed(config))
         x0 = rng.random(len(alpha_vec)).tolist()
@@ -351,7 +365,7 @@ def _run_lyapunov_scan(config):
     lo, hi, count = _energy_grid(_get(config, "params.energies", kind=list))
     n = _positive_int(config, "params.n")
     phases = _positive_int(config, "params.phases")
-    min_l = _get(config, "params.min_l", None)
+    min_l = _number(config, "params.min_l", None)
     header = ["E", "lhat", "stderr", "lhat_grid", "n", "phases"]
     energies = [float(e) for e in np.linspace(lo, hi, count)]
     scan = cc.lyapunov_scan(mp["spec"], energies, n, phases,
@@ -359,7 +373,7 @@ def _run_lyapunov_scan(config):
     rows = [(e, est.lhat, est.stderr, est.lhat_grid, n, phases)
             for e, est in zip(energies, scan)]
     worst = min(est.lhat for est in scan)
-    passed = min_l is None or worst >= float(min_l)
+    passed = min_l is None or worst >= min_l
     return header, rows, {"min_lhat": worst}, passed
 
 
@@ -373,10 +387,11 @@ def _run_dt_integral(config):
         raise ConfigError("params.k_bound",
                           f"energy bound must be >= 4, got {k_bound!r}")
     e_count = _get(config, "params.e_count", 201, kind=int)
-    if isinstance(e_count, bool) or e_count < 2:
+    if e_count < 2:
         raise ConfigError("params.e_count",
                           f"need at least 2 energies, got {e_count!r}")
     theta = _point(config, "params.theta", mp["d"])
+    max_ratio = _number(config, "params.max_ratio", None)
     header = ["T", "integral", "rho", "k_bound"]
     rows = []
     values = []
@@ -387,11 +402,10 @@ def _run_dt_integral(config):
         values.append(val)
     summary = {}
     passed = True
-    max_ratio = _get(config, "params.max_ratio", None)
     if len(values) >= 2:
         summary["ratio"] = values[-1] / values[0]
         if max_ratio is not None:
-            passed = summary["ratio"] <= float(max_ratio)
+            passed = summary["ratio"] <= max_ratio
     return header, rows, summary, passed
 
 
@@ -406,12 +420,13 @@ def _run_transport_beta(config):
     t_grid = _times(config, "params.t_grid", 8)
     theta = _point(config, "params.theta", mp["d"])
     l_box = _l_box(config)
+    within = _bracket(config)
     est = tp.beta_estimate(mp["spec"], TorusPoint(theta), phi, p, t_grid,
                            l_box=l_box)
     header = ["beta_low", "beta_high", "p", "t_max"]
     rows = [(est.low, est.high, p, max(t_grid))]
     summary = {"beta_low": est.low, "beta_high": est.high}
-    return header, rows, summary, _bracket(config, est.low, est.high)
+    return header, rows, summary, within(est.low, est.high)
 
 
 def _run_transport_xi(config):
@@ -426,6 +441,7 @@ def _run_transport_xi(config):
     # one running slope needs at least 3 times
     t_grid = _times(config, "params.t_grid", 3)
     l_box = _l_box(config)
+    within = _bracket(config)
     est = tp.xi_estimate(mp["spec"], TorusPoint(theta), phi, taus, t_grid,
                          l_box=l_box)
     header = ["T", "front_l", "tau"]
@@ -433,7 +449,7 @@ def _run_transport_xi(config):
     rows = [(t, front, lead)
             for t, front in zip(sorted(t_grid), est.fronts[lead])]
     summary = {"xi_low": est.low, "xi_high": est.high}
-    return header, rows, summary, _bracket(config, est.low, est.high)
+    return header, rows, summary, within(est.low, est.high)
 
 
 RUNNERS = {

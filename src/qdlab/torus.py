@@ -196,20 +196,6 @@ def skew_closed_form(alpha, y, n):
                             skew_iterate_ints(a_int, y_ints, n, bits)))
 
 
-def torus_distance(p, q):
-    """Euclidean distance on T^d with per-coordinate wraparound."""
-    pc = p.coords if isinstance(p, TorusPoint) else tuple(p)
-    qc = q.coords if isinstance(q, TorusPoint) else tuple(q)
-    if len(pc) != len(qc):
-        raise ValueError("dimension mismatch")
-    s = 0.0
-    for a, b in zip(pc, qc):
-        delta = abs(a - b)
-        delta = min(delta, 1.0 - delta)
-        s += delta * delta
-    return math.sqrt(s)
-
-
 # ------------------------------------------------------------------
 # vectorized map action on float arrays (used by covering and potential
 # sampling; plain double arithmetic, adequate for those error budgets)

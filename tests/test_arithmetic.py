@@ -1,13 +1,11 @@
-"""Continued fractions, Diophantine scans, Liouville construction."""
+"""Frequencies, continued fractions, Liouville construction."""
 
 import math
 
 import pytest
 
-from qdlab.arithmetic import (Frequency, best_simultaneous_approximations,
-                              continued_fraction, diophantine_check,
-                              dist_to_integers, liouville_construct,
-                              parse_frequency, simultaneous_record_bound)
+from qdlab.arithmetic import (Frequency, continued_fraction,
+                              liouville_construct, parse_frequency)
 
 GOLDEN = parse_frequency("golden")
 SQRT2M1 = parse_frequency("sqrt2m1")
@@ -64,48 +62,6 @@ def test_rational_expansion_terminates_with_truncation_flag():
     cf = continued_fraction(Frequency(0.25, bits=80), 10)
     assert cf.partial_quotients[0] == 4
     assert cf.truncated
-
-
-def test_dist_to_integers_matches_brute_force():
-    for k in (1, 2, 3, 5, 8, 144, 987):
-        exact = dist_to_integers(GOLDEN, k)
-        x = k * float(GOLDEN)
-        brute = abs(x - round(x))
-        assert exact == pytest.approx(brute, abs=1e-9)
-
-
-def test_golden_is_badly_approximable():
-    # liminf q ||q alpha|| = 1/sqrt(5) for the golden rotation, so the
-    # empirical wdc constant at tau = 1 sits just above 0.447 from below
-    rep = diophantine_check([GOLDEN], 1.0, 1000, conditions=("wdc",))
-    assert 0.38 <= rep["wdc"]["c"] <= 1.0 / math.sqrt(5) + 1e-6
-
-
-def test_dc_and_pdc_reports_carry_argmins():
-    rep = diophantine_check([SQRT2M1, SQRT3M1], 2.0, 40)
-    for key in ("dc", "wdc", "pdc"):
-        assert rep[key]["c"] > 0.0
-        assert rep[key]["h"] is not None
-    h1, h2 = rep["pdc"]["h"]
-    assert h1 * h2 == 0 or math.gcd(h1, abs(h2)) == 1
-
-
-def test_simultaneous_records_golden_are_fibonacci():
-    approx = best_simultaneous_approximations([GOLDEN], 1000)
-    ms = [m for m, _, _ in approx.records]
-    fib = [1, 2]
-    while fib[-1] <= 1000:
-        fib.append(fib[-1] + fib[-2])
-    assert ms == [f for f in fib if f <= 1000]
-    errs = [err for _, _, err in approx.records]
-    assert all(b < a for a, b in zip(errs, errs[1:]))
-
-
-def test_simultaneous_record_bound_holds():
-    approx = best_simultaneous_approximations([SQRT2M1, SQRT3M1], 3000)
-    records = approx.records
-    for (m, _, err), (m_next, _, _) in zip(records, records[1:]):
-        assert err <= simultaneous_record_bound(2, m_next) + 1e-12
 
 
 def test_liouville_construct_plants_growth():

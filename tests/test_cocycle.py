@@ -17,13 +17,6 @@ def full_matrix(prod):
     return prod.matrix * math.exp(prod.logscale)
 
 
-def test_transfer_matrix_unimodular():
-    phi = cc.CosinePotential(1.5)
-    m = cc.transfer_matrix(TorusPoint((0.3,)), 2.0, phi)
-    assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-14)
-    assert m[0, 0] == pytest.approx(2.0 - 3.0 * math.cos(2 * math.pi * 0.3))
-
-
 def test_cocycle_law():
     # A_{n+m}(theta) = A_n(f^m theta) A_m(theta)
     phi = cc.CosinePotential(1.0)
@@ -112,21 +105,19 @@ def test_batched_rows_match_the_per_step_product(monkeypatch):
                                                     abs=1e-9)
 
 
-@pytest.mark.parametrize("e, eta, inverse", [
-    (np.array([0.3, 5.0, -2.0]), 0.0, False),
-    (0.3, 0.01, False),
-    (np.array([0.3, 5.0, -2.0]), 0.0, True),
-], ids=["real", "complex", "inverse"])
-def test_carried_state_over_split_columns_is_bitwise(e, eta, inverse):
+@pytest.mark.parametrize("e, eta", [
+    (np.array([0.3, 5.0, -2.0]), 0.0),
+    (0.3, 0.01),
+], ids=["real", "complex"])
+def test_carried_state_over_split_columns_is_bitwise(e, eta):
     from qdlab.backend import kernels
     rng = np.random.default_rng(4)
     v = 6.0 * rng.random((3, 300)) - 3.0
-    whole = kernels.cocycle_batch(v, e, eta, inverse=inverse)
+    whole = kernels.cocycle_batch(v, e, eta)
     state = kernels.CocycleState()
     cuts = [0, 7, 40, 41, 173, 300]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        split = kernels.cocycle_batch(v[:, lo:hi], e, eta, inverse=inverse,
-                                      state=state)
+        split = kernels.cocycle_batch(v[:, lo:hi], e, eta, state=state)
     assert state.steps == 300
     for got, want in zip(split, whole):
         assert got.tobytes() == want.tobytes()
@@ -166,21 +157,6 @@ def test_finite_n_estimates_decrease_toward_the_limit():
     assert long.lhat <= short.lhat + 3.0 * short.stderr + 1e-6
 
 
-def test_uniform_upper_scan_dominates_the_mean():
-    phi = cc.CosinePotential(3.0)
-    est = cc.lyapunov_estimate(SHIFT1, 1.0, 1000, 32, seed=5, phi=phi)
-    upper = cc.uniform_upper_scan(SHIFT1, 1.0, 1000, 64, phi)
-    assert upper >= est.lhat_grid - 1e-9
-
-
-def test_window_lower_bound_improves_with_window():
-    phi = cc.CosinePotential(3.0)
-    theta = TorusPoint((0.37,))
-    base = cc.window_lower_bound(SHIFT1, theta, 0.2, 200, 0, phi)
-    wide = cc.window_lower_bound(SHIFT1, theta, 0.2, 200, 8, phi)
-    assert wide >= base - 1e-9
-
-
 def test_dt_integrand_bounded_by_one():
     phi = cc.CosinePotential(3.0)
     val, integrand = cc.dt_integral(SHIFT1, TorusPoint((0.0,)), 100.0, 0.3,
@@ -198,40 +174,6 @@ def test_dt_integral_decays_for_localized_potential():
     i2, _ = cc.dt_integral(SHIFT1, TorusPoint((0.0,)), 1000.0, 0.3, 41, 9.0,
                            phi)
     assert i2 < i1
-
-
-def test_kkl_truncation_monotone_in_eps():
-    phi = cc.CosinePotential(3.0)
-    theta = TorusPoint((0.2,))
-    minus1, plus1 = cc.kkl_truncation(SHIFT1, theta, 0.5, 0.5, phi)
-    minus2, plus2 = cc.kkl_truncation(SHIFT1, theta, 0.5, 0.05, phi)
-    assert minus1.satisfied and plus1.satisfied
-    assert minus2.length >= minus1.length
-    assert plus2.length >= plus1.length
-
-
-def test_kkl_truncation_unsatisfiable_direction_flagged():
-    # elliptic zero potential: norms stay O(1), so a tiny eps cannot be
-    # reached inside the window
-    phi = cc.ZeroPotential()
-    theta = TorusPoint((0.2,))
-    minus, plus = cc.kkl_truncation(SHIFT1, theta, 0.5, 1e-6, phi,
-                                    max_window=256)
-    assert not minus.satisfied
-    assert not plus.satisfied
-    assert minus.length == 256.0
-
-
-def test_kkl_truncation_validation():
-    with pytest.raises(ValueError):
-        cc.kkl_truncation(SHIFT1, TorusPoint((0.1,)), 0.5, 0.0,
-                          cc.ZeroPotential())
-
-
-def test_holder_certificate_respects_declared_constant():
-    phi = cc.CosinePotential(2.0)
-    observed, declared = cc.holder_certificate(phi, 1, 2000, seed=5)
-    assert observed <= declared + 1e-9
 
 
 def test_piecewise_and_tabulated_potentials():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import qdlab.covering as cov
-from qdlab.arithmetic import (best_simultaneous_approximations,
-                              parse_frequency)
+from qdlab.arithmetic import continued_fraction, parse_frequency
 from qdlab.torus import Shift, SkewShift, TorusPoint
 
 GOLDEN = float(parse_frequency("golden"))
@@ -34,9 +33,7 @@ def test_covering_time_monotone_in_radius():
 def test_rotation_covering_tracks_denominators():
     # three-distance: M_cover(r) for the golden rotation is within a small
     # factor of the first denominator q with ||q alpha|| < r
-    qs = [m for m, _, _ in
-          best_simultaneous_approximations([parse_frequency("golden")],
-                                           10000).records]
+    qs = continued_fraction("golden", 20).denominators
     for r in (0.1, 0.04, 0.01):
         res = cov.covering_time(SHIFT1, r, (0.3,), 100000)
         q_star = next(q for q, err in
@@ -84,13 +81,3 @@ def test_input_validation():
     with pytest.raises(ValueError):
         cov.covering_time(SHIFT1, 0.1, (0.0, 0.0), 10)
 
-
-def test_lagarias_determinant_exact_integer():
-    approx = best_simultaneous_approximations(
-        [parse_frequency("sqrt2m1"), parse_frequency("sqrt3m1")], 20000)
-    assert len(approx.records) >= 6
-    for k in range(len(approx.records) - 2):
-        det = cov.lagarias_determinant(approx, k)
-        assert isinstance(det, int)
-    with pytest.raises(ValueError):
-        cov.lagarias_determinant(approx, len(approx.records) - 2)

@@ -240,16 +240,6 @@ def test_orbit_discrepancy_matches_explicit_pipeline(kind, freqs, y0, n,
         (want.n, want.d_n, want.error_bound)
 
 
-def test_counting_box_and_callable_agree():
-    rng = np.random.default_rng(31)
-    ps = PointSet(rng.random((500, 2)))
-    beta, kappa = np.array([0.2, 0.1]), np.array([0.7, 0.9])
-    by_box = eq.counting((beta, kappa), ps)
-    by_call = eq.counting(
-        lambda p: np.all((p >= beta) & (p < kappa), axis=1), ps)
-    assert by_box == by_call
-
-
 # ---------------------------------------------------------------------------
 # inequalities
 # ---------------------------------------------------------------------------
@@ -317,22 +307,8 @@ def test_comb_identity_validation():
 
 
 # ---------------------------------------------------------------------------
-# isotropic discrepancy and rate fits
+# rate fits
 # ---------------------------------------------------------------------------
-
-def test_isotropic_lower_estimate_below_comparison_bound():
-    ps = eq.orbit_point_set("shift", PAIR, (0.0, 0.0), 400)
-    d_n = eq.discrepancy_box(ps).d_n
-    lower = eq.isotropic_discrepancy_lower(ps, 200, seed=13)
-    assert 0.0 <= lower <= eq.isotropic_upper_relation(2, d_n)
-
-
-def test_isotropic_lower_is_deterministic_under_seed():
-    ps = eq.orbit_point_set("shift", PAIR, (0.0, 0.0), 200)
-    a = eq.isotropic_discrepancy_lower(ps, 50, seed=3)
-    b = eq.isotropic_discrepancy_lower(ps, 50, seed=3)
-    assert a == b
-
 
 def test_decay_rate_fit_recovers_power_law():
     samples = [(n, 3.0 * n ** -0.75) for n in (100, 400, 1600, 6400, 25600)]

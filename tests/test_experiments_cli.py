@@ -161,6 +161,30 @@ def _dt(**params):
             "params": {"t_list": [10.0], "rho": 0.5, "k_bound": 9.0,
                        **params}}
 
+
+def _decay(**params):
+    return {"experiment": "discrepancy_decay", "map": SHIFT1,
+            "params": {"n_grid": [100, 316, 1000, 3162, 10000], **params}}
+
+
+def _interval(**params):
+    return {"experiment": "brs_remainder",
+            "params": {"variant": "interval", "alpha": "golden", "q": 1,
+                       "p": 0, "nmax": 100, "x0": [0.1], **params}}
+
+
+def _parallelogram(**params):
+    return {"experiment": "brs_remainder",
+            "params": {"variant": "parallelogram", "alpha1": "sqrt2m1",
+                       "alpha2": "sqrt3m1", "m": 1, "l1": 0, "l2": 0, "q": 1,
+                       "p": 0, "nmax": 100, "x0": [0.1, 0.2], **params}}
+
+
+def _tabulated(values):
+    return dict(_lyapunov_config(),
+                potential={"kind": "tabulated", "values": values})
+
+
 BAD_INPUTS = {
     "dt-theta-too-long": (
         {"experiment": "dt_integral", "map": SHIFT1, "potential": COSINE,
@@ -234,6 +258,35 @@ BAD_INPUTS = {
     "coupling-bool": (
         dict(_beta(), potential={"kind": "cosine", "coupling": True}),
         "potential.coupling"),
+    "max-slope-string": (_decay(max_slope="steep"), "params.max_slope"),
+    "max-slope-list": (_decay(max_slope=[-0.5]), "params.max_slope"),
+    "min-l-string": (_lyapunov_config(min_l="high"), "params.min_l"),
+    "max-ratio-string": (_dt(t_list=[10.0, 20.0], max_ratio="small"),
+                         "params.max_ratio"),
+    "require-low-string": (_beta(require_low="low"), "params.require_low"),
+    "require-high-list": (_xi(require_high=[1.0]), "params.require_high"),
+    "brs-alpha-unparsable": (_interval(alpha="gol den"), "params.alpha"),
+    "brs-alpha-list": (_interval(alpha=["golden"]), "params.alpha"),
+    "brs-alpha1-out-of-range": (_parallelogram(alpha1="1.5"), "params.alpha1"),
+    "brs-alpha2-unparsable": (_parallelogram(alpha2="x"), "params.alpha2"),
+    "brs-interval-degenerate": (_interval(q=0), "params.q"),
+    "brs-m-zero": (_parallelogram(m=0), "params.m"),
+    "tabulated-values-empty": (_tabulated([]), "potential.values"),
+    "tabulated-values-string": (_tabulated([1.0, "a"]), "potential.values"),
+    "map-alpha-out-of-range": (
+        dict(_decay(), map={"kind": "shift", "alpha": 1.5}), "map.alpha"),
+    "brs-q-bool": (_interval(q=True, p=False), "params.q"),
+    "map-alpha-empty": (
+        dict(_decay(), map={"kind": "shift", "alpha": []}), "map.alpha"),
+    "s-max-zero": ({"experiment": "identities", "params": {"s_max": 0}},
+                   "params.s_max"),
+    "r-max-negative": ({"experiment": "identities", "params": {"r_max": -1}},
+                       "params.r_max"),
+    "seed-bool": (dict(_interval(x0=None), seed=True), "seed"),
+    "beta-t-grid-repeated": (_beta(t_grid=BETA_TIMES[:7] + [35.0]),
+                             "params.t_grid"),
+    "xi-t-grid-repeated": (_xi(t_grid=[5.0, 5.0, 5.0]), "params.t_grid"),
+    "dt-t-list-repeated": (_dt(t_list=[10.0, 10.0]), "params.t_list"),
 }
 
 
@@ -328,6 +381,12 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
 
 def test_cli_bad_runner_input_exits_two(tmp_path, capsys):
     config, field = BAD_INPUTS["center-wrong-length"]
+    assert main(["run", write_config(tmp_path, config)]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+
+
+def test_cli_bad_threshold_exits_two(tmp_path, capsys):
+    config, field = BAD_INPUTS["max-slope-string"]
     assert main(["run", write_config(tmp_path, config)]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
 
