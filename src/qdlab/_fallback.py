@@ -246,21 +246,18 @@ def _cocycle_scalar(v, e, eta):
     return lognorm, detlog
 
 
-def cocycle_lognorms_all(v, e, eta=0.0, inverse=False):
+def cocycle_lognorms_all(v, e, eta, inverse=False):
     """log spectral norm of every prefix product A_1 ... A_n.
 
-    v: (n,) potential samples.  inverse: products of
-    A^{-1} = [[0, 1],[-1, z-v]] in the given order.  Returns float64 (n,).
+    v: (n,) potential samples at the complex energy z = e + i eta.
+    inverse: products of A^{-1} = [[0, 1],[-1, z-v]] in the given order.
+    Returns float64 (n,).
     """
     v = np.asarray(v, dtype=np.float64)
     n = v.shape[0]
     out = np.empty(n, dtype=np.float64)
-    if eta != 0.0:
-        z = complex(e, eta)
-        a, b, c, d = complex(1), complex(0), complex(0), complex(1)
-    else:
-        z = float(e)
-        a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    z = complex(e, eta)
+    a, b, c, d = complex(1), complex(0), complex(0), complex(1)
     logs = 0.0
     for k in range(n):
         t = z - v[k]
@@ -286,15 +283,13 @@ def cocycle_lognorms_all(v, e, eta=0.0, inverse=False):
 # Chebyshev propagation
 # ---------------------------------------------------------------------------
 
-def cheb_apply(diag_scaled, off_scaled, coeffs, psi0):
-    """Sum_k coeffs[p, k] * T_k(Hs_p) psi0[p] for each row p of a block.
+def cheb_apply(diag_scaled, off_scaled, coeffs, psi):
+    """Sum_k coeffs[p, k] * T_k(Hs_p) psi[p] for each row p of a block.
 
     Hs_p is the scaled tridiagonal operator of row p.  diag_scaled: (P, M)
     float64 diagonals; off_scaled: (P, 1) float64 off-diagonal couplings;
     coeffs: (P, K) complex128, each row zero-padded past its own length;
-    psi0: (P, M) complex128.  Returns (P, M).  A single operator is the
-    P = 1 case and may drop the row axis ((M,), scalar, (K,), (M,)); the
-    result then has shape (M,).
+    psi: (P, M) complex128.  Returns (P, M).
 
     Every element sees the operations of the one-row recurrence in the same
     order, so each row equals its own one-row call bit for bit (a
@@ -305,17 +300,14 @@ def cheb_apply(diag_scaled, off_scaled, coeffs, psi0):
     block times a (P,) column takes another SIMD loop, which does not
     round like it.  The recurrence runs in buffers allocated once per call.
     """
-    psi0 = np.asarray(psi0, dtype=np.complex128)
-    t0 = np.array(np.atleast_2d(psi0))
-    rows, m = t0.shape
-    diag = np.asarray(diag_scaled, dtype=np.float64).reshape(rows, m)
-    coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(rows, -1)
+    t0 = np.array(psi, dtype=np.complex128)
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
     acc = coeffs[:, :1] * t0
     if coeffs.shape[1] == 1:
-        return acc.reshape(psi0.shape)
-    diag = diag.astype(np.complex128)
+        return acc
+    diag = np.asarray(diag_scaled, dtype=np.complex128)
     off = np.empty_like(t0)
-    off[:] = np.asarray(off_scaled, dtype=np.float64).reshape(rows, 1)
+    off[:] = off_scaled
     t1, y, nb, term = (np.empty_like(t0) for _ in range(4))
     bands = [(y_row[:-1], nb_row[1:], y_row[1:], nb_row[:-1])
              for y_row, nb_row in zip(y, nb)]
@@ -344,4 +336,4 @@ def cheb_apply(diag_scaled, off_scaled, coeffs, psi0):
         np.subtract(y, t0, out=t0)
         add_term(column, t0_rows)
         t0, t1, t0_rows, t1_rows = t1, t0, t1_rows, t0_rows
-    return acc.reshape(psi0.shape)
+    return acc

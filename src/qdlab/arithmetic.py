@@ -62,7 +62,8 @@ _LIOUVILLE_RE = re.compile(r"^liouville\(\s*([0-9.]+)\s*,\s*(\d+)\s*\)$")
 
 def parse_frequency(text, bits=DEFAULT_BITS):
     """Accepts a number or decimal string in (0,1), or one of the symbolic
-    tags {golden, sqrt2m1, sqrt3m1, liouville(gamma,K)}."""
+    tags {golden, sqrt2m1, sqrt3m1, liouville(gamma,K)}; a decimal string
+    keeps bits + 16 bits, and a value that rounds to 0 mod 1 is rejected."""
     if isinstance(text, Frequency):
         return text
     if isinstance(text, (int, float)):
@@ -80,12 +81,16 @@ def parse_frequency(text, bits=DEFAULT_BITS):
             freq, _ = liouville_construct(float(m.group(1)), int(m.group(2)))
             return freq
         try:
-            val = mp.mpf(text)
+            with mp.workprec(bits + 16):
+                val = mp.mpf(text)
         except Exception as exc:
             raise ValueError(f"cannot parse frequency {text!r}") from exc
     if not 0 < val < 1:
         raise ValueError(f"frequency must lie in (0,1), got {text!r}")
-    return Frequency(val, bits)
+    freq = Frequency(val, bits)
+    if freq.num == 0:
+        raise ValueError(f"frequency {text!r} rounds to 0 at {bits} bits")
+    return freq
 
 
 # ---------------------------------------------------------------------------

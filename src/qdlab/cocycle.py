@@ -101,8 +101,6 @@ class ZeroPotential:
 class TransferProduct:
     matrix: np.ndarray
     logscale: float
-    n: int
-    z: complex
 
     def log_norm(self):
         """log of the spectral norm of the full product."""
@@ -155,7 +153,7 @@ def cocycle_product(map_spec, theta, z, n, phi):
             if norm > RENORM_NORM:
                 m /= norm
                 logscale += math.log(norm)
-    return TransferProduct(m, logscale, n, z)
+    return TransferProduct(m, logscale)
 
 
 # column block of the batched orbit walk: at most this many potential
@@ -163,22 +161,19 @@ def cocycle_product(map_spec, theta, z, n, phi):
 _BLOCK_CELLS = 1 << 17
 
 
-def _batch_lognorms(map_spec, thetas, z, n, phi, orbit=None):
+def _batch_lognorms(map_spec, thetas, z, n, phi, orbit):
     """log ||A_n|| of a batch of product rows, via the kernel product.
 
     thetas: (R, d) start phases.  Their orbits are walked once with
     step_array in column blocks, and phi samples each block in one call.
-    orbit: (M,) index of the phase orbit each product row follows (default:
-    one row per phase); z: the energy, a scalar or one per row.  The kernel
-    carries every row's product from block to block.  Returns (lognorm,
-    detlog) of shape (M,).
+    orbit: (M,) index of the phase orbit each product row follows; z: the
+    energy, a scalar or one per row.  The kernel carries every row's
+    product from block to block.  Returns (lognorm, detlog) of shape (M,).
     """
     if n < 1:
         raise ValueError("need n >= 1")
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
     count, d = thetas.shape
-    if orbit is None:
-        orbit = np.arange(count)
     z = np.asarray(z)
     e, eta = (z.real, z.imag) if np.iscomplexobj(z) else (z, 0.0)
     state = kernels.CocycleState()
@@ -201,8 +196,6 @@ class LyapunovEstimate:
     lhat: float
     stderr: float
     lhat_grid: float
-    n: int
-    phases: int
 
 
 def lyapunov_scan(map_spec, energies, n, phases, seeds, phi):
@@ -240,8 +233,7 @@ def lyapunov_scan(map_spec, energies, n, phases, seeds, phi):
         stderr = float(np.std(vals, ddof=1) / math.sqrt(phases)) \
             if phases > 1 else 0.0
         out.append(LyapunovEstimate(float(np.mean(vals)), stderr,
-                                    float(np.mean(grid_rows[i]) / n), n,
-                                    phases))
+                                    float(np.mean(grid_rows[i]) / n)))
     return out
 
 

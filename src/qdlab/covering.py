@@ -22,11 +22,8 @@ GRID_CAP = 4096
 @dataclass
 class CoveringResult:
     radius: float
-    center: tuple
-    map_name: str
     m_cover: int          # None when not covered within mmax
     grid: int
-    spacing: float
     certified: bool
     uncovered: int = 0
 
@@ -61,13 +58,11 @@ def covering_time(map_spec, r, c, mmax):
         raise ValueError("center dimension does not match the map")
     if r >= 0.5 * math.sqrt(d):
         # the ball alone reaches every point of the torus
-        return CoveringResult(r, tuple(center), type(map_spec).__name__,
-                              1, 0, 0.0, True)
+        return CoveringResult(r, 1, 0, True)
     grid = 1
     while 1.0 / grid > r / 4.0 and grid < GRID_CAP:
         grid *= 2
-    spacing = 1.0 / grid
-    certified = spacing <= r / 4.0
+    certified = 1.0 / grid <= r / 4.0
 
     pts = _grid_points(grid, d)
     test_r2 = (0.75 * r) ** 2
@@ -82,12 +77,10 @@ def covering_time(map_spec, r, c, mmax):
         if np.any(inside):
             active = active[~inside]
             m_cover = n + 1
-    name = type(map_spec).__name__
     if active.shape[0] > 0:
-        return CoveringResult(r, tuple(center), name, None, grid, spacing,
-                              certified, uncovered=int(active.shape[0]))
-    return CoveringResult(r, tuple(center), name, m_cover, grid, spacing,
-                          certified)
+        return CoveringResult(r, None, grid, certified,
+                              uncovered=int(active.shape[0]))
+    return CoveringResult(r, m_cover, grid, certified)
 
 
 class NotCoveredError(RuntimeError):
@@ -98,27 +91,36 @@ class NotCoveredError(RuntimeError):
         self.result = result
 
 
-def covering_exponent_fit(map_spec, c, radii, mmax):
-    """Least-squares slope of log M_cover against log(1/r).
-
-    Requires at least 4 decreasing radii spanning a decade; raises
-    NotCoveredError if any radius exhausts the step budget.
-    """
-    radii = [float(r) for r in radii]
+def fit_problem(radii):
+    """Why the radii cannot carry an exponent fit, or None if they can."""
     if len(radii) < 4:
-        raise ValueError("need at least 4 radii")
+        return "need at least 4 radii"
     if any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly decreasing")
+        return "radii must be strictly decreasing"
     if radii[0] / radii[-1] < 10.0:
-        raise ValueError("radii must span at least one decade")
+        return "radii must span at least one decade"
+    return None
+
+
+def covering_slope(results):
+    """Least-squares slope of log M_cover against log(1/r)."""
+    xs = np.log([1.0 / res.radius for res in results])
+    ys = np.log([res.m_cover for res in results])
+    return float(np.polyfit(xs, ys, 1)[0])
+
+
+def covering_exponent_fit(map_spec, c, radii, mmax):
+    """covering_slope over the radii, and the results; raises
+    NotCoveredError if any radius exhausts the step budget."""
+    radii = [float(r) for r in radii]
+    problem = fit_problem(radii)
+    if problem is not None:
+        raise ValueError(problem)
     results = []
     for r in radii:
         res = covering_time(map_spec, r, c, mmax)
         if not res.covered:
             raise NotCoveredError(res)
         results.append(res)
-    xs = np.log([1.0 / r for r in radii])
-    ys = np.log([res.m_cover for res in results])
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float(slope), results
+    return covering_slope(results), results
 

@@ -7,11 +7,10 @@ additive error 2d/G.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from qdlab.arithmetic import Frequency
 from qdlab.backend import kernels
 from qdlab.torus import PointSet, skew_iterate_ints
 
@@ -25,19 +24,11 @@ ANCHOR_BITS = 128
 # high-accuracy orbit generation (exact 128-bit anchors + kernel chunk fill)
 # ---------------------------------------------------------------------------
 
-def _fixed_ints(values, bits):
-    out = []
-    for v in values:
-        f = v if isinstance(v, Frequency) else Frequency(v, bits)
-        out.append(f.fixed_int(bits))
-    return out
-
-
 def orbit_chunks(kind, freqs, y0, n):
     """Yields (start_index, (m, d) float64 array) chunks of the orbit.
 
     kind: 'shift' (freqs = one Frequency per coordinate) or 'skew'
-    (freqs = single scalar Frequency, y0 gives the dimension).  Chunk
+    (freqs = one Frequency, y0 gives the dimension).  Chunk
     anchors are computed in exact fixed-point integers, so error never
     accumulates beyond a single chunk (~1e-8 worst case for d=2).
     """
@@ -45,7 +36,7 @@ def orbit_chunks(kind, freqs, y0, n):
     modulus = 1 << bits
     y_ints = [int(round(float(c) * modulus)) % modulus for c in y0]
     if kind == "shift":
-        a_ints = _fixed_ints(freqs, bits)
+        a_ints = [f.fixed_int(bits) for f in freqs]
         alpha = np.array([a / modulus for a in a_ints], dtype=np.float64)
         for start in range(0, n, ORBIT_CHUNK):
             m = min(ORBIT_CHUNK, n - start)
@@ -54,8 +45,7 @@ def orbit_chunks(kind, freqs, y0, n):
                  for y, a in zip(y_ints, a_ints)], dtype=np.float64)
             yield start, kernels.shift_chunk(anchor, alpha, m)
     elif kind == "skew":
-        a_int = _fixed_ints([freqs] if isinstance(freqs, (Frequency, str, float))
-                            else list(freqs)[:1], bits)[0]
+        a_int = freqs.fixed_int(bits)
         alpha = a_int / modulus
         for start in range(0, n, ORBIT_CHUNK):
             m = min(ORBIT_CHUNK, n - start)
@@ -73,7 +63,7 @@ def orbit_point_set(kind, freqs, y0, n):
     pts = np.empty((n, d), dtype=np.float64)
     for start, block in orbit_chunks(kind, freqs, y0, n):
         pts[start:start + block.shape[0]] = block
-    return PointSet(pts, provenance=f"{kind} orbit, n={n}")
+    return PointSet(pts)
 
 
 def orbit_grid_counts(kind, freqs, y0, n, g):
@@ -131,8 +121,7 @@ def discrepancy_box(point_set):
     if d == 2 and n <= EXACT_2D_LIMIT:
         return DiscrepancyReport(n, _exact_discrepancy_2d(pts), "exact")
     if d == 2:
-        val = kernels.grid_discrepancy_2d(_cell_counts(pts, grid), n)
-        return DiscrepancyReport(n, float(val), f"grid({grid})", 2.0 * d / grid)
+        return discrepancy_from_grid_counts(_cell_counts(pts, grid), n)
     # generic grid method for d >= 3
     g = max(4, int(round(grid ** (2.0 / d))))
     return _grid_discrepancy_nd(pts, g)
@@ -214,10 +203,6 @@ def _grid_discrepancy_nd(pts, g):
 # ETK and Van der Corput inequalities
 # ---------------------------------------------------------------------------
 
-def default_etk_constant(d):
-    return 2.0 * (1.5 ** d)
-
-
 def exponential_sums(point_set, h0):
     """(1/N) sum_n e^{2 pi i <h, x_n>} for all 0 < |h|_sup <= h0.
 
@@ -257,18 +242,16 @@ def exponential_sums(point_set, h0):
     raise ValueError("exponential sums implemented for d <= 2")
 
 
-def etk_bound(point_set, h0, c_d=None):
-    """Right-hand side of the ETK discrepancy inequality."""
+def etk_bound(point_set, h0):
+    """Right-hand side of the ETK discrepancy inequality, with the
+    constant 2 (3/2)^d."""
     if h0 < 1:
         raise ValueError("h0 must be >= 1")
-    d = point_set.d
-    if c_d is None:
-        c_d = default_etk_constant(d)
     hs, sums = exponential_sums(point_set, h0)
     r = np.prod(np.maximum(np.abs(hs), 1), axis=1).astype(np.float64)
     # vectors are enumerated up to sign; |S(-h)| = |S(h)| doubles each term
     total = 2.0 * np.sum(np.abs(sums) / r)
-    return float(c_d * (1.0 / h0 + total))
+    return float(2.0 * 1.5 ** point_set.d * (1.0 / h0 + total))
 
 
 def vdc_inequality(u, h):
@@ -319,27 +302,34 @@ def comb_identity(s, r):
 
 @dataclass
 class RateFit:
-    pairs: list
     slope: float
     stderr: float
-    window: tuple = field(default=None)
 
     @property
     def delta_hat(self):
         return -self.slope
 
 
+def rate_fit_problem(sizes):
+    """Why sorted sample sizes cannot carry a decay-rate fit, or None if
+    they can: a fit needs at least 5 distinct sizes over two decades."""
+    if len(sizes) < 5:
+        return "need at least 5 scales"
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        return "sample sizes must be strictly increasing"
+    if sizes[-1] / sizes[0] < 100.0:
+        return "scales must span at least two decades"
+    return None
+
+
 def decay_rate_fit(samples):
     """Least-squares slope of log D against log N with its standard error."""
     samples = sorted(samples)
-    if len(samples) < 5:
-        raise ValueError("need at least 5 scales")
+    problem = rate_fit_problem([n for n, _ in samples])
+    if problem is not None:
+        raise ValueError(problem)
     ns = np.array([float(n) for n, _ in samples])
     ds = np.array([float(v) for _, v in samples])
-    if np.any(np.diff(ns) <= 0):
-        raise ValueError("sample sizes must be strictly increasing")
-    if ns[-1] / ns[0] < 100.0:
-        raise ValueError("scales must span at least two decades")
     x = np.log(ns)
     yv = np.log(ds)
     xm = x - x.mean()
@@ -348,4 +338,4 @@ def decay_rate_fit(samples):
     res = yv - (slope * x + intercept)
     dof = max(len(x) - 2, 1)
     stderr = float(math.sqrt(np.dot(res, res) / dof / np.dot(xm, xm)))
-    return RateFit(list(samples), slope, stderr, (ns[0], ns[-1]))
+    return RateFit(slope, stderr)

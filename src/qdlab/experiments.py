@@ -156,13 +156,6 @@ def _times(config, path, minimum):
     return [float(v) for v in values]
 
 
-def _l_box(config):
-    """params.l_box: a positive box half-width, or None for auto_box."""
-    if _get(config, "params.l_box", None) is None:
-        return None
-    return _positive_int(config, "params.l_box")
-
-
 def _point(config, path, d):
     """A point of T^d as d finite coordinates; the origin when absent."""
     coords = _get(config, path, [0.0] * d, kind=list)
@@ -249,35 +242,36 @@ def _sample_sizes(values):
 
 def _run_discrepancy_decay(config):
     mp = _parse_map(config)
-    n_grid = _sample_sizes(_get(config, "params.n_grid", kind=list))
+    n_grid = sorted(_sample_sizes(_get(config, "params.n_grid", kind=list)))
     y0 = _point(config, "params.y0", mp["d"])
+    max_slope = _number(config, "params.max_slope", None)
+    problem = eq.rate_fit_problem(n_grid)
+    if problem is not None and max_slope is not None:
+        raise ConfigError("params.n_grid",
+                          f"a slope threshold needs a rate fit: {problem}")
     header = ["n", "d_n", "method", "error_bound"]
     rows = []
     samples = []
-    for n in sorted(n_grid):
+    for n in n_grid:
         rep = eq.orbit_discrepancy(mp["kind"], mp["freqs"], y0, n)
         rows.append((n, rep.d_n, rep.method, rep.error_bound))
         samples.append((n, rep.d_n))
     summary = {}
     passed = True
-    max_slope = _number(config, "params.max_slope", None)
-    if len(samples) >= 5 and samples[-1][0] / samples[0][0] >= 100:
+    if problem is None:
         fit = eq.decay_rate_fit(samples)
         summary = {"slope": fit.slope, "stderr": fit.stderr,
                    "delta_hat": fit.delta_hat}
         if max_slope is not None:
             passed = fit.slope <= max_slope
             summary["max_slope"] = max_slope
-    elif max_slope is not None:
-        raise ConfigError("params.n_grid",
-                          "a slope threshold needs >= 5 scales over two decades")
     return header, rows, summary, passed
 
 
 def _run_covering(config):
     mp = _parse_map(config)
     radii = _get(config, "params.radii", kind=list)
-    if not all(_is_number(r) and r > 0 for r in radii):
+    if not radii or not all(_is_number(r) and r > 0 for r in radii):
         raise ConfigError("params.radii",
                           f"radii must be positive numbers, got {radii!r}")
     radii = [float(r) for r in radii]
@@ -294,10 +288,8 @@ def _run_covering(config):
         passed &= res.covered
         results.append(res)
     summary = {}
-    if passed and len(radii) >= 4 and radii[0] / radii[-1] >= 10.0:
-        xs = np.log([1.0 / r for r in radii])
-        ys = np.log([res.m_cover for res in results])
-        summary["slope"] = float(np.polyfit(xs, ys, 1)[0])
+    if passed and cov.fit_problem(radii) is None:
+        summary["slope"] = cov.covering_slope(results)
     return header, rows, summary, passed
 
 
@@ -419,10 +411,8 @@ def _run_transport_beta(config):
     # running slopes over the last half of at least 8 times
     t_grid = _times(config, "params.t_grid", 8)
     theta = _point(config, "params.theta", mp["d"])
-    l_box = _l_box(config)
     within = _bracket(config)
-    est = tp.beta_estimate(mp["spec"], TorusPoint(theta), phi, p, t_grid,
-                           l_box=l_box)
+    est = tp.beta_estimate(mp["spec"], TorusPoint(theta), phi, p, t_grid)
     header = ["beta_low", "beta_high", "p", "t_max"]
     rows = [(est.low, est.high, p, max(t_grid))]
     summary = {"beta_low": est.low, "beta_high": est.high}
@@ -440,10 +430,8 @@ def _run_transport_xi(config):
     theta = _point(config, "params.theta", mp["d"])
     # one running slope needs at least 3 times
     t_grid = _times(config, "params.t_grid", 3)
-    l_box = _l_box(config)
     within = _bracket(config)
-    est = tp.xi_estimate(mp["spec"], TorusPoint(theta), phi, taus, t_grid,
-                         l_box=l_box)
+    est = tp.xi_estimate(mp["spec"], TorusPoint(theta), phi, taus, t_grid)
     header = ["T", "front_l", "tau"]
     lead = sorted(taus)[0]
     rows = [(t, front, lead)

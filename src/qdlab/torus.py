@@ -60,18 +60,11 @@ class TorusPoint:
     def lattice_ints(self):
         return tuple(round(c * _SCALE) for c in self.coords)
 
-    def __iter__(self):
-        return iter(self.coords)
-
 
 @dataclass(frozen=True)
 class Shift:
     """Translation by a frequency vector, one component per coordinate."""
     alpha: TorusPoint
-
-    def __post_init__(self):
-        if not isinstance(self.alpha, TorusPoint):
-            object.__setattr__(self, "alpha", TorusPoint(tuple(self.alpha)))
 
     @property
     def d(self):
@@ -88,9 +81,6 @@ class SkewShift:
         object.__setattr__(self, "alpha", _quantize(self.alpha))
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
-
-
-MapSpec = (Shift, SkewShift)
 
 
 def _check_dims(map_spec, p):
@@ -127,15 +117,10 @@ def inverse_step(map_spec, p):
 class PointSet:
     """Ordered finite sequence of torus points, as an (N, d) float array."""
     points: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
         object.__setattr__(self, "points", pts)
-
-    @property
-    def n(self):
-        return self.points.shape[0]
 
     @property
     def d(self):
@@ -153,7 +138,7 @@ def orbit(map_spec, p, n):
         out[k] = cur.coords
         if k + 1 < n:
             cur = step(map_spec, cur)
-    return PointSet(out, provenance=f"{type(map_spec).__name__} orbit")
+    return PointSet(out)
 
 
 def skew_iterate_ints(a_int, y_ints, n, bits):

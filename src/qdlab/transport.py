@@ -21,7 +21,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import jv
 
 from .backend import kernels
-from .torus import TorusPoint, step, inverse_step
+from .torus import step, inverse_step
 
 NORM_DEFECT_TOL = 1e-8
 DEFAULT_BOUNDARY_BUDGET = 1e-8
@@ -43,7 +43,7 @@ class BoxHamiltonian:
 
     @property
     def enclosure(self):
-        return 2.0 + float(np.max(np.abs(self.v))) if self.v.size else 2.0
+        return 2.0 + float(np.max(np.abs(self.v)))
 
     def sites(self):
         return np.arange(-self.l_box, self.l_box + 1)
@@ -58,16 +58,10 @@ class EvolutionState:
     valid: bool
 
 
-def _phase(theta):
-    return theta if isinstance(theta, TorusPoint) else TorusPoint(
-        tuple(np.atleast_1d(theta)))
-
-
 def build_hamiltonian(map_spec, theta, phi, l_box):
     """Potential sampled at f^n theta for |n| <= l_box, exact torus steps."""
     if l_box < 1:
         raise ValueError("box half-width must be >= 1")
-    theta = _phase(theta)
     pts = np.empty((2 * l_box + 1, map_spec.d))
     cur = theta
     for n in range(l_box + 1):
@@ -119,7 +113,7 @@ def initial_state(ham):
     return psi
 
 
-def _sweep(ham, ts, psi0, budget):
+def _sweep(ham, ts, budget):
     """Certified states at the nondecreasing times ts, node to node.
 
     ham is one BoxHamiltonian, or a list of them on one box that advance
@@ -134,8 +128,7 @@ def _sweep(ham, ts, psi0, budget):
     scales = [h.enclosure for h in hams]
     diag = np.array([h.v / s for h, s in zip(hams, scales)])
     off = np.array([[1.0 / s] for s in scales])
-    psi = np.array([initial_state(h) for h in hams]) if psi0 is None \
-        else np.array(np.broadcast_to(psi0, diag.shape), dtype=np.complex128)
+    psi = np.array([initial_state(h) for h in hams])
     coefficients = {}
     states = []
     prev = 0.0
@@ -158,14 +151,14 @@ def _sweep(ham, ts, psi0, budget):
     return states
 
 
-def evolve(ham, t, psi0=None, budget=DEFAULT_BOUNDARY_BUDGET):
-    """e^{-i t H} applied to psi0 (default: delta at the origin)."""
+def evolve(ham, t, budget=DEFAULT_BOUNDARY_BUDGET):
+    """e^{-i t H} applied to the delta at the origin."""
     if t < 0:
         raise ValueError("cannot evolve backward")
-    return _sweep(ham, [t], psi0, budget)[0]
+    return _sweep(ham, [t], budget)[0]
 
 
-def evolve_times(ham, ts, psi0=None, budget=DEFAULT_BOUNDARY_BUDGET):
+def evolve_times(ham, ts):
     """States at an increasing time grid, advancing node to node.
 
     ham may also be a list of BoxHamiltonians on one box: they are swept
@@ -175,17 +168,15 @@ def evolve_times(ham, ts, psi0=None, budget=DEFAULT_BOUNDARY_BUDGET):
     ts = list(ts)
     if any(b < a for a, b in zip(ts, ts[1:])) or (ts and ts[0] < 0):
         raise ValueError("time grid must be nonnegative and nondecreasing")
-    return _sweep(ham, ts, psi0, budget)
+    return _sweep(ham, ts, DEFAULT_BOUNDARY_BUDGET)
 
 
-def dense_evolve(ham, t, psi0=None):
-    """Eigendecomposition propagator, the small-box oracle."""
+def dense_evolve(ham, t):
+    """Eigendecomposition propagator from the delta, the small-box oracle."""
     if ham.size > 4097:
         raise ValueError("dense oracle restricted to small boxes")
     w, u = eigh_tridiagonal(ham.v, np.ones(ham.size - 1))
-    psi = initial_state(ham) if psi0 is None else np.asarray(
-        psi0, dtype=np.complex128)
-    amps = u.conj().T @ psi
+    amps = u.conj().T @ initial_state(ham)
     return u @ (np.exp(-1j * t * w) * amps)
 
 
@@ -292,18 +283,11 @@ def auto_box(map_spec, theta, phi, t_max):
             raise ValueError("box size exceeds the hard cap")
 
 
-def _box_hamiltonian(map_spec, theta, phi, t_max, l_box):
-    """The Hamiltonian on the given half-width, else auto_box's for t_max."""
-    if l_box is None:
-        return auto_box(map_spec, theta, phi, t_max)
-    return build_hamiltonian(map_spec, theta, phi, l_box)
-
-
 @dataclass
 class ExponentEstimate:
     low: float
     high: float
-    slopes: list
+    fronts: dict = None    # xi_estimate: tau level -> fronts over t_grid
 
 
 def running_slopes(xs, ys):
@@ -326,7 +310,7 @@ def running_slopes(xs, ys):
     return np.asarray(slopes)
 
 
-def beta_estimate(map_spec, theta, phi, p, t_grid, l_box=None):
+def beta_estimate(map_spec, theta, phi, p, t_grid):
     """Transport exponent bracket from running slopes of ln <|X|^p> vs p ln t.
 
     Uses the last half of the (geometric) time grid, so the early transient
@@ -335,12 +319,11 @@ def beta_estimate(map_spec, theta, phi, p, t_grid, l_box=None):
     t_grid = sorted(float(t) for t in t_grid)
     if len(t_grid) < 8:
         raise ValueError("need at least 8 grid times")
-    ham = _box_hamiltonian(map_spec, theta, phi, t_grid[-1], l_box)
+    ham = auto_box(map_spec, theta, phi, t_grid[-1])
     states = evolve_times(ham, t_grid)
     moments = [moment(st, p) for st in states]
     slopes = running_slopes(p * np.log(t_grid), np.log(moments))
-    return ExponentEstimate(float(np.min(slopes)), float(np.max(slopes)),
-                            list(slopes))
+    return ExponentEstimate(float(np.min(slopes)), float(np.max(slopes)))
 
 
 def xi_front(profile_sum, tau):
@@ -349,7 +332,7 @@ def xi_front(profile_sum, tau):
     return int(min(idx, profile_sum.shape[0] - 1))
 
 
-def xi_estimate(map_spec, theta, phi, tau_levels, t_grid, l_box=None):
+def xi_estimate(map_spec, theta, phi, tau_levels, t_grid):
     """Spreading-front exponent bracket from ln L(tau, T) vs ln T slopes.
 
     The estimate is reported at the smallest tau level; larger levels are
@@ -359,17 +342,14 @@ def xi_estimate(map_spec, theta, phi, tau_levels, t_grid, l_box=None):
     if not tau_levels or tau_levels[0] <= 0.0 or tau_levels[-1] >= 1.0:
         raise ValueError("tau levels must lie in (0, 1)")
     t_grid = sorted(float(t) for t in t_grid)
-    th = _phase(theta)
     fronts = {tau: [] for tau in tau_levels}
     for big_t in t_grid:
-        ham = _box_hamiltonian(map_spec, th, phi, 10.0 * big_t, l_box)
-        cum0, cum1 = _phase_pair_cumsums(map_spec, th, phi, ham, big_t)
+        ham = auto_box(map_spec, theta, phi, 10.0 * big_t)
+        cum0, cum1 = _phase_pair_cumsums(map_spec, theta, phi, ham, big_t)
         total = cum0 + cum1
         for tau in tau_levels:
             fronts[tau].append(max(xi_front(total, tau), 1))
     lead = tau_levels[0]
     slopes = running_slopes(np.log(t_grid), np.log(fronts[lead]))
-    est = ExponentEstimate(float(np.min(slopes)), float(np.max(slopes)),
-                           list(slopes))
-    est.fronts = fronts
-    return est
+    return ExponentEstimate(float(np.min(slopes)), float(np.max(slopes)),
+                            fronts)

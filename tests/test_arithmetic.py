@@ -25,6 +25,16 @@ def test_parse_frequency_validation():
         parse_frequency("1.5")
     with pytest.raises(ValueError):
         parse_frequency("not-a-number")
+    # values that round to 0 mod 1 at 128 bits
+    for text in ("1e-40", 1e-40, "0." + "9" * 41):
+        with pytest.raises(ValueError):
+            parse_frequency(text)
+
+
+def test_decimal_string_keeps_the_working_precision():
+    # 40 digits pin 128 bits: the string is the golden tag's number
+    text = "0.6180339887498948482045868343656381177203"
+    assert parse_frequency(text).num == GOLDEN.num
 
 
 def test_golden_partial_quotients_all_one():

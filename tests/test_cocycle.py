@@ -62,7 +62,8 @@ def test_python_product_matches_kernel_batch():
     theta = TorusPoint((0.123,))
     for z in (0.4, complex(0.4, 0.01)):
         prod = cc.cocycle_product(SHIFT1, theta, z, 300, phi)
-        lognorm, _ = cc._batch_lognorms(SHIFT1, [theta.coords], z, 300, phi)
+        lognorm, _ = cc._batch_lognorms(SHIFT1, [theta.coords], z, 300, phi,
+                                        np.array([0]))
         assert prod.log_norm() == pytest.approx(float(lognorm[0]), abs=1e-9)
 
 

@@ -254,12 +254,15 @@ def test_etk_bound_dominates_exact_discrepancy():
     assert eq.etk_bound(skew, 8) >= d2
 
 
-def test_etk_constant_override():
+def test_etk_constant_in_one_dimension():
+    # c_1 = 2 * 3/2 = 3: the bound is 3 (1/h0 + 2 sum_h |S_h| / |h|)
+    h0 = 4
     ps = eq.orbit_point_set("shift", [GOLDEN], (0.0,), 100)
-    assert eq.etk_bound(ps, 4, c_d=6.0) == pytest.approx(
-        2.0 * eq.etk_bound(ps, 4, c_d=3.0))
-    assert eq.default_etk_constant(1) == 3.0
-    assert eq.default_etk_constant(2) == 4.5
+    x = ps.points[:, 0]
+    total = sum(abs(np.exp(2j * math.pi * h * x).mean()) / h
+                for h in range(1, h0 + 1))
+    assert eq.etk_bound(ps, h0) == pytest.approx(
+        3.0 * (1.0 / h0 + 2.0 * total), rel=1e-12)
 
 
 @given(st.integers(2, 60), st.integers(1, 60), st.integers(0, 2 ** 32 - 1))

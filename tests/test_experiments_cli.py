@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+import qdlab.covering as cov
 import qdlab.experiments as ex
+from qdlab.arithmetic import parse_frequency
 from qdlab.cli import main
+from qdlab.torus import Shift, TorusPoint
 
 
 def test_config_digest_is_order_invariant():
@@ -239,13 +242,11 @@ BAD_INPUTS = {
                                 "params.t_grid"),
     "beta-t-grid-zero-time": (_beta(t_grid=[0.0] + BETA_TIMES[1:]),
                               "params.t_grid"),
-    "beta-l-box-zero": (_beta(l_box=0), "params.l_box"),
     "xi-tau-string": (_xi(tau_levels=["0.5"]), "params.tau_levels"),
     "xi-tau-one": (_xi(tau_levels=[0.5, 1.0]), "params.tau_levels"),
     "xi-tau-zero": (_xi(tau_levels=[0.0, 0.5]), "params.tau_levels"),
     "xi-tau-empty": (_xi(tau_levels=[]), "params.tau_levels"),
     "xi-t-grid-two-times": (_xi(t_grid=[5.0, 10.0]), "params.t_grid"),
-    "xi-l-box-fractional": (_xi(l_box=12.5), "params.l_box"),
     "dt-t-list-string": (_dt(t_list=["10"]), "params.t_list"),
     "dt-t-list-zero-time": (_dt(t_list=[0.0, 10.0]), "params.t_list"),
     "dt-rho-string": (_dt(rho="half"), "params.rho"),
@@ -287,6 +288,11 @@ BAD_INPUTS = {
                              "params.t_grid"),
     "xi-t-grid-repeated": (_xi(t_grid=[5.0, 5.0, 5.0]), "params.t_grid"),
     "dt-t-list-repeated": (_dt(t_list=[10.0, 10.0]), "params.t_list"),
+    "map-alpha-rounds-to-zero": (
+        dict(_decay(), map={"kind": "shift", "alpha": "1e-40"}), "map.alpha"),
+    "radii-empty": (
+        {"experiment": "covering", "map": SHIFT1, "params": {"radii": []}},
+        "params.radii"),
 }
 
 
@@ -325,6 +331,24 @@ def test_byte_identical_reruns(tmp_path):
     cfg["output"] = str(tmp_path / "b.csv")
     ex.run_experiment(cfg)
     assert (tmp_path / "b.csv").read_bytes() == first
+
+
+def _covering(radii):
+    return ex.run_experiment({"experiment": "covering", "map": SHIFT1,
+                              "params": {"radii": radii, "mmax": 100000}})
+
+
+def test_covering_runner_slope_is_the_library_fit():
+    radii = [0.1, 0.05, 0.025, 0.01]
+    golden = Shift(TorusPoint((float(parse_frequency("golden")),)))
+    slope, _ = cov.covering_exponent_fit(golden, (0.0,), radii, 100000)
+    assert _covering(radii).summary["slope"].hex() == slope.hex()
+
+
+def test_covering_runner_fits_no_slope_on_unordered_radii():
+    rec = _covering([0.1, 0.2, 0.05, 0.01])
+    assert rec.passed
+    assert "slope" not in rec.summary
 
 
 def test_skew_map_parsing_and_covering_runner():
