@@ -246,37 +246,102 @@ def _cocycle_scalar(v, e, eta):
     return lognorm, detlog
 
 
-def cocycle_lognorms_all(v, e, eta, inverse=False):
-    """log spectral norm of every prefix product A_1 ... A_n.
+# step block of the prefix walk: libm log runs once per block of rows
+_PREFIX_BLOCK = 64
 
-    v: (n,) potential samples at the complex energy z = e + i eta.
+
+def _abs2(re, im):
+    # |z| ** 2 as Python's float computes it: hypot, then libm pow
+    return np.float_power(np.hypot(re, im), 2.0)
+
+
+def _libm_log(x):
+    # math.log element by element: numpy's own log can round differently
+    return np.fromiter(map(math.log, x.ravel().tolist()), dtype=np.float64,
+                       count=x.size).reshape(x.shape)
+
+
+def cocycle_prefix_lognorms(v, e, eta, inverse=False):
+    """Yields log ||A_1 ... A_k|| at every energy, in blocks of steps k.
+
+    v: (n,) potential samples; e: (E,) energies, each at z = e + i eta.
     inverse: products of A^{-1} = [[0, 1],[-1, z-v]] in the given order.
-    Returns float64 (n,).
+    Each block is a (B, E) float64 array of consecutive steps, so at most
+    _PREFIX_BLOCK x E values are ever held.
+
+    Every value equals that of Python complex arithmetic on one energy:
+    real and imaginary parts are carried separately with the operand
+    order of CPython's complex product, |z| ** 2 is libm pow of hypot,
+    logs are libm log, and a renormalisation divides each part by s.
+    The inverse recurrence is the forward one on (c, d, a, b); only the
+    order of the terms of the Frobenius sum differs.
     """
     v = np.asarray(v, dtype=np.float64)
-    n = v.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    z = complex(e, eta)
-    a, b, c, d = complex(1), complex(0), complex(0), complex(1)
-    logs = 0.0
-    for k in range(n):
-        t = z - v[k]
-        if inverse:
-            a, b, c, d = c, d, -a + t * c, -b + t * d
-        else:
-            a, b, c, d = t * a - c, t * b - d, a, b
-        q = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-        det2 = abs(a * d - b * c) ** 2
-        disc = math.sqrt(max(q * q - 4.0 * det2, 0.0))
-        out[k] = 0.5 * math.log(0.5 * (q + disc)) + logs
-        if q > _RENORM_THRESHOLD:
-            s = math.sqrt(q)
-            a /= s
-            b /= s
-            c /= s
-            d /= s
-            logs += math.log(s)
-    return out
+    e = np.asarray(e, dtype=np.float64)
+    n, count = v.shape[0], e.shape[0]
+    # top = rows (p, q), bot = rows (r, s), each (2, 2, E): real part, then
+    # imaginary part, of each row.  p' = t p - r, q' = t q - s, r' = p,
+    # s' = q; (a, b) and (c, d) forward, (c, d) and (a, b) inverse
+    ab = np.zeros((2, 2, count))
+    ab[0, 0] = 1.0
+    cd = np.zeros((2, 2, count))
+    cd[0, 1] = 1.0
+    top, bot = (cd, ab) if inverse else (ab, cd)
+    # x - y is x + (-y) exactly, so the minus signs of the complex product
+    # ride on these factors: t p = (tr pr - eta pi, tr pi + eta pr)
+    turn = np.array([-eta, eta])[:, None, None]
+    sign = np.array([-1.0, 1.0])[:, None, None]
+    # (r, s) are the previous (p, q), so their |.|^2 carry over
+    tops = _abs2(top[0], top[1])
+    norm = np.empty((2, count))
+    logs = np.zeros(count)
+    for lo in range(0, n, _PREFIX_BLOCK):
+        rows = min(_PREFIX_BLOCK, n - lo)
+        steps = e - v[lo:lo + rows, None]
+        peak = np.empty((rows, count))         # 2 sigma_max^2 of each step
+        scale = np.ones((rows + 1, count))     # row k + 1: s of step k
+        for k, tr in enumerate(steps):
+            top, bot = (tr * top + turn * top[::-1]) - bot, top
+            bots, tops = tops, _abs2(top[0], top[1])
+            first, last = (bots, tops) if inverse else (tops, bots)
+            q = first[0] + first[1] + last[0] + last[1]
+            # (p s, q r) and det = p s - q r, up to a sign |.| ignores
+            flip = bot[:, ::-1]
+            cross = top[0] * flip + sign * (top[1] * flip[::-1])
+            det = cross[:, 0] - cross[:, 1]
+            det2 = _abs2(det[0], det[1])
+            np.add(q, np.sqrt(np.maximum(q * q - 4.0 * det2, 0.0)),
+                   out=peak[k])
+            big = q > _RENORM_THRESHOLD
+            if big.any():
+                s = np.sqrt(q, out=scale[k + 1], where=big)
+                np.divide(top, s, out=top, where=big)
+                np.divide(bot, s, out=bot, where=big)
+                np.hypot(top[0], top[1], out=norm, where=big)
+                np.float_power(norm, 2.0, out=tops, where=big)
+        # the log-scale before each step: logs, plus log s step by step
+        shift = np.zeros((rows + 1, count))
+        shift[0] = logs
+        hit = scale[1:] != 1.0
+        shift[1:][hit] = _libm_log(scale[1:][hit])
+        np.add.accumulate(shift, axis=0, out=shift)
+        logs = shift[rows]
+        yield 0.5 * _libm_log(0.5 * peak) + shift[:rows]
+
+
+def cocycle_lognorms_all(v, e, eta, inverse=False):
+    """max over k <= n of log ||A_1 ... A_k|| at every energy.
+
+    v: (n,) potential samples, n >= 1; e: (E,) energies at z = e + i eta.
+    inverse: products of A^{-1}.  One pass over the steps carries every
+    energy's product, and the (E,) running maximum is all it keeps of the
+    prefixes that cocycle_prefix_lognorms yields.  Returns float64 (E,).
+    """
+    best = None
+    for block in cocycle_prefix_lognorms(v, e, eta, inverse):
+        top = block.max(axis=0)
+        best = top if best is None else np.maximum(best, top)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -251,19 +251,19 @@ def dt_integral(map_spec, theta, big_t, rho, e_count, k_bound, phi):
 
     Integrand at E: 1 / (min over direction of max over 1 <= n <= T^rho of
     ||A_n(theta, E + i/T)||^2); always <= 1 since the products are
-    unimodular.
+    unimodular.  Each direction takes every energy in one kernel call.
     """
     if k_bound < 4:
         raise ValueError("energy bound must be >= 4")
+    if not 0.0 < rho <= 1.0:
+        raise ValueError("rho must be in (0, 1]")
     nmax = max(1, int(math.floor(big_t ** rho)))
     eta = 1.0 / big_t
     v_fwd = potential_sequence(map_spec, theta, nmax, phi, forward=True)
     v_bwd = potential_sequence(map_spec, theta, nmax, phi, forward=False)
     es = np.linspace(-k_bound, k_bound, e_count)
-    integrand = np.empty(e_count)
-    for i, e in enumerate(es):
-        fwd = kernels.cocycle_lognorms_all(v_fwd, float(e), eta)
-        bwd = kernels.cocycle_lognorms_all(v_bwd, float(e), eta, inverse=True)
-        best = min(float(np.max(fwd)), float(np.max(bwd)))
-        integrand[i] = math.exp(-2.0 * max(best, 0.0))
+    fwd = kernels.cocycle_lognorms_all(v_fwd, es, eta)
+    bwd = kernels.cocycle_lognorms_all(v_bwd, es, eta, inverse=True)
+    integrand = np.array([math.exp(-2.0 * max(min(f, b), 0.0))
+                          for f, b in zip(fwd.tolist(), bwd.tolist())])
     return float(np.trapezoid(integrand, es)), integrand

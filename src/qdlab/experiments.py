@@ -374,6 +374,9 @@ def _run_dt_integral(config):
     phi = _parse_potential(config)
     t_list = _times(config, "params.t_list", 1)
     rho = _number(config, "params.rho")
+    if not 0.0 < rho <= 1.0:
+        raise ConfigError("params.rho",
+                          f"product exponent must be in (0, 1], got {rho!r}")
     k_bound = _number(config, "params.k_bound")
     if k_bound < 4.0:
         raise ConfigError("params.k_bound",
@@ -395,9 +398,11 @@ def _run_dt_integral(config):
     summary = {}
     passed = True
     if len(values) >= 2:
-        summary["ratio"] = values[-1] / values[0]
+        # an integral that underflowed to 0 cannot show decay against it
+        ratio = values[-1] / values[0] if values[0] > 0.0 else None
+        summary["ratio"] = ratio
         if max_ratio is not None:
-            passed = summary["ratio"] <= max_ratio
+            passed = ratio is not None and ratio <= max_ratio
     return header, rows, summary, passed
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import qdlab.cocycle as cc
 from qdlab.arithmetic import parse_frequency
+from qdlab.backend import kernels
 from qdlab.torus import Shift, SkewShift, TorusPoint, step
 
 GOLDEN = float(parse_frequency("golden"))
@@ -166,6 +167,10 @@ def test_dt_integrand_bounded_by_one():
     assert 0.0 < val <= 18.0 + 1e-9
     with pytest.raises(ValueError):
         cc.dt_integral(SHIFT1, TorusPoint((0.0,)), 100.0, 0.3, 41, 2.0, phi)
+    for rho in (0.0, -1.0, 1.5):
+        with pytest.raises(ValueError):
+            cc.dt_integral(SHIFT1, TorusPoint((0.0,)), 100.0, rho, 41, 9.0,
+                           phi)
 
 
 def test_dt_integral_decays_for_localized_potential():
@@ -197,3 +202,113 @@ def test_skew_shift_cocycle_runs():
     skew = SkewShift(GOLDEN, 2)
     est = cc.lyapunov_estimate(skew, 0.0, 1000, 8, seed=2, phi=phi)
     assert est.lhat >= math.log(3.0) - 0.05
+
+
+def scalar_lognorms_all(v, e, eta, inverse=False):
+    """log ||A_1 ... A_k|| for k = 1..n at one energy, in Python complex
+    arithmetic: the per-energy loop that the batched kernel replaced."""
+    out = np.empty(len(v))
+    z = complex(e, eta)
+    a, b, c, d = complex(1), complex(0), complex(0), complex(1)
+    logs = 0.0
+    for k in range(len(v)):
+        t = z - v[k]
+        if inverse:
+            a, b, c, d = c, d, -a + t * c, -b + t * d
+        else:
+            a, b, c, d = t * a - c, t * b - d, a, b
+        q = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+        det2 = abs(a * d - b * c) ** 2
+        disc = math.sqrt(max(q * q - 4.0 * det2, 0.0))
+        out[k] = 0.5 * math.log(0.5 * (q + disc)) + logs
+        if q > kernels._RENORM_THRESHOLD:
+            s = math.sqrt(q)
+            a /= s
+            b /= s
+            c /= s
+            d /= s
+            logs += math.log(s)
+    return out
+
+
+# lambda = 3 puts the spectrum inside [-8, 8]; +-8.5 and +-11 lie outside
+ORACLE_ENERGIES = np.array([-11.0, -8.5, -5.3, -2.0, -0.4, 0.0, 0.7, 2.9,
+                            6.1, 8.5, 11.0])
+DIRECTIONS = pytest.mark.parametrize("inverse", [False, True],
+                                     ids=["forward", "inverse"])
+
+
+def test_kernel_rounding_helpers_match_python_floats():
+    # the bitwise contract rests on these two: numpy's own log and x * x
+    # can round differently from libm log and pow, a few times per 10^5
+    rng = np.random.default_rng(0)
+    x = np.exp(rng.uniform(0.0, 120.0, 200_000))
+    want = np.array([math.log(t) for t in x.tolist()])
+    assert kernels._libm_log(x).tobytes() == want.tobytes()
+    re, im = rng.normal(size=(2, 200_000)) \
+        * np.exp(rng.uniform(-30.0, 30.0, (2, 200_000)))
+    want = np.array([abs(complex(a, b)) ** 2
+                     for a, b in zip(re.tolist(), im.tolist())])
+    assert kernels._abs2(re, im).tobytes() == want.tobytes()
+
+
+def _prefixes(v, es, eta, inverse):
+    return np.concatenate(list(
+        kernels.cocycle_prefix_lognorms(v, es, eta, inverse)))
+
+
+@DIRECTIONS
+def test_batched_prefix_lognorms_equal_the_scalar_loop_bitwise(inverse):
+    big_t, n = 1e6, 1000
+    eta = 1.0 / big_t
+    v = cc.potential_sequence(SHIFT1, TorusPoint((0.1234,)), n,
+                              cc.CosinePotential(3.0), forward=not inverse)
+    got = _prefixes(v, ORACLE_ENERGIES, eta, inverse)
+    assert got.shape == (n, len(ORACLE_ENERGIES))
+    best = kernels.cocycle_lognorms_all(v, ORACLE_ENERGIES, eta, inverse)
+    for j, e in enumerate(ORACLE_ENERGIES):
+        want = scalar_lognorms_all(v, float(e), eta, inverse)
+        assert got[:, j].tobytes() == want.tobytes()
+        assert best[j] == np.max(want)
+    # every product passed the rescaling threshold many times
+    assert got[-1].min() > 4 * math.log(cc.RENORM_NORM)
+
+
+@pytest.mark.parametrize("big_t, rho", [(1e3, 0.3), (1e4, 0.5)])
+def test_dt_integrand_equals_the_scalar_oracle_bitwise(big_t, rho):
+    phi = cc.CosinePotential(3.0)
+    theta = TorusPoint((0.0,))
+    val, integrand = cc.dt_integral(SHIFT1, theta, big_t, rho, 41, 9.0, phi)
+    n = int(math.floor(big_t ** rho))
+    v_fwd = cc.potential_sequence(SHIFT1, theta, n, phi, forward=True)
+    v_bwd = cc.potential_sequence(SHIFT1, theta, n, phi, forward=False)
+    es = np.linspace(-9.0, 9.0, 41)
+    want = np.empty(len(es))
+    for i, e in enumerate(es):
+        fwd = scalar_lognorms_all(v_fwd, float(e), 1.0 / big_t)
+        bwd = scalar_lognorms_all(v_bwd, float(e), 1.0 / big_t, inverse=True)
+        want[i] = math.exp(-2.0 * max(min(float(np.max(fwd)),
+                                          float(np.max(bwd))), 0.0))
+    assert np.all(want > 0.0)
+    assert integrand.tobytes() == want.tobytes()
+    assert val == float(np.trapezoid(want, es))
+
+
+@DIRECTIONS
+def test_prefix_lognorms_match_explicit_matrix_products(inverse):
+    # independent oracle: complex 2x2 products and their spectral norms;
+    # inverse steps are M_k = A(v_k)^-1 M_{k-1}, A^-1 = [[0, 1], [-1, z-v]]
+    n, eta = 40, 1e-3
+    v = cc.potential_sequence(SHIFT1, TorusPoint((0.377,)), n,
+                              cc.CosinePotential(3.0), forward=not inverse)
+    got = _prefixes(v, ORACLE_ENERGIES, eta, inverse)
+    for j, e in enumerate(ORACLE_ENERGIES):
+        m = np.eye(2, dtype=np.complex128)
+        want = np.empty(n)
+        for k in range(n):
+            t = complex(e, eta) - v[k]
+            step = [[0.0, 1.0], [-1.0, t]] if inverse else [[t, -1.0],
+                                                           [1.0, 0.0]]
+            m = np.array(step, dtype=np.complex128) @ m
+            want[k] = math.log(np.linalg.norm(m, 2))
+        np.testing.assert_allclose(got[:, j], want, rtol=1e-10)

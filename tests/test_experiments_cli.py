@@ -251,6 +251,8 @@ BAD_INPUTS = {
     "dt-t-list-zero-time": (_dt(t_list=[0.0, 10.0]), "params.t_list"),
     "dt-rho-string": (_dt(rho="half"), "params.rho"),
     "dt-rho-infinite": (_dt(rho=float("inf")), "params.rho"),
+    "dt-rho-zero": (_dt(rho=0.0), "params.rho"),
+    "dt-rho-above-one": (_dt(rho=200.0), "params.rho"),
     "dt-k-bound-string": (_dt(k_bound="9"), "params.k_bound"),
     "dt-k-bound-below-four": (_dt(k_bound=3.5), "params.k_bound"),
     "coupling-string": (
@@ -413,6 +415,20 @@ def test_cli_bad_threshold_exits_two(tmp_path, capsys):
     config, field = BAD_INPUTS["max-slope-string"]
     assert main(["run", write_config(tmp_path, config)]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
+
+
+def test_cli_underflowed_reference_integral_fails_without_a_ratio(
+        tmp_path, capsys):
+    # at T = 1e6 every integrand value underflows, so the first integral
+    # is exactly 0 and no ratio against it exists
+    path = write_config(tmp_path, _dt(t_list=[1e6, 1e4], e_count=21,
+                                      max_ratio=0.1))
+    assert main(["run", path]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    summary = json.loads(captured.out.strip())
+    assert summary["passed"] is False
+    assert summary["summary"] == {"ratio": None}
 
 
 def test_cli_list_experiments(capsys):
