@@ -183,7 +183,12 @@ def skew_closed_form(alpha, y, n):
 
 # ------------------------------------------------------------------
 # vectorized map action on float arrays (used by covering and potential
-# sampling; plain double arithmetic, adequate for those error budgets)
+# sampling).  inverse_step_array is exact for inputs on the k/2^53 lattice:
+# every difference is a lattice value in (-1,1), and adding 1 to a negative
+# one is exact, so n steps give the closed-form iterate f^{-n} bit for bit.
+# step_array is not: a lattice sum in [1,2) can lose its last bit before
+# the shift back into [0,1).  Inputs off the lattice get plain double
+# rounding at each step in both.
 # ------------------------------------------------------------------
 
 def step_array(map_spec, pts):
