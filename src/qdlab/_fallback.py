@@ -356,49 +356,68 @@ def cheb_apply(diag_scaled, off_scaled, coeffs, psi):
     coeffs: (P, K) complex128, each row zero-padded past its own length;
     psi: (P, M) complex128.  Returns (P, M).
 
-    Every element sees the operations of the one-row recurrence in the same
-    order, so each row equals its own one-row call bit for bit (a
-    zero-padded term can only flip the sign of an exact zero).  Products
-    by the real diagonal, coupling and factor 2 run over the whole block;
-    a complex coefficient multiplies one contiguous row at a time as a
-    scalar times a vector, as the one-row call does: a site-major (M, P)
-    block times a (P,) column takes another SIMD loop, which does not
-    round like it.  The recurrence runs in buffers allocated once per call.
+    Each row stops at its last nonzero coefficient (a row of zeros takes
+    its first term), so ragged rows cost only their own terms.  The rows
+    run sorted by length, longest first: the rows still running at term k
+    are then a leading slice of the block, which shrinks as series end.
+    Every operation runs over that slice, and every element sees the
+    operations of the one-row recurrence in the same order, so each row
+    equals its own one-row call bit for bit.  A complex coefficient
+    multiplies its row as a (P, 1) column broadcast along the sites: the
+    inner loop is then a scalar times a contiguous row, as in the one-row
+    call (a site-major (M, P) block times a (P,) row takes another SIMD
+    loop, which does not round like it).  The recurrence runs in buffers
+    allocated once per call.
     """
-    t0 = np.array(psi, dtype=np.complex128)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    acc = coeffs[:, :1] * t0
-    if coeffs.shape[1] == 1:
-        return acc
-    diag = np.asarray(diag_scaled, dtype=np.complex128)
-    off = np.empty_like(t0)
-    off[:] = off_scaled
-    t1, y, nb, term = (np.empty_like(t0) for _ in range(4))
-    bands = [(y_row[:-1], nb_row[1:], y_row[1:], nb_row[:-1])
-             for y_row, nb_row in zip(y, nb)]
-    term_rows = list(term)
-
-    def matvec(x):
-        np.multiply(diag, x, out=y)
-        np.multiply(off, x, out=nb)
-        for y_lo, nb_hi, y_hi, nb_lo in bands:
-            y_lo += nb_hi
-            y_hi += nb_lo
-
-    def add_term(column, t_rows):
-        for c, t_row, term_row in zip(column, t_rows, term_rows):
-            np.multiply(c, t_row, out=term_row)
-        np.add(acc, term, out=acc)
-
-    matvec(t0)
-    np.copyto(t1, y)
-    # t0 is overwritten by T_k while t1 holds T_{k-1}; then they swap
-    t0_rows, t1_rows = list(t0), list(t1)
-    add_term(coeffs[:, 1], t1_rows)
-    for column in coeffs.T[2:]:
-        matvec(t1)
-        np.multiply(2.0, y, out=y)
-        np.subtract(y, t0, out=t0)
-        add_term(column, t0_rows)
-        t0, t1, t0_rows, t1_rows = t1, t0, t1_rows, t0_rows
-    return acc
+    nonzero = coeffs != 0
+    lengths = np.where(nonzero.any(axis=1),
+                       coeffs.shape[1] - np.argmax(nonzero[:, ::-1], axis=1),
+                       1)
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    # cols[k]: the (P, 1) column of term k
+    cols = coeffs[order].T[:, :, None]
+    t0 = np.array(psi, dtype=np.complex128)[order]
+    acc = cols[0] * t0
+    if lengths[0] > 1:
+        diag = np.asarray(diag_scaled, dtype=np.complex128)[order]
+        off = np.empty_like(t0)
+        off[:] = np.asarray(off_scaled)[order]
+        t1, y, nb, term = (np.empty_like(t0) for _ in range(4))
+        # rows with a term k: a leading slice, as many as are longer than k
+        a = int(np.count_nonzero(lengths > 1))
+        np.multiply(diag[:a], t0[:a], out=y[:a])
+        np.multiply(off[:a], t0[:a], out=nb[:a])
+        y[:a, :-1] += nb[:a, 1:]
+        y[:a, 1:] += nb[:a, :-1]
+        np.copyto(t1[:a], y[:a])
+        np.multiply(cols[1, :a], t1[:a], out=term[:a])
+        np.add(acc[:a], term[:a], out=acc[:a])
+        # terms 2, 3, ... in runs of one slice width; the run ends at the
+        # length of its shortest row.  t0 is overwritten by T_k while t1
+        # holds T_{k-1}; then they swap
+        k = 2
+        while k < lengths[0]:
+            a = int(np.count_nonzero(lengths > k))
+            end = int(lengths[a - 1])
+            d, o, ac, tm = diag[:a], off[:a], acc[:a], term[:a]
+            ya, nba, x0, x1 = y[:a], nb[:a], t0[:a], t1[:a]
+            y_lo, nb_hi, y_hi, nb_lo = (ya[:, :-1], nba[:, 1:], ya[:, 1:],
+                                        nba[:, :-1])
+            for col in cols[k:end, :a]:
+                np.multiply(d, x1, out=ya)
+                np.multiply(o, x1, out=nba)
+                np.add(y_lo, nb_hi, out=y_lo)
+                np.add(y_hi, nb_lo, out=y_hi)
+                np.multiply(2.0, ya, out=ya)
+                np.subtract(ya, x0, out=x0)
+                np.multiply(col, x0, out=tm)
+                np.add(ac, tm, out=ac)
+                x0, x1 = x1, x0
+            if (end - k) % 2:
+                t0, t1 = t1, t0
+            k = end
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out

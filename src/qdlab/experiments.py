@@ -432,6 +432,9 @@ def _run_transport_xi(config):
         raise ConfigError("params.tau_levels",
                           f"levels must be numbers in (0, 1), got {taus!r}")
     taus = [float(t) for t in taus]
+    if len(set(taus)) != len(taus):
+        raise ConfigError("params.tau_levels",
+                          f"levels must be distinct, got {taus!r}")
     theta = _point(config, "params.theta", mp["d"])
     # one running slope needs at least 3 times
     t_grid = _times(config, "params.t_grid", 3)

@@ -6,11 +6,20 @@ phase.  Time evolution uses the Chebyshev expansion of e^{-itH} with Bessel
 coefficients, truncated below 1e-14, with the norm defect and the mass on
 the outer sites certified on every state.
 
-Hamiltonians on one box can be propagated together as the rows of one
-block (kernels.cheb_apply); the phase pair theta, f(theta) of the in-box
-probabilities is swept that way, and every row equals its one-row
-propagation bit for bit.  Within one sweep the Bessel coefficients of each
-distinct step are evaluated once.
+Everything that shares a box is propagated as the rows of one block
+(kernels.cheb_apply), each row on its own time grid and scale, and every
+row equals its one-row propagation bit for bit: a block costs each row
+only its own series terms, and the per-term overhead is paid once per
+block instead of once per row.  Three kinds of work share boxes:
+
+- the auto_box probes of several t_max at one half-width, one row each;
+- the Abel sweeps of xi_estimate: every T whose box agrees, times the
+  phase pair theta, f(theta) (one row per T when the potentials agree);
+- the boxes themselves, which all sample one two-sided Orbit of theta,
+  grown as the box doubles and shifted by one site for f(theta).
+
+Within one sweep the Bessel coefficients of each distinct step are
+evaluated once.
 """
 
 import math
@@ -51,28 +60,65 @@ class BoxHamiltonian:
 
 @dataclass
 class EvolutionState:
-    t: float
+    t: float               # for a row block, the rows' times
     psi: np.ndarray
     norm_defect: float
     boundary_mass: float
     valid: bool
 
 
-def build_hamiltonian(map_spec, theta, phi, l_box):
-    """Potential sampled at f^n theta for |n| <= l_box, exact torus steps."""
+class Orbit:
+    """The two-sided orbit f^n theta, |n| <= reach, and phi along it.
+
+    Grown on demand by exact torus steps from its two ends; phi sees each
+    new point once.  Boxes of growing size, and the boxes at theta and at
+    f(theta), sample one orbit: on the k/2^53 lattice a step from f(theta)
+    lands on the same point as two steps from theta, and phi is evaluated
+    element by element, so every sample equals that of a fresh orbit.
+    """
+
+    def __init__(self, map_spec, theta, phi):
+        self.map_spec = map_spec
+        self.phi = phi
+        self.ends = [theta, theta]      # f^-reach theta, f^reach theta
+        self.reach = 0
+        self.v = self._sample([theta])
+
+    def _sample(self, points):
+        pts = np.array([p.coords for p in points], dtype=np.float64)
+        return np.asarray(self.phi(pts), dtype=np.float64)
+
+    def potential(self, lo, hi):
+        """phi(f^n theta) for lo <= n <= hi, growing the orbit as needed."""
+        grow = max(-lo, hi) - self.reach
+        if grow > 0:
+            back, ahead = [], []
+            low, high = self.ends
+            for _ in range(grow):
+                low = inverse_step(self.map_spec, low)
+                high = step(self.map_spec, high)
+                back.append(low)
+                ahead.append(high)
+            back.reverse()
+            self.v = np.concatenate((self._sample(back), self.v,
+                                     self._sample(ahead)))
+            self.ends = [low, high]
+            self.reach += grow
+        return self.v[self.reach + lo:self.reach + hi + 1]
+
+
+def build_hamiltonian(map_spec, theta, phi, l_box, orbit=None, center=0):
+    """Potential sampled at f^(center + n) theta for |n| <= l_box.
+
+    The samples come from orbit, an Orbit of theta under map_spec with
+    potential phi, when one is given, and from a fresh one otherwise.
+    """
     if l_box < 1:
         raise ValueError("box half-width must be >= 1")
-    pts = np.empty((2 * l_box + 1, map_spec.d))
-    cur = theta
-    for n in range(l_box + 1):
-        pts[l_box + n] = cur.coords
-        if n < l_box:
-            cur = step(map_spec, cur)
-    cur = theta
-    for n in range(1, l_box + 1):
-        cur = inverse_step(map_spec, cur)
-        pts[l_box - n] = cur.coords
-    return BoxHamiltonian(np.asarray(phi(pts), dtype=np.float64), l_box)
+    if orbit is None:
+        orbit = Orbit(map_spec, theta, phi)
+    return BoxHamiltonian(orbit.potential(center - l_box, center + l_box),
+                          l_box)
 
 
 def _chebyshev_coefficients(tau):
@@ -113,31 +159,31 @@ def initial_state(ham):
     return psi
 
 
-def _sweep(ham, ts, budget):
-    """Certified states at the nondecreasing times ts, node to node.
+def _sweep(hams, grids):
+    """psi of every row at each node of its own time grid, node to node.
 
-    ham is one BoxHamiltonian, or a list of them on one box that advance
-    together as the rows of one block; each row has its own scale and
-    Chebyshev coefficients.  The coefficients of a step are evaluated once
-    per distinct scaled step tau (keyed on the exact float) within the
-    sweep; the Gauss-Legendre hops of an Abel rule repeat bit for bit from
-    panel to panel.
+    hams: BoxHamiltonians on one box, one row each; grids: one
+    nondecreasing time grid per row, all of one length.  The rows advance
+    as one block (kernels.cheb_apply), each with its own scale and
+    Chebyshev coefficients; a row whose time does not move sits out that
+    step.  The coefficients of a step are evaluated once per distinct
+    scaled step tau (keyed on the exact float) within the sweep: the
+    Gauss-Legendre hops of an Abel rule repeat bit for bit from panel to
+    panel, and rows at one scale and T share them.  Yields the rows'
+    times and the (rows, sites) block at each node.
     """
-    single = isinstance(ham, BoxHamiltonian)
-    hams = [ham] if single else list(ham)
     scales = [h.enclosure for h in hams]
     diag = np.array([h.v / s for h, s in zip(hams, scales)])
     off = np.array([[1.0 / s] for s in scales])
     psi = np.array([initial_state(h) for h in hams])
     coefficients = {}
-    states = []
-    prev = 0.0
-    for t in ts:
-        if t > prev:
-            dt = t - prev
+    prev = [0.0] * len(hams)
+    for ts in zip(*grids):
+        moving = [p for p, (t, t0) in enumerate(zip(ts, prev)) if t > t0]
+        if moving:
             rows = []
-            for s in scales:
-                tau = dt * s
+            for p in moving:
+                tau = (ts[p] - prev[p]) * scales[p]
                 if tau not in coefficients:
                     coefficients[tau] = _chebyshev_coefficients(tau)
                 rows.append(coefficients[tau])
@@ -145,30 +191,55 @@ def _sweep(ham, ts, budget):
                               dtype=np.complex128)
             for row, c in zip(coeffs, rows):
                 row[:len(c)] = c
-            psi = kernels.cheb_apply(diag, off, coeffs, psi)
-            prev = t
-        states.append(_certify(t, psi[0] if single else psi, budget))
-    return states
+            if len(moving) == len(hams):
+                psi = kernels.cheb_apply(diag, off, coeffs, psi)
+            else:
+                psi = psi.copy()
+                psi[moving] = kernels.cheb_apply(diag[moving], off[moving],
+                                                 coeffs, psi[moving])
+            prev = ts
+        yield ts, psi
 
 
 def evolve(ham, t, budget=DEFAULT_BOUNDARY_BUDGET):
-    """e^{-i t H} applied to the delta at the origin."""
-    if t < 0:
+    """e^{-i t H} applied to the delta at the origin.
+
+    ham may also be a list of BoxHamiltonians on one box and t one time
+    per row: the rows advance as one block, and the result is one state
+    per row, each certified on its own row.
+    """
+    single = isinstance(ham, BoxHamiltonian)
+    hams, ts = ([ham], [t]) if single else (list(ham), list(t))
+    if len(ts) != len(hams):
+        raise ValueError("need one time per row")
+    if any(x < 0 for x in ts):
         raise ValueError("cannot evolve backward")
-    return _sweep(ham, [t], budget)[0]
+    (_, psi), = _sweep(hams, [[x] for x in ts])
+    states = [_certify(x, row, budget) for x, row in zip(ts, psi)]
+    return states[0] if single else states
 
 
 def evolve_times(ham, ts):
     """States at an increasing time grid, advancing node to node.
 
     ham may also be a list of BoxHamiltonians on one box: they are swept
-    as one row block, each state's psi is then (rows, sites) and its norm
-    defect and boundary mass are the worst row's.
+    as one row block, and ts is then one grid per row, all of one length.
+    Each state's psi is then (rows, sites), its t the rows' times, and its
+    norm defect and boundary mass the worst row's.
     """
-    ts = list(ts)
-    if any(b < a for a, b in zip(ts, ts[1:])) or (ts and ts[0] < 0):
-        raise ValueError("time grid must be nonnegative and nondecreasing")
-    return _sweep(ham, ts, DEFAULT_BOUNDARY_BUDGET)
+    single = isinstance(ham, BoxHamiltonian)
+    hams = [ham] if single else list(ham)
+    grids = [list(ts)] if single else [list(g) for g in ts]
+    if len(grids) != len(hams) or len({len(g) for g in grids}) > 1:
+        raise ValueError("need one time grid per row, all of one length")
+    for g in grids:
+        if any(b < a for a, b in zip(g, g[1:])) or (g and g[0] < 0):
+            raise ValueError("time grid must be nonnegative and nondecreasing")
+    nodes = _sweep(hams, grids)
+    if single:
+        return [_certify(t[0], psi[0], DEFAULT_BOUNDARY_BUDGET)
+                for t, psi in nodes]
+    return [_certify(t, psi, DEFAULT_BOUNDARY_BUDGET) for t, psi in nodes]
 
 
 def dense_evolve(ham, t):
@@ -211,41 +282,60 @@ def abel_nodes(big_t):
 def averaged_profile(ham, big_t):
     """Abel-averaged site probabilities <a(n, t)>_T for the delta start.
 
-    For a list of BoxHamiltonians on one box the rows are averaged in one
-    sweep and the profile has one row per Hamiltonian.
+    For a list of BoxHamiltonians on one box, big_t is one T for every row
+    or one T per row; the rows are averaged in one sweep, each on its own
+    Abel rule, and the profile has one row per Hamiltonian.
     """
-    nodes, weights = abel_nodes(big_t)
-    states = evolve_times(ham, list(nodes))
+    single = isinstance(ham, BoxHamiltonian)
+    rows = 1 if single else len(ham)
+    big_ts = [big_t] * rows if np.ndim(big_t) == 0 else list(big_t)
+    if len(big_ts) != rows:
+        raise ValueError("need one T per row")
+    rules = [abel_nodes(t) for t in big_ts]
+    grids = [nodes for nodes, _ in rules]
+    states = evolve_times(ham, grids[0] if single else grids)
+    # one row per node: the rows' weights at that node
+    weights = np.array([w for _, w in rules]).T
     acc = np.zeros(states[0].psi.shape)
     for st, w in zip(states, weights):
         if not st.valid:
             raise ValueError(
-                f"evolution flagged at t={st.t:.3g} "
+                f"evolution flagged at t={np.max(st.t):.3g} "
                 f"(defect {st.norm_defect:.2e}, boundary {st.boundary_mass:.2e})")
-        acc += w * np.abs(st.psi) ** 2
+        acc += (w[0] if single else w[:, None]) * np.abs(st.psi) ** 2
     return acc
 
 
-def _phase_pair_cumsums(map_spec, th, phi, ham, big_t):
+def _phase_pair_cumsums(map_spec, th, phi, ham, big_ts, orbit=None):
     """Cumulative averaged profiles at th (Hamiltonian ham) and at f(th).
 
-    Both phases are the rows of one sweep; equal potentials (a constant
-    phi) are one row whose profile serves both.
+    One (cum at th, cum at f(th)) pair per T of big_ts.  Both phases at
+    every T are the rows of one sweep; equal potentials (a constant phi)
+    are one row per T whose profile serves both phases.  orbit: the Orbit
+    of th that ham samples, if any, to sample f(th)'s box from.
     """
-    shifted = build_hamiltonian(map_spec, step(map_spec, th), phi, ham.l_box)
+    shifted = build_hamiltonian(map_spec, th, phi, ham.l_box, orbit, center=1)
     pair = [ham] if np.array_equal(ham.v, shifted.v) else [ham, shifted]
-    profiles = averaged_profile(pair, big_t)
-    return [_symmetric_cumsum(profiles[row], ham.l_box) for row in (0, -1)]
+    count = len(big_ts)
+    profiles = averaged_profile([h for h in pair for _ in big_ts],
+                                list(big_ts) * len(pair))
+    cums = [_symmetric_cumsum(row, ham.l_box) for row in profiles]
+    return list(zip(cums[:count], cums[-count:]))
 
 
 def _symmetric_cumsum(profile, l_box):
-    """cum[L] = sum of profile over |n| <= L."""
+    """cum[L] = sum of profile over |n| <= L.
+
+    One running sum over p[c], p[c-1], p[c+1], p[c-2], p[c+2], ... taken at
+    every second term: np.cumsum adds in sequence, so cum[L] is
+    (cum[L-1] + p[c-L]) + p[c+L] with the rounding of the loop it replaces.
+    """
     center = l_box
-    cum = np.empty(l_box + 1)
-    cum[0] = profile[center]
-    for l in range(1, l_box + 1):
-        cum[l] = cum[l - 1] + profile[center - l] + profile[center + l]
-    return cum
+    seq = np.empty(2 * l_box + 1)
+    seq[0] = profile[center]
+    seq[1::2] = profile[:center][::-1]
+    seq[2::2] = profile[center + 1:2 * l_box + 1]
+    return np.cumsum(seq)[::2]
 
 
 # ---------------------------------------------------------------------------
@@ -262,25 +352,52 @@ def worst_case_box(phi_sup, t_max):
     return int(math.ceil((2.0 + phi_sup) * t_max * 1.05)) + 96
 
 
-def auto_box(map_spec, theta, phi, t_max):
+def auto_box(map_spec, theta, phi, t_max, orbit=None):
     """Smallest power-of-2-scaled box keeping boundary mass within budget.
 
-    Tries geometrically growing half-widths and checks the budget at t_max;
-    falls back to the light-cone rule as the hard ceiling.
+    t_max is one time, or a sequence of times with one box each.  Half-
+    widths double from BOX_START up to the time's light-cone ceiling
+    (worst_case_box), the fallback, which is taken without a probe.  Below
+    it a box is probed by evolving the delta to t_max and checking the
+    budget there.  At each half-width the times still open are the rows of
+    one evolve call on that box's Hamiltonian, and each decides on its own
+    row.  Every box samples one orbit of theta, grown as the box doubles:
+    orbit if given, which must be an Orbit of theta under map_spec and
+    phi.
     """
-    ceiling = worst_case_box(phi.sup_bound or 0.0, t_max)
-    l = min(BOX_START, ceiling)
-    while True:
-        ham = build_hamiltonian(map_spec, theta, phi, l)
-        # probe with a much smaller budget: near the ballistic edge the
-        # boundary mass oscillates over a couple of orders of magnitude, so
-        # a box that barely fits at t_max can overflow slightly earlier
-        state = evolve(ham, t_max, budget=1e-4 * DEFAULT_BOUNDARY_BUDGET)
-        if state.valid or l >= ceiling:
-            return ham
-        l = min(2 * l, ceiling)
-        if l > BOX_CAP:
-            raise ValueError("box size exceeds the hard cap")
+    single = np.ndim(t_max) == 0
+    t_maxes = [t_max] if single else list(t_max)
+    if orbit is None:
+        orbit = Orbit(map_spec, theta, phi)
+    ceilings = [worst_case_box(phi.sup_bound or 0.0, t) for t in t_maxes]
+    levels = [min(BOX_START, c) for c in ceilings]
+    boxes = [None] * len(t_maxes)
+    while any(box is None for box in boxes):
+        open_at = {}
+        for i, box in enumerate(boxes):
+            if box is None:
+                open_at.setdefault(levels[i], []).append(i)
+        for l in sorted(open_at):
+            ham = build_hamiltonian(map_spec, theta, phi, l, orbit)
+            probed = [i for i in open_at[l] if l < ceilings[i]]
+            valid = set()
+            if probed:
+                # probe with a much smaller budget: near the ballistic edge
+                # the boundary mass oscillates over a couple of orders of
+                # magnitude, so a box that barely fits at t_max can
+                # overflow slightly earlier
+                states = evolve([ham] * len(probed),
+                                [t_maxes[i] for i in probed],
+                                budget=1e-4 * DEFAULT_BOUNDARY_BUDGET)
+                valid = {i for i, st in zip(probed, states) if st.valid}
+            for i in open_at[l]:
+                if i in valid or l >= ceilings[i]:
+                    boxes[i] = ham
+                    continue
+                levels[i] = min(2 * l, ceilings[i])
+                if levels[i] > BOX_CAP:
+                    raise ValueError("box size exceeds the hard cap")
+    return boxes[0] if single else boxes
 
 
 @dataclass
@@ -336,19 +453,26 @@ def xi_estimate(map_spec, theta, phi, tau_levels, t_grid):
     """Spreading-front exponent bracket from ln L(tau, T) vs ln T slopes.
 
     The estimate is reported at the smallest tau level; larger levels are
-    returned as diagnostics.
+    returned as diagnostics.  The T whose boxes agree are swept as one
+    block with both phases of the pair.
     """
     tau_levels = sorted(float(t) for t in tau_levels)
     if not tau_levels or tau_levels[0] <= 0.0 or tau_levels[-1] >= 1.0:
         raise ValueError("tau levels must lie in (0, 1)")
+    if len(set(tau_levels)) != len(tau_levels):
+        raise ValueError("tau levels must be distinct")
     t_grid = sorted(float(t) for t in t_grid)
-    fronts = {tau: [] for tau in tau_levels}
-    for big_t in t_grid:
-        ham = auto_box(map_spec, theta, phi, 10.0 * big_t)
-        cum0, cum1 = _phase_pair_cumsums(map_spec, theta, phi, ham, big_t)
-        total = cum0 + cum1
-        for tau in tau_levels:
-            fronts[tau].append(max(xi_front(total, tau), 1))
+    orbit = Orbit(map_spec, theta, phi)
+    hams = auto_box(map_spec, theta, phi, [10.0 * t for t in t_grid], orbit)
+    totals = [None] * len(t_grid)
+    for l_box in sorted({ham.l_box for ham in hams}):
+        rows = [i for i, ham in enumerate(hams) if ham.l_box == l_box]
+        pairs = _phase_pair_cumsums(map_spec, theta, phi, hams[rows[0]],
+                                    [t_grid[i] for i in rows], orbit)
+        for i, (cum0, cum1) in zip(rows, pairs):
+            totals[i] = cum0 + cum1
+    fronts = {tau: [max(xi_front(total, tau), 1) for total in totals]
+              for tau in tau_levels}
     lead = tau_levels[0]
     slopes = running_slopes(np.log(t_grid), np.log(fronts[lead]))
     return ExponentEstimate(float(np.min(slopes)), float(np.max(slopes)),

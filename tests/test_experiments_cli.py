@@ -246,6 +246,7 @@ BAD_INPUTS = {
     "xi-tau-one": (_xi(tau_levels=[0.5, 1.0]), "params.tau_levels"),
     "xi-tau-zero": (_xi(tau_levels=[0.0, 0.5]), "params.tau_levels"),
     "xi-tau-empty": (_xi(tau_levels=[]), "params.tau_levels"),
+    "xi-tau-repeated": (_xi(tau_levels=[0.6, 0.6]), "params.tau_levels"),
     "xi-t-grid-two-times": (_xi(t_grid=[5.0, 10.0]), "params.t_grid"),
     "dt-t-list-string": (_dt(t_list=["10"]), "params.t_list"),
     "dt-t-list-zero-time": (_dt(t_list=[0.0, 10.0]), "params.t_list"),

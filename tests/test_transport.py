@@ -94,6 +94,17 @@ def test_symmetric_cumsum_totals():
     assert np.all(np.diff(cum) >= 0)
 
 
+def test_symmetric_cumsum_equals_the_site_loop():
+    rng = np.random.default_rng(11)
+    for l_box in (1, 2, 37, 300):
+        prof = rng.random(2 * l_box + 1) ** 3
+        want = np.empty(l_box + 1)
+        want[0] = prof[l_box]
+        for l in range(1, l_box + 1):
+            want[l] = want[l - 1] + prof[l_box - l] + prof[l_box + l]
+        assert tp._symmetric_cumsum(prof, l_box).tobytes() == want.tobytes()
+
+
 def test_running_slopes_exact_on_power_laws():
     xs = np.log(np.geomspace(5.0, 500.0, 12))
     ys = 1.7 + 0.62 * xs
@@ -142,6 +153,9 @@ def test_estimator_input_validation():
                        list(np.geomspace(5.0, 50.0, 8)))
     with pytest.raises(ValueError):
         tp.evolve(tp.build_hamiltonian(SHIFT1, THETA, ZERO, 8), -1.0)
+    # a repeated level would append twice per T to one front list
+    with pytest.raises(ValueError, match="distinct"):
+        tp.xi_estimate(SHIFT1, THETA, ZERO, [0.6, 0.6], [10.0, 20.0, 40.0])
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +207,20 @@ def _hamiltonians(count, l_box=40):
             for i in range(count)]
 
 
-@pytest.mark.parametrize("lengths", [[40], [1, 1, 1], [5, 23, 60], [30, 30]],
-                         ids=["one-row", "one-term", "ragged", "equal"])
+@pytest.mark.parametrize("lengths", [[40], [1, 1, 1], [5, 23, 60], [30, 30],
+                                     [23, 60, 1, 5, 60, 2]],
+                         ids=["one-row", "one-term", "ragged", "equal",
+                              "unsorted"])
 def test_cheb_apply_rows_equal_the_one_row_recurrence(lengths):
     hams = _hamiltonians(len(lengths))
     scales = [h.enclosure for h in hams]
     diag = np.array([h.v / s for h, s in zip(hams, scales)])
     off = np.array([[1.0 / s] for s in scales])
-    # generic complex coefficients: with Bessel ones, each purely real or
-    # imaginary, a fused and an unfused complex product round alike
+    # generic complex coefficients, both parts nonzero, so that a fused and
+    # an unfused complex product would round apart.  Bessel ones are not a
+    # safe stand-in for this: (-1j) ** k is exact only below k = 100, where
+    # numpy's complex power leaves its integer path and the general pow
+    # leaves components up to 1e-11 relative
     rng = np.random.default_rng(len(lengths))
     rows = [rng.normal(size=k) + 1j * rng.normal(size=k) for k in lengths]
     coeffs = np.zeros((len(rows), max(lengths)), complex)
@@ -210,14 +229,10 @@ def test_cheb_apply_rows_equal_the_one_row_recurrence(lengths):
     psi = rng.normal(size=diag.shape) + 1j * rng.normal(size=diag.shape)
     got = kernels.cheb_apply(diag, off, coeffs, psi)
     assert got.shape == diag.shape
+    # each row stops at its own length, so no padded term touches it
     for p, c in enumerate(rows):
         want = _cheb_apply_reference(diag[p], off[p, 0], c, psi[p])
-        if len(c) == coeffs.shape[1]:
-            assert got[p].tobytes() == want.tobytes()
-        else:
-            # a zero-padded term adds a signed zero, which can flip the
-            # sign of an exactly zero entry but no other bit
-            assert np.array_equal(got[p], want)
+        assert got[p].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("phi, phase, l_box", [
@@ -232,7 +247,7 @@ def test_phase_pair_profile_equals_two_one_row_profiles(phi, phase, l_box):
     else:
         assert ham.enclosure != shifted.enclosure
     big_t = 3.0
-    cum0, cum1 = tp._phase_pair_cumsums(SHIFT1, th, phi, ham, big_t)
+    [(cum0, cum1)] = tp._phase_pair_cumsums(SHIFT1, th, phi, ham, [big_t])
     for cum, h in ((cum0, ham), (cum1, shifted)):
         want = tp._symmetric_cumsum(_profile_reference(h, big_t), l_box)
         assert cum.tobytes() == want.tobytes()
@@ -263,3 +278,114 @@ def test_bessel_coefficients_once_per_distinct_step(monkeypatch):
     # no cache outlives the call: a second profile evaluates them again
     tp.averaged_profile(hams, big_t)
     assert len(calls) == 2 * len(distinct)
+
+
+def test_abel_rows_at_several_t_equal_one_row_profiles():
+    # three T on one box, both phases of the pair: six rows at two scales
+    phi = cc.CosinePotential(3.0)
+    th = TorusPoint((0.105,))
+    l_box = 32
+    ham = tp.build_hamiltonian(SHIFT1, th, phi, l_box)
+    shifted = tp.build_hamiltonian(SHIFT1, tp.step(SHIFT1, th), phi, l_box)
+    assert ham.enclosure != shifted.enclosure
+    big_ts = [5.0, 2.0, 3.0]
+    pairs = tp._phase_pair_cumsums(SHIFT1, th, phi, ham, big_ts)
+    assert len(pairs) == len(big_ts)
+    for big_t, (cum0, cum1) in zip(big_ts, pairs):
+        for cum, h in ((cum0, ham), (cum1, shifted)):
+            want = _profile_reference(h, big_t)
+            assert cum.tobytes() == tp._symmetric_cumsum(want,
+                                                         l_box).tobytes()
+    rows = tp.averaged_profile([ham, shifted, ham], [3.0, 2.0, 5.0])
+    for row, h, big_t in zip(rows, (ham, shifted, ham), (3.0, 2.0, 5.0)):
+        assert row.tobytes() == _profile_reference(h, big_t).tobytes()
+
+
+def _hamiltonian_reference(map_spec, theta, phi, l_box):
+    """build_hamiltonian as one fresh two-sided walk and one phi call."""
+    pts = np.empty((2 * l_box + 1, map_spec.d))
+    cur = theta
+    for n in range(l_box + 1):
+        pts[l_box + n] = cur.coords
+        cur = tp.step(map_spec, cur)
+    cur = theta
+    for n in range(1, l_box + 1):
+        cur = tp.inverse_step(map_spec, cur)
+        pts[l_box - n] = cur.coords
+    return np.asarray(phi(pts), dtype=np.float64)
+
+
+def test_shared_orbit_samples_equal_fresh_walks():
+    phi = cc.CosinePotential(1.5)
+    th = TorusPoint((0.3,))
+    orbit = tp.Orbit(SHIFT1, th, phi)
+    for l_box, center in ((3, 0), (40, 1), (17, 0), (129, 1), (129, 0)):
+        ham = tp.build_hamiltonian(SHIFT1, th, phi, l_box, orbit, center)
+        at = th if center == 0 else tp.step(SHIFT1, th)
+        want = _hamiltonian_reference(SHIFT1, at, phi, l_box)
+        assert ham.l_box == l_box
+        assert ham.v.tobytes() == want.tobytes()
+
+
+def test_row_probes_equal_one_row_evolutions():
+    ham = tp.build_hamiltonian(SHIFT1, THETA, cc.CosinePotential(1.0), 48)
+    times = [30.0, 4.0, 0.0, 12.5]
+    states = tp.evolve([ham] * len(times), times, budget=1e-6)
+    for t, st in zip(times, states):
+        one = tp.evolve(ham, t, budget=1e-6)
+        assert st.psi.tobytes() == one.psi.tobytes()
+        assert (st.t, st.valid, st.norm_defect, st.boundary_mass) == \
+            (one.t, one.valid, one.norm_defect, one.boundary_mass)
+
+
+def _auto_box_reference(map_spec, theta, phi, t_max):
+    """auto_box for one t_max: one probe per box, one box at a time."""
+    ceiling = tp.worst_case_box(phi.sup_bound or 0.0, t_max)
+    l = min(tp.BOX_START, ceiling)
+    while True:
+        ham = tp.build_hamiltonian(map_spec, theta, phi, l)
+        state = tp.evolve(ham, t_max, budget=1e-4 * tp.DEFAULT_BOUNDARY_BUDGET)
+        if state.valid or l >= ceiling:
+            return ham
+        l = min(2 * l, ceiling)
+        if l > tp.BOX_CAP:
+            raise ValueError("box size exceeds the hard cap")
+
+
+@pytest.mark.parametrize("phi, phase, t_maxes, boxes", [
+    # 200: the 512 box passes below its ceiling of 516
+    (ZERO, 0.0, [200.0, 20.0, 60.0, 200.0], [512, 128, 222, 512]),
+    (cc.CosinePotential(3.0), 0.41, [300.0, 5.0, 2000.0], None)],
+    ids=["free", "localized"])
+def test_auto_box_rows_equal_the_one_time_loop(phi, phase, t_maxes, boxes):
+    th = TorusPoint((phase,))
+    got = tp.auto_box(SHIFT1, th, phi, t_maxes)
+    assert len(got) == len(t_maxes)
+    if boxes is not None:
+        assert [ham.l_box for ham in got] == boxes
+    for t_max, ham in zip(t_maxes, got):
+        want = _auto_box_reference(SHIFT1, th, phi, t_max)
+        assert ham.l_box == want.l_box
+        assert ham.v.tobytes() == want.v.tobytes()
+    one = tp.auto_box(SHIFT1, th, phi, t_maxes[0])
+    assert one.v.tobytes() == got[0].v.tobytes()
+
+
+def test_auto_box_never_probes_a_ceiling_box(monkeypatch):
+    probes = []
+    original = tp.evolve
+
+    def counted(ham, t, budget=tp.DEFAULT_BOUNDARY_BUDGET):
+        probes.append((ham[0].l_box, list(t)))
+        return original(ham, t, budget)
+
+    monkeypatch.setattr(tp, "evolve", counted)
+    # free: 60 fails at 128 and takes its ceiling 222 unprobed, 20 passes
+    # at 128 and 200 at 512
+    t_maxes = [60.0, 20.0, 200.0]
+    got = tp.auto_box(SHIFT1, THETA, ZERO, t_maxes)
+    ceilings = [tp.worst_case_box(0.0, t) for t in t_maxes]
+    assert got[0].l_box == ceilings[0]
+    assert probes == [(128, t_maxes), (256, [200.0]), (512, [200.0])]
+    for l_box, times in probes:
+        assert all(l_box < tp.worst_case_box(0.0, t) for t in times)
