@@ -252,7 +252,7 @@ def criterion_8():
 
     # free evolution against the Bessel closed form
     ham = tp.build_hamiltonian(shift1, theta, zero, 128)
-    st = tp.evolve(ham, 10.0, budget=1.0)
+    st, = tp.evolve([ham], [10.0], budget=1.0)
     sites = ham.sites()
     exact = (-1j) ** np.abs(sites) * jv(np.abs(sites), 20.0)
     err_free = float(np.max(np.abs(np.abs(st.psi) ** 2 - np.abs(exact) ** 2)))
@@ -266,7 +266,7 @@ def criterion_8():
         lam = float(rng.uniform(0.0, 3.0))
         t = float(rng.uniform(0.0, 20.0))
         hamd = tp.build_hamiltonian(shift1, theta, cc.CosinePotential(lam), 128)
-        st1 = tp.evolve(hamd, t, budget=1.0)
+        st1, = tp.evolve([hamd], [t], budget=1.0)
         psi2 = tp.dense_evolve(hamd, t)
         err_dense = max(err_dense, float(np.max(np.abs(st1.psi - psi2))))
     ok &= err_dense <= 1e-9

@@ -120,20 +120,38 @@ def _spectral_log(m):
     return 0.5 * math.log(0.5 * (q + math.sqrt(disc)))
 
 
+# column block of the orbit walk: at most this many potential samples per
+# block, so no (rows x n) array is ever held
+_BLOCK_CELLS = 1 << 17
+
+
+def _orbit_blocks(map_spec, thetas, n, width, forward):
+    """The orbits of the (rows, d) phases thetas, width steps per block.
+
+    Yields (cols, rows, d) blocks of f^k theta for 0 <= k < n, or of
+    f^-k theta for 1 <= k <= n when not forward, taking one step_array
+    (inverse_step_array) call per step.
+    """
+    cur = thetas
+    for start in range(0, n, width):
+        pts = np.empty((min(width, n - start),) + thetas.shape)
+        for j in range(pts.shape[0]):
+            if forward:
+                pts[j] = cur
+                cur = step_array(map_spec, cur)
+            else:
+                cur = inverse_step_array(map_spec, cur)
+                pts[j] = cur
+        yield pts
+
+
 def potential_sequence(map_spec, theta, n, phi, forward=True):
     """(phi(theta), phi(f theta), ...) resp. (phi(f^-1 theta), ...)."""
     coords = np.asarray(
         theta.coords if isinstance(theta, TorusPoint) else theta,
         dtype=np.float64).reshape(1, -1)
-    out = np.empty(n, dtype=np.float64)
-    cur = coords
-    for k in range(n):
-        if not forward:
-            cur = inverse_step_array(map_spec, cur)
-        out[k] = phi(cur)[0]
-        if forward:
-            cur = step_array(map_spec, cur)
-    return out
+    blocks = _orbit_blocks(map_spec, coords, n, _BLOCK_CELLS, forward)
+    return np.concatenate([np.empty(0)] + [phi(pts[:, 0]) for pts in blocks])
 
 
 def cocycle_product(map_spec, theta, z, n, phi):
@@ -156,16 +174,11 @@ def cocycle_product(map_spec, theta, z, n, phi):
     return TransferProduct(m, logscale)
 
 
-# column block of the batched orbit walk: at most this many potential
-# samples per block of product rows, so no (rows x n) array is ever held
-_BLOCK_CELLS = 1 << 17
-
-
 def _batch_lognorms(map_spec, thetas, z, n, phi, orbit):
     """log ||A_n|| of a batch of product rows, via the kernel product.
 
-    thetas: (R, d) start phases.  Their orbits are walked once with
-    step_array in column blocks, and phi samples each block in one call.
+    thetas: (R, d) start phases.  Their orbits are walked once in column
+    blocks (_orbit_blocks), and phi samples each block in one call.
     orbit: (M,) index of the phase orbit each product row follows; z: the
     energy, a scalar or one per row.  The kernel carries every row's
     product from block to block.  Returns (lognorm, detlog) of shape (M,).
@@ -173,19 +186,12 @@ def _batch_lognorms(map_spec, thetas, z, n, phi, orbit):
     if n < 1:
         raise ValueError("need n >= 1")
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
-    count, d = thetas.shape
     z = np.asarray(z)
     e, eta = (z.real, z.imag) if np.iscomplexobj(z) else (z, 0.0)
     state = kernels.CocycleState()
     width = max(1, _BLOCK_CELLS // orbit.shape[0])
-    cur = thetas
-    for start in range(0, n, width):
-        cols = min(width, n - start)
-        pts = np.empty((cols, count, d), dtype=np.float64)
-        for j in range(cols):
-            pts[j] = cur
-            cur = step_array(map_spec, cur)
-        v = phi(pts.reshape(cols * count, d)).reshape(cols, count)
+    for pts in _orbit_blocks(map_spec, thetas, n, width, True):
+        v = phi(pts.reshape(-1, pts.shape[2])).reshape(pts.shape[:2])
         lognorm, detlog = kernels.cocycle_batch(v.T[orbit], e, eta,
                                                 state=state)
     return lognorm, detlog

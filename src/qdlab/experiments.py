@@ -8,6 +8,7 @@ significant digits.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -194,22 +195,13 @@ def _run_identities(config):
     rows = []
     passed = True
     for s in range(1, s_max + 1):
-        for r in _tuples(s, r_max):
+        for r in itertools.product(range(1, r_max + 1), repeat=s):
             v1, v2 = eq.comb_identity(s, r)
             prod = math.prod(r)
             ok = (v1 == 0) and (v2 == prod)
             passed &= ok
             rows.append((s, ";".join(map(str, r)), v1, v2, prod, int(ok)))
     return header, rows, {"cases": len(rows)}, passed
-
-
-def _tuples(s, r_max):
-    if s == 0:
-        yield ()
-        return
-    for rest in _tuples(s - 1, r_max):
-        for r in range(1, r_max + 1):
-            yield rest + (r,)
 
 
 def _is_number(v):

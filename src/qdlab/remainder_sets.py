@@ -24,10 +24,9 @@ TWO_PI_I = 2j * math.pi
 REMAINDER_CHUNK = 1 << 16      # orbit points per remainder_sup block
 
 
-def _geom_phase_sum(count, phase):
-    """sum_{j=0}^{count-1} e^{-2 pi i j phase}, stable for small phases."""
-    j = np.arange(count)
-    return np.sum(np.exp(-TWO_PI_I * j * phase))
+def _phase_sum(js, phase):
+    """sum over the integers js of e^{-2 pi i j phase}."""
+    return np.sum(np.exp(-TWO_PI_I * js * phase))
 
 
 @dataclass
@@ -49,8 +48,8 @@ class TransferFunction:
 def interval_transfer(alpha, q, p):
     """Transfer function of I = [0, q*alpha - p) with sup bound |q|.
 
-    For q > 0: g(x) = -sum_{j=0}^{q-1} {x - j alpha}; the q < 0 case uses
-    the mirrored telescoping g(x) = sum_{j=1}^{-q} {x + j alpha}.
+    g(x) = -sign(q) sum_j {x - j alpha}, over j = 0 .. q - 1 for q > 0 and
+    over j = -1 .. q for q < 0 (the mirrored telescoping).
     """
     alpha = float(alpha)
     kappa = q * alpha - p
@@ -58,34 +57,21 @@ def interval_transfer(alpha, q, p):
         raise ValueError("interval length |q alpha - p| must lie in (0,1)")
     if kappa < 0.0:
         q, p, kappa = -q, -p, -kappa
+    sign = 1 if q > 0 else -1
+    js = np.arange(q) if q > 0 else np.arange(-1, q - 1, -1)
 
-    if q > 0:
-        def evaluator(x):
-            x = np.asarray(x, dtype=np.float64)
-            acc = np.zeros_like(x)
-            for j in range(q):
-                acc -= _frac(x - j * alpha)
-            return acc
+    def evaluator(x):
+        x = np.asarray(x, dtype=np.float64)
+        acc = np.zeros_like(x)
+        for j in js.tolist():
+            acc -= _frac(x - j * alpha)
+        return sign * acc
 
-        def fourier(mode):
-            m = int(mode)
-            if m == 0:
-                raise ValueError("mode 0 is not determined by the identity")
-            return _geom_phase_sum(q, m * alpha) / (TWO_PI_I * m)
-    else:
-        def evaluator(x):
-            x = np.asarray(x, dtype=np.float64)
-            acc = np.zeros_like(x)
-            for j in range(1, -q + 1):
-                acc += _frac(x + j * alpha)
-            return acc
-
-        def fourier(mode):
-            m = int(mode)
-            if m == 0:
-                raise ValueError("mode 0 is not determined by the identity")
-            j = np.arange(1, -q + 1)
-            return -np.sum(np.exp(TWO_PI_I * j * m * alpha)) / (TWO_PI_I * m)
+    def fourier(mode):
+        m = int(mode)
+        if m == 0:
+            raise ValueError("mode 0 is not determined by the identity")
+        return sign * _phase_sum(js, m * alpha) / (TWO_PI_I * m)
 
     def membership(x):
         return _frac(np.asarray(x, dtype=np.float64)) < kappa
@@ -179,7 +165,7 @@ def parallelogram_transfer(alpha1, alpha2, m, l1, l2, q, p):
         chi_sigma = interval_indicator_fourier(sigma, m1)
         gt_hat = chi_sigma / denom
         phase = m1 * alpha[0] + m2 * alpha[1]
-        return gt_hat * _geom_phase_sum(m, phase)
+        return gt_hat * _phase_sum(np.arange(m), phase)
 
     tf = TransferFunction(evaluator, abs(m) * (abs(q) + 1.0), fourier,
                           para.volume, membership)

@@ -6,13 +6,15 @@ phase.  Time evolution uses the Chebyshev expansion of e^{-itH} with Bessel
 coefficients, truncated below 1e-14, with the norm defect and the mass on
 the outer sites certified on every state.
 
-Everything that shares a box is propagated as the rows of one block
-(kernels.cheb_apply), each row on its own time grid and scale, and every
-row equals its one-row propagation bit for bit: a block costs each row
-only its own series terms, and the per-term overhead is paid once per
+Every propagation is a block of rows (kernels.cheb_apply): evolve,
+evolve_times and averaged_profile take a list of BoxHamiltonians on one
+box, one row each, with one time, time grid or T per row, and a single
+state is a block of one row.  Each row runs on its own time grid and
+scale and equals its one-row propagation bit for bit: a block costs each
+row only its own series terms, and the per-term overhead is paid once per
 block instead of once per row.  Three kinds of work share boxes:
 
-- the auto_box probes of several t_max at one half-width, one row each;
+- the auto_box probes of the t_max still open at one half-width;
 - the Abel sweeps of xi_estimate: every T whose box agrees, times the
   phase pair theta, f(theta) (one row per T when the potentials agree);
 - the boxes themselves, which all sample one two-sided Orbit of theta,
@@ -201,45 +203,36 @@ def _sweep(hams, grids):
         yield ts, psi
 
 
-def evolve(ham, t, budget=DEFAULT_BOUNDARY_BUDGET):
-    """e^{-i t H} applied to the delta at the origin.
+def evolve(hams, ts, budget=DEFAULT_BOUNDARY_BUDGET):
+    """e^{-i t H} applied to the delta at the origin, one time per row.
 
-    ham may also be a list of BoxHamiltonians on one box and t one time
-    per row: the rows advance as one block, and the result is one state
-    per row, each certified on its own row.
+    hams: BoxHamiltonians on one box, advanced as one block.  Returns one
+    state per row, each certified on its own row.
     """
-    single = isinstance(ham, BoxHamiltonian)
-    hams, ts = ([ham], [t]) if single else (list(ham), list(t))
     if len(ts) != len(hams):
         raise ValueError("need one time per row")
-    if any(x < 0 for x in ts):
+    if any(t < 0 for t in ts):
         raise ValueError("cannot evolve backward")
-    (_, psi), = _sweep(hams, [[x] for x in ts])
-    states = [_certify(x, row, budget) for x, row in zip(ts, psi)]
-    return states[0] if single else states
+    (_, psi), = _sweep(hams, [[t] for t in ts])
+    return [_certify(t, row, budget) for t, row in zip(ts, psi)]
 
 
-def evolve_times(ham, ts):
-    """States at an increasing time grid, advancing node to node.
+def evolve_times(hams, grids):
+    """States at increasing time grids, advancing node to node.
 
-    ham may also be a list of BoxHamiltonians on one box: they are swept
-    as one row block, and ts is then one grid per row, all of one length.
-    Each state's psi is then (rows, sites), its t the rows' times, and its
-    norm defect and boundary mass the worst row's.
+    hams: BoxHamiltonians on one box, swept as one row block; grids: one
+    grid per row, all of one length.  Each state's psi is (rows, sites),
+    its t the rows' times, and its norm defect and boundary mass the worst
+    row's.
     """
-    single = isinstance(ham, BoxHamiltonian)
-    hams = [ham] if single else list(ham)
-    grids = [list(ts)] if single else [list(g) for g in ts]
+    grids = [list(g) for g in grids]
     if len(grids) != len(hams) or len({len(g) for g in grids}) > 1:
         raise ValueError("need one time grid per row, all of one length")
     for g in grids:
         if any(b < a for a, b in zip(g, g[1:])) or (g and g[0] < 0):
             raise ValueError("time grid must be nonnegative and nondecreasing")
-    nodes = _sweep(hams, grids)
-    if single:
-        return [_certify(t[0], psi[0], DEFAULT_BOUNDARY_BUDGET)
-                for t, psi in nodes]
-    return [_certify(t, psi, DEFAULT_BOUNDARY_BUDGET) for t, psi in nodes]
+    return [_certify(t, psi, DEFAULT_BOUNDARY_BUDGET)
+            for t, psi in _sweep(hams, grids)]
 
 
 def dense_evolve(ham, t):
@@ -252,10 +245,13 @@ def dense_evolve(ham, t):
 
 
 def moment(state, p):
-    """Position moment sum (1 + |n|)^p |psi(n)|^2 of a valid state."""
+    """Position moment sum (1 + |n|)^p |psi(n)|^2 of a valid state.
+
+    psi may be one row or a block of one row.
+    """
     if not state.valid:
         raise ValueError("state flagged invalid (norm defect or boundary mass)")
-    m = state.psi.shape[0]
+    m = state.psi.shape[-1]
     sites = np.arange(m) - (m - 1) // 2
     return float(np.sum((1.0 + np.abs(sites)) ** p * np.abs(state.psi) ** 2))
 
@@ -279,21 +275,17 @@ def abel_nodes(big_t):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def averaged_profile(ham, big_t):
+def averaged_profile(hams, big_ts):
     """Abel-averaged site probabilities <a(n, t)>_T for the delta start.
 
-    For a list of BoxHamiltonians on one box, big_t is one T for every row
-    or one T per row; the rows are averaged in one sweep, each on its own
-    Abel rule, and the profile has one row per Hamiltonian.
+    hams: BoxHamiltonians on one box; big_ts: one T per row.  The rows are
+    averaged in one sweep, each on its own Abel rule, and the profile has
+    one row per Hamiltonian.
     """
-    single = isinstance(ham, BoxHamiltonian)
-    rows = 1 if single else len(ham)
-    big_ts = [big_t] * rows if np.ndim(big_t) == 0 else list(big_t)
-    if len(big_ts) != rows:
+    if len(big_ts) != len(hams):
         raise ValueError("need one T per row")
     rules = [abel_nodes(t) for t in big_ts]
-    grids = [nodes for nodes, _ in rules]
-    states = evolve_times(ham, grids[0] if single else grids)
+    states = evolve_times(hams, [nodes for nodes, _ in rules])
     # one row per node: the rows' weights at that node
     weights = np.array([w for _, w in rules]).T
     acc = np.zeros(states[0].psi.shape)
@@ -302,7 +294,7 @@ def averaged_profile(ham, big_t):
             raise ValueError(
                 f"evolution flagged at t={np.max(st.t):.3g} "
                 f"(defect {st.norm_defect:.2e}, boundary {st.boundary_mass:.2e})")
-        acc += (w[0] if single else w[:, None]) * np.abs(st.psi) ** 2
+        acc += w[:, None] * np.abs(st.psi) ** 2
     return acc
 
 
@@ -352,52 +344,53 @@ def worst_case_box(phi_sup, t_max):
     return int(math.ceil((2.0 + phi_sup) * t_max * 1.05)) + 96
 
 
-def auto_box(map_spec, theta, phi, t_max, orbit=None):
+def auto_box(map_spec, theta, phi, t_maxes, orbit=None):
     """Smallest power-of-2-scaled box keeping boundary mass within budget.
 
-    t_max is one time, or a sequence of times with one box each.  Half-
-    widths double from BOX_START up to the time's light-cone ceiling
-    (worst_case_box), the fallback, which is taken without a probe.  Below
-    it a box is probed by evolving the delta to t_max and checking the
-    budget there.  At each half-width the times still open are the rows of
-    one evolve call on that box's Hamiltonian, and each decides on its own
-    row.  Every box samples one orbit of theta, grown as the box doubles:
-    orbit if given, which must be an Orbit of theta under map_spec and
-    phi.
+    One box per time of t_maxes.  The half-width l doubles from BOX_START.
+    At each l, an open time whose light-cone ceiling (worst_case_box) is
+    at most l takes its ceiling box without a probe; the other open times
+    are the rows of one evolve probe on the l box, which evolves the delta
+    to each t_max and keeps the box of every row within budget.  Every box
+    samples one orbit of theta, grown as the box doubles: orbit if given,
+    which must be an Orbit of theta under map_spec and phi.
     """
-    single = np.ndim(t_max) == 0
-    t_maxes = [t_max] if single else list(t_max)
     if orbit is None:
         orbit = Orbit(map_spec, theta, phi)
     ceilings = [worst_case_box(phi.sup_bound or 0.0, t) for t in t_maxes]
-    levels = [min(BOX_START, c) for c in ceilings]
+    built = {}
+
+    def box(width):
+        if width not in built:
+            built[width] = build_hamiltonian(map_spec, theta, phi, width,
+                                             orbit)
+        return built[width]
+
     boxes = [None] * len(t_maxes)
-    while any(box is None for box in boxes):
-        open_at = {}
-        for i, box in enumerate(boxes):
-            if box is None:
-                open_at.setdefault(levels[i], []).append(i)
-        for l in sorted(open_at):
-            ham = build_hamiltonian(map_spec, theta, phi, l, orbit)
-            probed = [i for i in open_at[l] if l < ceilings[i]]
-            valid = set()
-            if probed:
-                # probe with a much smaller budget: near the ballistic edge
-                # the boundary mass oscillates over a couple of orders of
-                # magnitude, so a box that barely fits at t_max can
-                # overflow slightly earlier
-                states = evolve([ham] * len(probed),
-                                [t_maxes[i] for i in probed],
-                                budget=1e-4 * DEFAULT_BOUNDARY_BUDGET)
-                valid = {i for i, st in zip(probed, states) if st.valid}
-            for i in open_at[l]:
-                if i in valid or l >= ceilings[i]:
-                    boxes[i] = ham
-                    continue
-                levels[i] = min(2 * l, ceilings[i])
-                if levels[i] > BOX_CAP:
-                    raise ValueError("box size exceeds the hard cap")
-    return boxes[0] if single else boxes
+    l = BOX_START
+    while True:
+        open_ = [i for i, ham in enumerate(boxes) if ham is None]
+        if not open_:
+            return boxes
+        if any(min(l, ceilings[i]) > BOX_CAP for i in open_):
+            raise ValueError("box size exceeds the hard cap")
+        # ascending, so the orbit grows box by box
+        for i in sorted(open_, key=ceilings.__getitem__):
+            if ceilings[i] <= l:
+                boxes[i] = box(ceilings[i])
+        probed = [i for i in open_ if ceilings[i] > l]
+        if probed:
+            # probe with a much smaller budget: near the ballistic edge the
+            # boundary mass oscillates over a couple of orders of magnitude,
+            # so a box that barely fits at t_max can overflow slightly
+            # earlier
+            states = evolve([box(l)] * len(probed),
+                            [t_maxes[i] for i in probed],
+                            budget=1e-4 * DEFAULT_BOUNDARY_BUDGET)
+            for i, st in zip(probed, states):
+                if st.valid:
+                    boxes[i] = box(l)
+        l *= 2
 
 
 @dataclass
@@ -436,8 +429,8 @@ def beta_estimate(map_spec, theta, phi, p, t_grid):
     t_grid = sorted(float(t) for t in t_grid)
     if len(t_grid) < 8:
         raise ValueError("need at least 8 grid times")
-    ham = auto_box(map_spec, theta, phi, t_grid[-1])
-    states = evolve_times(ham, t_grid)
+    ham, = auto_box(map_spec, theta, phi, [t_grid[-1]])
+    states = evolve_times([ham], [t_grid])
     moments = [moment(st, p) for st in states]
     slopes = running_slopes(p * np.log(t_grid), np.log(moments))
     return ExponentEstimate(float(np.min(slopes)), float(np.max(slopes)))

@@ -8,7 +8,8 @@ import pytest
 import qdlab.cocycle as cc
 from qdlab.arithmetic import parse_frequency
 from qdlab.backend import kernels
-from qdlab.torus import Shift, SkewShift, TorusPoint, step
+from qdlab.torus import (Shift, SkewShift, TorusPoint, inverse_step_array,
+                         step, step_array)
 
 GOLDEN = float(parse_frequency("golden"))
 SHIFT1 = Shift(TorusPoint((GOLDEN,)))
@@ -125,6 +126,45 @@ def test_carried_state_over_split_columns_is_bitwise(e, eta):
         assert got.tobytes() == want.tobytes()
     # renormalisation did rescale the products
     assert np.any(state.logs > 0.0)
+
+
+def _potential_sequence_reference(map_spec, theta, n, phi, forward):
+    """The per-step walk potential_sequence replaced: one phi call a step."""
+    cur = np.asarray(theta.coords, dtype=np.float64).reshape(1, -1)
+    out = np.empty(n, dtype=np.float64)
+    for k in range(n):
+        if not forward:
+            cur = inverse_step_array(map_spec, cur)
+        out[k] = phi(cur)[0]
+        if forward:
+            cur = step_array(map_spec, cur)
+    return out
+
+
+@pytest.mark.parametrize("spec, phi", [
+    (SHIFT1, cc.CosinePotential(1.5)),
+    (Shift(TorusPoint((GOLDEN, float(parse_frequency("sqrt2m1"))))),
+     cc.CosinePotential(0.7)),
+    (SkewShift(GOLDEN, 2), cc.TabulatedPotential([-3.0, 1.5, 0.5, 2.5, -1.0])),
+], ids=["shift-d1", "shift-d2", "skew-tabulated"])
+@pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+def test_potential_sequence_blocks_equal_the_per_step_walk(monkeypatch, spec,
+                                                            phi, forward):
+    # 7-step blocks: n = 100 spans 15 blocks, the last one partial
+    monkeypatch.setattr(cc, "_BLOCK_CELLS", 7)
+    calls = []
+    original = type(phi).__call__
+
+    def counted(self, pts):
+        calls.append(len(pts))
+        return original(self, pts)
+
+    theta = TorusPoint(tuple(0.1 + 0.3 * k for k in range(spec.d)))
+    want = _potential_sequence_reference(spec, theta, 100, phi, forward)
+    monkeypatch.setattr(type(phi), "__call__", counted)
+    got = cc.potential_sequence(spec, theta, 100, phi, forward=forward)
+    assert got.tobytes() == want.tobytes()
+    assert calls == [7] * 14 + [2]
 
 
 def test_potential_sequence_directions():

@@ -30,7 +30,7 @@ def test_hamiltonian_sampling_matches_potential_formula():
 
 def test_free_evolution_bessel_closed_form():
     ham = tp.build_hamiltonian(SHIFT1, THETA, ZERO, 96)
-    st = tp.evolve(ham, 7.0, budget=1.0)
+    st, = tp.evolve([ham], [7.0], budget=1.0)
     sites = ham.sites()
     exact = (-1j) ** np.abs(sites) * jv(np.abs(sites), 14.0)
     assert np.max(np.abs(st.psi - exact)) < 1e-10
@@ -40,7 +40,7 @@ def test_free_evolution_bessel_closed_form():
 def test_chebyshev_matches_dense_oracle():
     phi = cc.CosinePotential(2.0)
     ham = tp.build_hamiltonian(SHIFT1, THETA, phi, 64)
-    st = tp.evolve(ham, 9.0, budget=1.0)
+    st, = tp.evolve([ham], [9.0], budget=1.0)
     dense = tp.dense_evolve(ham, 9.0)
     assert np.max(np.abs(st.psi - dense)) < 1e-10
 
@@ -48,15 +48,16 @@ def test_chebyshev_matches_dense_oracle():
 def test_node_to_node_equals_single_shot():
     phi = cc.CosinePotential(1.0)
     ham = tp.build_hamiltonian(SHIFT1, THETA, phi, 64)
-    states = tp.evolve_times(ham, [2.0, 5.0, 9.0])
-    direct = tp.evolve(ham, 9.0, budget=1.0)
-    assert np.max(np.abs(states[-1].psi - direct.psi)) < 1e-10
+    states = tp.evolve_times([ham], [[2.0, 5.0, 9.0]])
+    direct, = tp.evolve([ham], [9.0], budget=1.0)
+    assert states[-1].psi.shape == (1, ham.size)
+    assert np.max(np.abs(states[-1].psi[0] - direct.psi)) < 1e-10
 
 
 def test_certification_flags_small_box():
     # a box much smaller than the light cone must be flagged
     ham = tp.build_hamiltonian(SHIFT1, THETA, ZERO, 24)
-    st = tp.evolve(ham, 40.0)
+    st, = tp.evolve([ham], [40.0])
     assert not st.valid
     with pytest.raises(ValueError):
         tp.moment(st, 2.0)
@@ -64,8 +65,11 @@ def test_certification_flags_small_box():
 
 def test_moment_of_initial_state():
     ham = tp.build_hamiltonian(SHIFT1, THETA, ZERO, 16)
-    st = tp.evolve(ham, 0.0)
+    st, = tp.evolve([ham], [0.0])
     assert tp.moment(st, 2.0) == pytest.approx(1.0)
+    # a block of one row has the moment of its row
+    block, = tp.evolve_times([ham], [[0.0]])
+    assert tp.moment(block, 2.0) == tp.moment(st, 2.0)
 
 
 def test_dense_oracle_rejects_large_boxes():
@@ -126,8 +130,8 @@ def test_worst_case_box_scales_with_time():
 
 
 def test_auto_box_state_passes_certification():
-    ham = tp.auto_box(SHIFT1, THETA, ZERO, 30.0)
-    st = tp.evolve(ham, 30.0)
+    ham, = tp.auto_box(SHIFT1, THETA, ZERO, [30.0])
+    st, = tp.evolve([ham], [30.0])
     assert st.valid
     assert ham.l_box <= tp.worst_case_box(0.0, 30.0)
 
@@ -152,7 +156,7 @@ def test_estimator_input_validation():
         tp.xi_estimate(SHIFT1, THETA, ZERO, [0.0, 0.5],
                        list(np.geomspace(5.0, 50.0, 8)))
     with pytest.raises(ValueError):
-        tp.evolve(tp.build_hamiltonian(SHIFT1, THETA, ZERO, 8), -1.0)
+        tp.evolve([tp.build_hamiltonian(SHIFT1, THETA, ZERO, 8)], [-1.0])
     # a repeated level would append twice per T to one front list
     with pytest.raises(ValueError, match="distinct"):
         tp.xi_estimate(SHIFT1, THETA, ZERO, [0.6, 0.6], [10.0, 20.0, 40.0])
@@ -252,7 +256,7 @@ def test_phase_pair_profile_equals_two_one_row_profiles(phi, phase, l_box):
         want = tp._symmetric_cumsum(_profile_reference(h, big_t), l_box)
         assert cum.tobytes() == want.tobytes()
     if phi is not ZERO:
-        pair = tp.averaged_profile([ham, shifted], big_t)
+        pair = tp.averaged_profile([ham, shifted], [big_t] * 2)
         assert pair[1].tobytes() == _profile_reference(shifted,
                                                        big_t).tobytes()
 
@@ -273,10 +277,10 @@ def test_bessel_coefficients_once_per_distinct_step(monkeypatch):
     steps = np.diff(np.concatenate(([0.0], nodes)))
     distinct = {float(dt * h.enclosure) for dt in steps for h in hams}
     assert len(distinct) < 2 * len(nodes)
-    tp.averaged_profile(hams, big_t)
+    tp.averaged_profile(hams, [big_t] * 2)
     assert sorted(calls) == sorted(distinct)
     # no cache outlives the call: a second profile evaluates them again
-    tp.averaged_profile(hams, big_t)
+    tp.averaged_profile(hams, [big_t] * 2)
     assert len(calls) == 2 * len(distinct)
 
 
@@ -332,7 +336,7 @@ def test_row_probes_equal_one_row_evolutions():
     times = [30.0, 4.0, 0.0, 12.5]
     states = tp.evolve([ham] * len(times), times, budget=1e-6)
     for t, st in zip(times, states):
-        one = tp.evolve(ham, t, budget=1e-6)
+        one, = tp.evolve([ham], [t], budget=1e-6)
         assert st.psi.tobytes() == one.psi.tobytes()
         assert (st.t, st.valid, st.norm_defect, st.boundary_mass) == \
             (one.t, one.valid, one.norm_defect, one.boundary_mass)
@@ -344,7 +348,8 @@ def _auto_box_reference(map_spec, theta, phi, t_max):
     l = min(tp.BOX_START, ceiling)
     while True:
         ham = tp.build_hamiltonian(map_spec, theta, phi, l)
-        state = tp.evolve(ham, t_max, budget=1e-4 * tp.DEFAULT_BOUNDARY_BUDGET)
+        state, = tp.evolve([ham], [t_max],
+                           budget=1e-4 * tp.DEFAULT_BOUNDARY_BUDGET)
         if state.valid or l >= ceiling:
             return ham
         l = min(2 * l, ceiling)
@@ -367,7 +372,7 @@ def test_auto_box_rows_equal_the_one_time_loop(phi, phase, t_maxes, boxes):
         want = _auto_box_reference(SHIFT1, th, phi, t_max)
         assert ham.l_box == want.l_box
         assert ham.v.tobytes() == want.v.tobytes()
-    one = tp.auto_box(SHIFT1, th, phi, t_maxes[0])
+    one, = tp.auto_box(SHIFT1, th, phi, t_maxes[:1])
     assert one.v.tobytes() == got[0].v.tobytes()
 
 
@@ -389,3 +394,17 @@ def test_auto_box_never_probes_a_ceiling_box(monkeypatch):
     assert probes == [(128, t_maxes), (256, [200.0]), (512, [200.0])]
     for l_box, times in probes:
         assert all(l_box < tp.worst_case_box(0.0, t) for t in times)
+
+
+def test_auto_box_raises_past_the_hard_cap(monkeypatch):
+    # free T=200 fails its probes at 128 and 256, below its ceiling 516;
+    # T=60 takes its ceiling 222, within the cap
+    monkeypatch.setattr(tp, "BOX_CAP", 256)
+    assert tp.worst_case_box(0.0, 200.0) > 256 >= tp.worst_case_box(0.0, 60.0)
+    with pytest.raises(ValueError, match="hard cap"):
+        tp.auto_box(SHIFT1, THETA, ZERO, [60.0, 200.0])
+    with pytest.raises(ValueError, match="hard cap"):
+        _auto_box_reference(SHIFT1, THETA, ZERO, 200.0)
+    ham, = tp.auto_box(SHIFT1, THETA, ZERO, [60.0])
+    assert ham.l_box == tp.worst_case_box(0.0, 60.0)
+    assert _auto_box_reference(SHIFT1, THETA, ZERO, 60.0).l_box == ham.l_box
