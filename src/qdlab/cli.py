@@ -17,10 +17,9 @@ def _cmd_run(args):
     try:
         config = load_config(args.config)
         record = run_experiment(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError) as exc:
+        # an unreadable config (missing, a directory, no permission) is a
+        # config error too; exit 1 is kept for failed thresholds
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps({

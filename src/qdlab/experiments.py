@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -463,6 +464,21 @@ EXPERIMENT_KINDS = {
 }
 
 
+def _output(config):
+    """The CSV path, checked before the run; None when the config has none."""
+    path = config.get("output")
+    if path is None:
+        return None
+    if not isinstance(path, str) or not path:
+        raise ConfigError("output", f"expected a file path, got {path!r}")
+    if os.path.isdir(path):
+        raise ConfigError("output", f"{path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError("output", f"no directory {parent!r}")
+    return path
+
+
 def run_experiment(config):
     """Validates and executes a config; returns a ResultRecord."""
     if not isinstance(config, dict):
@@ -470,13 +486,14 @@ def run_experiment(config):
     kind = _get(config, "experiment", kind=str)
     if kind not in RUNNERS:
         raise ConfigError("experiment", f"unknown experiment {kind!r}")
+    output = _output(config)
     start = time.perf_counter()
     header, rows, summary, passed = RUNNERS[kind](config)
     wall = time.perf_counter() - start
     record = ResultRecord(config_digest(config), header, rows, summary,
-                          passed, wall, config.get("output"))
-    if record.output:
-        write_csv(record.output, header, rows)
+                          passed, wall, output)
+    if output is not None:
+        write_csv(output, header, rows)
     return record
 
 
@@ -484,5 +501,5 @@ def load_config(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError("", f"invalid JSON: {exc}") from exc

@@ -1,6 +1,7 @@
 """Discrepancy scans against brute-force oracles, ETK / VdC, rate fits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdlab.equidistribution as eq
+from qdlab import _fallback as fb
 from qdlab.arithmetic import parse_frequency
 from qdlab.torus import PointSet, SkewShift, TorusPoint, orbit, \
     skew_closed_form
@@ -134,6 +136,119 @@ def test_grid_2d_matches_brute_force(g):
         assert rep.method == f"grid({g})"
         assert rep.d_n == pytest.approx(brute_grid_discrepancy_2d(counts, n),
                                         abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# blocked scans against one pass over the whole input
+# ---------------------------------------------------------------------------
+
+def unblocked_exact_discrepancy_1d(xs_sorted):
+    """The 1-d scan as one pass over full-length arrays."""
+    x = np.asarray(xs_sorted, dtype=np.float64)
+    n = x.shape[0]
+    fn = float(n)
+    idx = np.arange(n, dtype=np.float64)
+    a = x - idx / fn
+    prem = np.maximum.accumulate(a)
+    dplus = np.max((idx + 1.0) / fn - x + prem)
+    xs = np.concatenate(([0.0], x, [1.0]))
+    ids = np.arange(n + 2, dtype=np.float64)
+    b = ids / fn - xs
+    premb = np.empty(n + 2, dtype=np.float64)
+    premb[0] = -np.inf
+    np.maximum.accumulate(b[:-1], out=premb[1:])
+    dminus = np.max(xs - (ids - 1.0) / fn + premb)
+    return float(max(dplus, dminus, 0.0))
+
+
+def unblocked_grid_discrepancy_2d(counts, n_points):
+    """The grid scan with every band width of a lower cut in one buffer."""
+    counts = np.asarray(counts, dtype=np.float64)
+    g = counts.shape[0]
+    fn = float(n_points)
+    p = np.zeros((g + 1, g + 1), dtype=np.float64)
+    np.cumsum(counts, axis=0, out=p[1:, 1:])
+    np.cumsum(p[1:, 1:], axis=1, out=p[1:, 1:])
+    jgrid = np.arange(g + 1, dtype=np.float64) / g
+    area = (np.arange(1, g + 1, dtype=np.float64) / g)[:, None] * jgrid
+    h = np.empty((g, g + 1), dtype=np.float64)
+    best = 0.0
+    for i1 in range(g):
+        rows = g - i1
+        hb = h[:rows]
+        np.subtract(p[i1 + 1:], p[i1], out=hb)
+        np.divide(hb, fn, out=hb)
+        np.subtract(hb, area[:rows], out=hb)
+        best = max(best, np.max(hb.max(axis=1) - hb.min(axis=1)))
+    return float(best)
+
+
+def _samples_1d(n, rng):
+    """Sorted samples of size n: random, with duplicates, with a point at
+    0.0, and equispaced."""
+    dup = rng.random(max(1, n // 3))[rng.integers(0, max(1, n // 3), n)]
+    at_zero = rng.random(n)
+    at_zero[0] = 0.0
+    return [np.sort(rng.random(n)), np.sort(dup), np.sort(at_zero),
+            (np.arange(n) + 0.5) / n]
+
+
+@pytest.mark.parametrize("block", [7, fb._SCAN_POINTS])
+def test_exact_1d_blocks_split_exactly(monkeypatch, block):
+    rng = np.random.default_rng(43 + block)
+    monkeypatch.setattr(fb, "_SCAN_POINTS", block)
+    for n in (1, 2, block - 1, block, block + 1, 2 * block + 1):
+        for xs in _samples_1d(n, rng):
+            got = fb.exact_discrepancy_1d(xs)
+            assert got == unblocked_exact_discrepancy_1d(xs)
+            if n < 100:
+                assert got == pytest.approx(brute_discrepancy_1d(xs),
+                                            abs=1e-12)
+
+
+@pytest.mark.parametrize("block", [5, fb._BAND_ROWS])
+def test_grid_2d_blocks_split_exactly(monkeypatch, block):
+    rng = np.random.default_rng(47 + block)
+    monkeypatch.setattr(fb, "_BAND_ROWS", block)
+    for g in (1, block - 1, block, block + 1, 2 * block + 3):
+        cells = g * g
+        cases = [rng.multinomial(n, np.full(cells, 1.0 / cells))
+                 .reshape(g, g) for n in (3, 997)]
+        skewed = np.zeros((g, g), dtype=np.int64)
+        skewed[: (g + 1) // 2, :] = rng.integers(0, 4, ((g + 1) // 2, g))
+        cases.append(skewed)
+        for counts in cases:
+            n = max(int(counts.sum()), 1)
+            got = fb.grid_discrepancy_2d(counts, n)
+            assert got == unblocked_grid_discrepancy_2d(counts, n)
+            if g <= 13:
+                assert got == pytest.approx(
+                    brute_grid_discrepancy_2d(counts, n), abs=1e-12)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_work_buffers_stay_within_blocks():
+    # numpy reports its data buffers to tracemalloc
+    xs = np.sort(np.random.default_rng(53).random(1 << 20))
+    peak = _traced_peak(fb.exact_discrepancy_1d, xs)
+    assert peak < 12 * fb._SCAN_POINTS * 8 < xs.nbytes // 2
+    # the grid scan holds the prefix and area tables and one block of h,
+    # but no third (G, G + 1) table
+    g = 256
+    counts = np.random.default_rng(59).multinomial(
+        10 ** 5, np.full(g * g, 1.0 / (g * g))).reshape(g, g) * 1.0
+    table = (g + 1) * (g + 1) * 8
+    block = min(g, fb._BAND_ROWS) * (g + 1) * 8
+    peak = _traced_peak(fb.grid_discrepancy_2d, counts, 10 ** 5)
+    assert peak < 2 * table + block + table // 4 < 3 * table
 
 
 def brute_anchored_sup(pts, lattice):

@@ -1,6 +1,7 @@
 """Config handling, CSV determinism, CLI exit codes."""
 
 import json
+import os
 
 import pytest
 
@@ -188,6 +189,9 @@ def _tabulated(values):
                 potential={"kind": "tabulated", "values": values})
 
 
+HERE = os.path.dirname(os.path.abspath(__file__))
+IDENTITIES = {"experiment": "identities", "params": {"s_max": 2, "r_max": 2}}
+
 BAD_INPUTS = {
     "dt-theta-too-long": (
         {"experiment": "dt_integral", "map": SHIFT1, "potential": COSINE,
@@ -296,6 +300,13 @@ BAD_INPUTS = {
     "radii-empty": (
         {"experiment": "covering", "map": SHIFT1, "params": {"radii": []}},
         "params.radii"),
+    "output-true": (dict(IDENTITIES, output=True), "output"),
+    "output-fd-number": (dict(IDENTITIES, output=5), "output"),
+    "output-empty": (dict(IDENTITIES, output=""), "output"),
+    "output-missing-directory": (
+        dict(IDENTITIES, output=os.path.join(HERE, "no-such-dir", "a.csv")),
+        "output"),
+    "output-is-a-directory": (dict(IDENTITIES, output=HERE), "output"),
 }
 
 
@@ -305,6 +316,15 @@ def test_bad_runner_input_names_the_field(config, field):
     with pytest.raises(ex.ConfigError) as err:
         ex.run_experiment(config)
     assert err.value.path == field
+
+
+def test_output_is_checked_before_the_run(monkeypatch):
+    def run(config):
+        raise AssertionError("the runner ran")
+    monkeypatch.setitem(ex.RUNNERS, "identities", run)
+    for name in ("output-true", "output-missing-directory"):
+        with pytest.raises(ex.ConfigError):
+            ex.run_experiment(BAD_INPUTS[name][0])
 
 
 def test_discrepancy_decay_with_fit(tmp_path):
@@ -404,6 +424,21 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert main(["run", str(broken)]) == 2
+    capsys.readouterr()
+    # a directory in place of the config file, and a config that is not text
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    for unreadable in (str(tmp_path), str(binary)):
+        assert main(["run", unreadable]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_cli_output_true_exits_two_and_keeps_stdout(tmp_path, capsys):
+    config, field = BAD_INPUTS["output-true"]
+    assert main(["run", write_config(tmp_path, config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: {field}:" in captured.err
 
 
 def test_cli_bad_runner_input_exits_two(tmp_path, capsys):
