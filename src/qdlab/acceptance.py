@@ -267,7 +267,7 @@ def criterion_8():
         t = float(rng.uniform(0.0, 20.0))
         hamd = tp.build_hamiltonian(shift1, theta, cc.CosinePotential(lam), 128)
         st1, = tp.evolve([hamd], [t], budget=1.0)
-        psi2 = tp.dense_evolve(hamd, t)
+        psi2, = tp.dense_evolve(hamd, [t])
         err_dense = max(err_dense, float(np.max(np.abs(st1.psi - psi2))))
     ok &= err_dense <= 1e-9
     details.append(f"dense err {err_dense:.2e}")

@@ -6,15 +6,17 @@ phase.  Time evolution uses the Chebyshev expansion of e^{-itH} with Bessel
 coefficients, truncated below 1e-14, with the norm defect and the mass on
 the outer sites certified on every state.
 
-Every propagation is a block of rows (kernels.cheb_apply): evolve,
-evolve_times and averaged_profile take a list of BoxHamiltonians on one
-box, one row each, with one time, time grid or T per row, and a single
-state is a block of one row.  Each row runs on its own time grid and
-scale and equals its one-row propagation bit for bit: a block costs each
-row only its own series terms, and the per-term overhead is paid once per
-block instead of once per row.  Three kinds of work share boxes:
+Every Chebyshev propagation is a block of rows (kernels.cheb_apply):
+evolve, evolve_times and averaged_profile take a list of BoxHamiltonians
+on one box, one row each, with one time, time grid or T per row, and a
+single state is a block of one row.  Each row runs on its own time grid
+and scale and equals its one-row propagation bit for bit: a block costs
+each row only its own series terms, and the per-term overhead is paid once
+per block instead of once per row.  Three kinds of work share boxes:
 
-- the auto_box probes of the t_max still open at one half-width;
+- the auto_box probes of the t_max still open at one half-width: one
+  eigendecomposition of the box (dense_evolve) up to DENSE_PROBE_SITES
+  sites, one Chebyshev block above;
 - the Abel sweeps of xi_estimate: every T whose box agrees, times the
   phase pair theta, f(theta) (one row per T when the potentials agree);
 - the boxes themselves, which all sample one two-sided Orbit of theta,
@@ -39,6 +41,8 @@ DEFAULT_BOUNDARY_BUDGET = 1e-8
 COEFF_TOL = 1e-14
 BOX_START = 128
 BOX_CAP = 1 << 17
+DENSE_PROBE_SITES = 513
+PROBE_BUDGET = 1e-4 * DEFAULT_BOUNDARY_BUDGET
 ABEL_PANELS = 20
 ABEL_ORDER = 12
 
@@ -235,13 +239,19 @@ def evolve_times(hams, grids):
             for t, psi in _sweep(hams, grids)]
 
 
-def dense_evolve(ham, t):
-    """Eigendecomposition propagator from the delta, the small-box oracle."""
+def dense_evolve(ham, ts):
+    """e^{-i t H} applied to the delta at the origin, one row per time.
+
+    One eigendecomposition of the box serves every time: row t is
+    u @ (e^{-i t w} * u[center]), where u[center] are the delta's
+    eigenbasis amplitudes (u is real).  Restricted to small boxes, where
+    it is the oracle for evolve and decides auto_box probes.
+    """
     if ham.size > 4097:
-        raise ValueError("dense oracle restricted to small boxes")
+        raise ValueError("dense evolution restricted to small boxes")
     w, u = eigh_tridiagonal(ham.v, np.ones(ham.size - 1))
-    amps = u.conj().T @ initial_state(ham)
-    return u @ (np.exp(-1j * t * w) * amps)
+    amps = u[ham.l_box]
+    return np.array([u @ (np.exp(-1j * t * w) * amps) for t in ts])
 
 
 def moment(state, p):
@@ -344,16 +354,43 @@ def worst_case_box(phi_sup, t_max):
     return int(math.ceil((2.0 + phi_sup) * t_max * 1.05)) + 96
 
 
+def _probe(ham, t_maxes):
+    """The delta evolved to each t_max on ham's box, certified per row.
+
+    The budget is much smaller than a sweep's: near the ballistic edge the
+    boundary mass oscillates over a couple of orders of magnitude, so a box
+    that barely fits at t_max can overflow slightly earlier.  A box of at
+    most DENSE_PROBE_SITES sites is evolved by one eigendecomposition
+    (dense_evolve), a larger one by one Chebyshev block (evolve).
+    """
+    if ham.size <= DENSE_PROBE_SITES:
+        return [_certify(t, row, PROBE_BUDGET)
+                for t, row in zip(t_maxes, dense_evolve(ham, t_maxes))]
+    return evolve([ham] * len(t_maxes), t_maxes, budget=PROBE_BUDGET)
+
+
 def auto_box(map_spec, theta, phi, t_maxes, orbit=None):
     """Smallest power-of-2-scaled box keeping boundary mass within budget.
 
     One box per time of t_maxes.  The half-width l doubles from BOX_START.
     At each l, an open time whose light-cone ceiling (worst_case_box) is
     at most l takes its ceiling box without a probe; the other open times
-    are the rows of one evolve probe on the l box, which evolves the delta
-    to each t_max and keeps the box of every row within budget.  Every box
-    samples one orbit of theta, grown as the box doubles: orbit if given,
-    which must be an Orbit of theta under map_spec and phi.
+    are the rows of one probe on the l box (_probe), which evolves the
+    delta to each t_max and keeps the box of every row within
+    PROBE_BUDGET.  Every box samples one orbit of theta, grown as the box
+    doubles: orbit if given, which must be an Orbit of theta under
+    map_spec and phi.
+
+    A probe on at most DENSE_PROBE_SITES = 513 sites is one
+    eigendecomposition, which there costs milliseconds against up to a
+    second of Chebyshev terms at t_max = 1e4; its cubic cost overtakes
+    the Chebyshev block above that.  A probe state only decides yes or no
+    and is then dropped, and a box is the same orbit sample whichever
+    propagator decided it, so boxes and sweeps keep their bits unless the
+    two propagators decide a row apart.  They do not: their boundary
+    masses agree to 4e-10 relative at the budget, while the eigen-decided
+    rows of the transport workloads lie at least nine decades from
+    PROBE_BUDGET.
     """
     if orbit is None:
         orbit = Orbit(map_spec, theta, phi)
@@ -380,13 +417,7 @@ def auto_box(map_spec, theta, phi, t_maxes, orbit=None):
                 boxes[i] = box(ceilings[i])
         probed = [i for i in open_ if ceilings[i] > l]
         if probed:
-            # probe with a much smaller budget: near the ballistic edge the
-            # boundary mass oscillates over a couple of orders of magnitude,
-            # so a box that barely fits at t_max can overflow slightly
-            # earlier
-            states = evolve([box(l)] * len(probed),
-                            [t_maxes[i] for i in probed],
-                            budget=1e-4 * DEFAULT_BOUNDARY_BUDGET)
+            states = _probe(box(l), [t_maxes[i] for i in probed])
             for i, st in zip(probed, states):
                 if st.valid:
                     boxes[i] = box(l)
@@ -420,15 +451,31 @@ def running_slopes(xs, ys):
     return np.asarray(slopes)
 
 
+def _time_grid(t_grid, minimum):
+    """t_grid sorted, checked before any evolution.
+
+    It needs at least minimum distinct positive finite times: a time 0
+    has no logarithm, and running_slopes needs three.
+    """
+    t_grid = sorted(float(t) for t in t_grid)
+    if len(t_grid) < minimum:
+        raise ValueError(f"need at least {minimum} grid times, "
+                         f"got {len(t_grid)}")
+    if not all(0.0 < t < math.inf for t in t_grid):
+        raise ValueError(f"grid times must be positive and finite, "
+                         f"got {t_grid}")
+    if len(set(t_grid)) != len(t_grid):
+        raise ValueError(f"grid times must be distinct, got {t_grid}")
+    return t_grid
+
+
 def beta_estimate(map_spec, theta, phi, p, t_grid):
     """Transport exponent bracket from running slopes of ln <|X|^p> vs p ln t.
 
     Uses the last half of the (geometric) time grid, so the early transient
     does not bias the lim inf / lim sup surrogates.
     """
-    t_grid = sorted(float(t) for t in t_grid)
-    if len(t_grid) < 8:
-        raise ValueError("need at least 8 grid times")
+    t_grid = _time_grid(t_grid, 8)
     ham, = auto_box(map_spec, theta, phi, [t_grid[-1]])
     states = evolve_times([ham], [t_grid])
     moments = [moment(st, p) for st in states]
@@ -454,7 +501,7 @@ def xi_estimate(map_spec, theta, phi, tau_levels, t_grid):
         raise ValueError("tau levels must lie in (0, 1)")
     if len(set(tau_levels)) != len(tau_levels):
         raise ValueError("tau levels must be distinct")
-    t_grid = sorted(float(t) for t in t_grid)
+    t_grid = _time_grid(t_grid, 3)
     orbit = Orbit(map_spec, theta, phi)
     hams = auto_box(map_spec, theta, phi, [10.0 * t for t in t_grid], orbit)
     totals = [None] * len(t_grid)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import jv
 
 import qdlab.cocycle as cc
@@ -41,7 +42,7 @@ def test_chebyshev_matches_dense_oracle():
     phi = cc.CosinePotential(2.0)
     ham = tp.build_hamiltonian(SHIFT1, THETA, phi, 64)
     st, = tp.evolve([ham], [9.0], budget=1.0)
-    dense = tp.dense_evolve(ham, 9.0)
+    dense, = tp.dense_evolve(ham, [9.0])
     assert np.max(np.abs(st.psi - dense)) < 1e-10
 
 
@@ -75,7 +76,7 @@ def test_moment_of_initial_state():
 def test_dense_oracle_rejects_large_boxes():
     ham = tp.build_hamiltonian(SHIFT1, THETA, ZERO, 3000)
     with pytest.raises(ValueError):
-        tp.dense_evolve(ham, 1.0)
+        tp.dense_evolve(ham, [1.0])
 
 
 def test_abel_nodes_exponential_closed_form():
@@ -88,6 +89,36 @@ def test_abel_nodes_exponential_closed_form():
         rate = 2.0 / big_t + a
         expect = (2.0 / big_t) / rate * (1.0 - math.exp(-rate * 10.0 * big_t))
         assert got == pytest.approx(expect, abs=1e-10)
+
+
+def _spectral_profile(ham, big_t):
+    """The exact Abel average on the box, from its eigendecomposition.
+
+    (2/T) int_0^inf e^{-2t/T} |psi(n, t)|^2 dt is the sum over eigenpairs
+    j, k of u_j(0) u_k(0) u_j(n) u_k(n) / (1 + (T (E_j - E_k) / 2)^2).
+    """
+    assert ham.size <= 4097
+    w, u = eigh_tridiagonal(ham.v, np.ones(ham.size - 1))
+    b = u * u[ham.l_box]
+    kernel = 1.0 / (1.0 + (0.5 * big_t * (w[:, None] - w[None, :])) ** 2)
+    return np.sum((b @ kernel) * b, axis=1)
+
+
+@pytest.mark.parametrize("phi, l_box, big_t, gl_error", [
+    # the Gauss-Legendre error of the 20 x 12 rule, measured: 2.69e-4
+    # and 4.29e-4, both at the origin
+    (cc.CosinePotential(3.0), 128, 300.0, 3e-4),
+    (ZERO, 512, 20.0, 5e-4)],
+    ids=["localized", "free"])
+def test_averaged_profile_against_the_spectral_sum(phi, l_box, big_t,
+                                                   gl_error):
+    ham = tp.build_hamiltonian(SHIFT1, THETA, phi, l_box)
+    profile, = tp.averaged_profile([ham], [big_t])
+    exact = _spectral_profile(ham, big_t)
+    assert np.max(np.abs(profile - exact)) <= gl_error
+    # the cut at 10 T drops e^{-20} of the mass, which the rule keeps
+    assert profile.sum() == pytest.approx(1.0 - math.exp(-20.0), abs=1e-12)
+    assert exact.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_symmetric_cumsum_totals():
@@ -149,9 +180,27 @@ def test_localized_moments_stay_flat():
     assert est.high <= 0.15
 
 
-def test_estimator_input_validation():
+def test_estimator_input_validation(monkeypatch):
     with pytest.raises(ValueError):
         tp.beta_estimate(SHIFT1, THETA, ZERO, 2.0, [1.0, 2.0, 3.0])
+
+    def no_box(*args, **kwargs):
+        raise AssertionError("auto_box ran before the time grid was checked")
+
+    # time grids are checked before any box is probed or evolved
+    monkeypatch.setattr(tp, "auto_box", no_box)
+    # two times leave running_slopes no window: numpy's zero-size minimum
+    with pytest.raises(ValueError, match="at least 3 grid times"):
+        tp.xi_estimate(SHIFT1, THETA, ZERO, [0.4, 0.6], [10.0, 20.0])
+    # a time 0 has no logarithm: a RuntimeWarning and still an estimate
+    with pytest.raises(ValueError, match="positive"):
+        tp.beta_estimate(SHIFT1, THETA, ZERO, 2.0,
+                         [0.0, *np.geomspace(4.0, 60.0, 8)])
+    for bad, match in (([-5.0, 10.0, 20.0], "positive"),
+                       ([10.0, math.inf, 20.0], "finite"),
+                       ([10.0, 10.0, 20.0], "distinct")):
+        with pytest.raises(ValueError, match=match):
+            tp.xi_estimate(SHIFT1, THETA, ZERO, [0.4, 0.6], bad)
     with pytest.raises(ValueError):
         tp.xi_estimate(SHIFT1, THETA, ZERO, [0.0, 0.5],
                        list(np.geomspace(5.0, 50.0, 8)))
@@ -357,11 +406,23 @@ def _auto_box_reference(map_spec, theta, phi, t_max):
             raise ValueError("box size exceeds the hard cap")
 
 
+# the transport_xi workload's localized probe: 10 T for 9 T in [30, 80]
+XI_PROBE = [10.0 * t for t in np.geomspace(30.0, 80.0, 9)]
+
+
 @pytest.mark.parametrize("phi, phase, t_maxes, boxes", [
     # 200: the 512 box passes below its ceiling of 516
     (ZERO, 0.0, [200.0, 20.0, 60.0, 200.0], [512, 128, 222, 512]),
-    (cc.CosinePotential(3.0), 0.41, [300.0, 5.0, 2000.0], None)],
-    ids=["free", "localized"])
+    (cc.CosinePotential(3.0), 0.41, [300.0, 5.0, 2000.0], None),
+    # the boxes below are all decided by the eigendecomposition: the
+    # transport_beta workload's localized probe,
+    (cc.CosinePotential(3.0), 0.0, [1e4], [128]),
+    # a 9-row localized xi probe
+    (cc.CosinePotential(3.0), 0.41, XI_PROBE, [128] * 9),
+    # and a free time that fails at 128 and passes at 256, below its
+    # ceiling of 306
+    (ZERO, 0.0, [100.0], [256])],
+    ids=["free", "localized", "localized-beta", "localized-xi", "free-256"])
 def test_auto_box_rows_equal_the_one_time_loop(phi, phase, t_maxes, boxes):
     th = TorusPoint((phase,))
     got = tp.auto_box(SHIFT1, th, phi, t_maxes)
@@ -377,14 +438,19 @@ def test_auto_box_rows_equal_the_one_time_loop(phi, phase, t_maxes, boxes):
 
 
 def test_auto_box_never_probes_a_ceiling_box(monkeypatch):
-    probes = []
-    original = tp.evolve
+    probes, chebyshev = [], []
+    probe, evolve = tp._probe, tp.evolve
 
-    def counted(ham, t, budget=tp.DEFAULT_BOUNDARY_BUDGET):
-        probes.append((ham[0].l_box, list(t)))
-        return original(ham, t, budget)
+    def counted(ham, t_maxes):
+        probes.append((ham.l_box, list(t_maxes)))
+        return probe(ham, t_maxes)
 
-    monkeypatch.setattr(tp, "evolve", counted)
+    def chebyshev_sites(hams, ts, budget=tp.DEFAULT_BOUNDARY_BUDGET):
+        chebyshev.append(hams[0].size)
+        return evolve(hams, ts, budget)
+
+    monkeypatch.setattr(tp, "_probe", counted)
+    monkeypatch.setattr(tp, "evolve", chebyshev_sites)
     # free: 60 fails at 128 and takes its ceiling 222 unprobed, 20 passes
     # at 128 and 200 at 512
     t_maxes = [60.0, 20.0, 200.0]
@@ -394,6 +460,39 @@ def test_auto_box_never_probes_a_ceiling_box(monkeypatch):
     assert probes == [(128, t_maxes), (256, [200.0]), (512, [200.0])]
     for l_box, times in probes:
         assert all(l_box < tp.worst_case_box(0.0, t) for t in times)
+    # the 257- and 513-site probes are eigendecompositions: the only
+    # Chebyshev probe is the 1025-site one
+    assert tp.DENSE_PROBE_SITES == 513
+    assert chebyshev == [1025]
+
+
+@pytest.mark.parametrize("phi, phase, l_box, t_maxes", [
+    (ZERO, 0.0, 128, [20.0, 60.0, 200.0]),
+    # 110: a boundary mass of 1.35e-12, next to PROBE_BUDGET
+    (ZERO, 0.0, 256, [100.0, 110.0, 200.0]),
+    (cc.CosinePotential(1.0), 0.3, 256, [50.0, 150.0, 400.0]),
+    (cc.CosinePotential(3.0), 0.0, 128, [1e4]),
+    (cc.CosinePotential(3.0), 0.41, 128, XI_PROBE)],
+    ids=["free-128", "free-256", "critical-256", "localized-beta",
+         "localized-xi"])
+def test_dense_probe_margins_agree_with_chebyshev(phi, phase, l_box,
+                                                  t_maxes):
+    ham = tp.build_hamiltonian(SHIFT1, TorusPoint((phase,)), phi, l_box)
+    assert ham.size <= tp.DENSE_PROBE_SITES
+    dense = tp._probe(ham, t_maxes)
+    chebyshev = tp.evolve([ham] * len(t_maxes), t_maxes,
+                          budget=1e-4 * tp.DEFAULT_BOUNDARY_BUDGET)
+    for d, c in zip(dense, chebyshev):
+        assert d.t == c.t and d.valid == c.valid
+        assert d.norm_defect <= 1e-8 and c.norm_defect <= 1e-8
+        # relative 1e-4, and absolute 1e-20 (eight decades below the
+        # budget) under the dense rounding floor: the eigenvectors carry
+        # an absolute error near 1e-16 per site, so the dense mass
+        # bottoms out near 1e-29 on 513 sites where the Chebyshev one
+        # reads 1e-45, and its relative error grows as 1 / sqrt(mass):
+        # measured 4e-10 at 1.35e-12 and 2e-5 at 4e-24
+        assert d.boundary_mass == pytest.approx(c.boundary_mass, rel=1e-4,
+                                                abs=1e-20)
 
 
 def test_auto_box_raises_past_the_hard_cap(monkeypatch):
