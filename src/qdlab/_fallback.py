@@ -9,11 +9,81 @@ CocycleState carries the products across column blocks of the orbits.
 The discrepancy scans stream through blocks that fit in L2 cache (sorted
 points in d=1, band rows of one lower cut in d=2), carrying their running
 maxima from block to block; max is exact, so the blocks change no bits.
+
+Two scans reduce independent work with max or another order-free rule,
+the d=2 grid scan here and remainder_sets.remainder_sup, and they split
+that work into _WORKERS parts through _in_parts: one thread per part,
+part 0 on the calling thread.  Each part runs the serial code on its own
+share and buffers, and the parts' results are combined by the same exact
+rule, so the split moves no bits.  numpy releases the GIL inside its
+loops, so the parts run side by side.  Work made of many small arrays is
+not split, as its threads mostly wait for the GIL: the Chebyshev blocks
+(a 2-way row split took a transport pass from about 7 s to 11 s) and the
+exact d=2 scan.
 """
 
 import math
+import os
+import threading
 
 import numpy as np
+
+
+# ---------------------------------------------------------------------------
+# work split over the process's CPUs
+# ---------------------------------------------------------------------------
+
+def _cpu_count():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                 # no affinity API on this OS
+        return os.cpu_count() or 1
+
+
+# the CPUs this process may run on, read once at import
+_WORKERS = _cpu_count()
+
+
+def _in_parts(task, n):
+    """[task(range(k, n, W)) for k < W], W = min(_WORKERS, n) parts.
+
+    Part k takes the items k, k + W, k + 2W, ... of range(n), so the parts
+    even out when the cost of an item falls along the range.  Part 0 runs
+    on the calling thread and the others on one thread each, under the
+    caller's numpy error state (np.errstate is per thread).  Returns the
+    results in part order once every part has ended; an exception of a
+    part (part 0's, else the first worker's) is re-raised in the caller,
+    and so is a warning that the filters turn into one.  With one part no
+    thread is started.  A task may call only numpy and private helpers,
+    and must not call _in_parts itself.
+    """
+    parts = max(1, min(_WORKERS, n))
+    if parts == 1:
+        return [task(range(n))]
+    err = np.geterr()
+    results = [None] * parts
+    errors = [None] * parts
+
+    def run(k):
+        try:
+            with np.errstate(**err):
+                results[k] = task(range(k, n, parts))
+        except BaseException as exc:       # handed to the caller below
+            errors[k] = exc
+
+    threads = [threading.Thread(target=run, args=(k,))
+               for k in range(1, parts)]
+    for t in threads:
+        t.start()
+    try:
+        results[0] = task(range(0, n, parts))
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +205,10 @@ def grid_discrepancy_2d(counts, n_points):
     area tables.  Each h and each sup is the same operation on the same
     operands as in one pass over all widths, and max is exact, so the bits
     do not depend on the block.
+
+    The lower cuts are split over _in_parts: part k scans i1 = k, k + W,
+    ... with a block buffer of its own, and the result is the max of the
+    parts' maxima, which is exact too.
     """
     counts = np.asarray(counts, dtype=np.float64)
     g = counts.shape[0]
@@ -146,17 +220,21 @@ def grid_discrepancy_2d(counts, n_points):
     # area[w - 1, j] = (w/G) * (j/G), the area of [0, w/G) x [0, j/G)
     jgrid = np.arange(g + 1, dtype=np.float64) / g
     area = (np.arange(1, g + 1, dtype=np.float64) / g)[:, None] * jgrid
-    h = np.empty((min(g, _BAND_ROWS), g + 1), dtype=np.float64)
-    best = 0.0
-    for i1 in range(g):
-        for w0 in range(0, g - i1, _BAND_ROWS):
-            w1 = min(w0 + _BAND_ROWS, g - i1)
-            hb = h[:w1 - w0]                # bands [i1, i1 + w), w0 < w <= w1
-            np.subtract(p[i1 + 1 + w0:i1 + 1 + w1], p[i1], out=hb)
-            np.divide(hb, fn, out=hb)
-            np.subtract(hb, area[w0:w1], out=hb)
-            best = max(best, np.max(hb.max(axis=1) - hb.min(axis=1)))
-    return float(best)
+
+    def scan(cuts):
+        h = np.empty((min(g, _BAND_ROWS), g + 1), dtype=np.float64)
+        best = 0.0
+        for i1 in cuts:
+            for w0 in range(0, g - i1, _BAND_ROWS):
+                w1 = min(w0 + _BAND_ROWS, g - i1)
+                hb = h[:w1 - w0]            # bands [i1, i1 + w), w0 < w <= w1
+                np.subtract(p[i1 + 1 + w0:i1 + 1 + w1], p[i1], out=hb)
+                np.divide(hb, fn, out=hb)
+                np.subtract(hb, area[w0:w1], out=hb)
+                best = max(best, np.max(hb.max(axis=1) - hb.min(axis=1)))
+        return best
+
+    return float(max(_in_parts(scan, g)))
 
 
 # ---------------------------------------------------------------------------

@@ -78,12 +78,16 @@ def orbit_discrepancy(kind, freqs, y0, n):
     """Box discrepancy of the first n orbit points, exact where affordable.
 
     A d=2 orbit too long for the exact scan is binned chunk by chunk on the
-    GRID_RESOLUTION grid and never materialized.
+    GRID_RESOLUTION grid and never materialized.  A d=1 orbit is sorted in
+    place, so its scan makes no sorted copy.
     """
     if len(y0) == 2 and n > EXACT_2D_LIMIT:
         counts = orbit_grid_counts(kind, freqs, y0, n, GRID_RESOLUTION)
         return discrepancy_from_grid_counts(counts, n)
-    return discrepancy_box(orbit_point_set(kind, freqs, y0, n))
+    point_set = orbit_point_set(kind, freqs, y0, n)
+    if point_set.d == 1:
+        point_set.points.sort(axis=0)
+    return discrepancy_box(point_set)
 
 
 def _cell_counts(points, g):
@@ -109,14 +113,21 @@ class DiscrepancyReport:
 
 
 def discrepancy_box(point_set):
-    """Sup over half-open axis boxes of |count/N - volume|."""
+    """Sup over half-open axis boxes of |count/N - volume|.
+
+    The point set is never changed: a d=1 column that is not sorted is
+    sorted into a copy.
+    """
     grid = GRID_RESOLUTION
     pts = point_set.points
     n, d = pts.shape
     if n < 1:
         raise ValueError("empty point set")
     if d == 1:
-        val = kernels.exact_discrepancy_1d(np.sort(pts[:, 0]))
+        xs = pts[:, 0]
+        if not np.all(xs[:-1] <= xs[1:]):
+            xs = np.sort(xs)
+        val = kernels.exact_discrepancy_1d(xs)
         return DiscrepancyReport(n, float(val), "exact")
     if d == 2 and n <= EXACT_2D_LIMIT:
         return DiscrepancyReport(n, _exact_discrepancy_2d(pts), "exact")
@@ -142,6 +153,11 @@ def _exact_discrepancy_2d(pts):
     lower cut scans all its upper cuts at once: one row per upper cut, one
     column per point in x order, with the points outside the band masked
     out of the in-band index (a cumsum) and the prefix max (as -inf).
+
+    The lower cuts run on one thread.  Split over two threads like the grid
+    scan's, they gave a benchmark pass nothing (its 16 scans are at
+    N <= 256) and ran 60 % slower while another process loaded the host:
+    the arrays are small, and the threads mostly wait for the GIL.
     """
     n = pts.shape[0]
     fn = float(n)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from qdlab.backend import kernels
+
 
 def _frac(x):
     return x - np.floor(x)
@@ -197,20 +199,43 @@ def parallelogram_indicator_fourier(tf, mode):
 def remainder_sup(membership, volume, alpha, x0, nmax):
     """sup over N <= nmax of |A_N - N vol| along the rotation orbit of x0.
 
-    membership: vectorized indicator over points; alpha and x0 are scalars
-    (d=1) or length-2 sequences (d=2).
+    membership: vectorized indicator over points, called from worker
+    threads, so it must depend on its points only; alpha and x0 are
+    scalars (d=1) or length-2 sequences (d=2).  x0 is first reduced to
+    x0 - floor(x0), which is exact for x0 >= 0 and keeps a start in [0, 1)
+    bit for bit: a large start would round every orbit point x0 + n alpha.
+
+    The orbit runs in chunks of REMAINDER_CHUNK points, and their
+    boundaries set the rounding of the running sum: each chunk's partial
+    sums c = cumsum(ind - vol) start again from 0.  The chunks are split
+    over kernels._in_parts, and each is reduced on its own to (max c,
+    min c, c[-1]).  The fold then walks the chunks in order with the
+    running remainder r: sup = max(sup, |r + max c|, |r + min c|) and r =
+    r + c[-1].  Rounding is monotone, so max_i fl(r + c_i) is fl(r + max
+    c), and the sup has the bits of the sup over every fl(r + c_i).
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
-    x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
+    x0 = _frac(np.atleast_1d(np.asarray(x0, dtype=np.float64)))
     d = alpha.shape[0]
+    chunks = -(-nmax // REMAINDER_CHUNK)
+
+    def reduce(indices):
+        out = []
+        for i in indices:
+            start = i * REMAINDER_CHUNK
+            count = min(REMAINDER_CHUNK, nmax - start)
+            ns = np.arange(start, start + count, dtype=np.float64)
+            pts = _frac(x0[None, :] + ns[:, None] * alpha[None, :])
+            ind = membership(pts if d > 1 else pts[:, 0]).astype(np.float64)
+            c = np.cumsum(ind - volume)
+            out.append((c.max(), c.min(), c[-1]))
+        return out
+
+    parts = kernels._in_parts(reduce, chunks)
     sup = 0.0
     running = 0.0
-    for start in range(0, nmax, REMAINDER_CHUNK):
-        count = min(REMAINDER_CHUNK, nmax - start)
-        ns = np.arange(start, start + count, dtype=np.float64)
-        pts = _frac(x0[None, :] + ns[:, None] * alpha[None, :])
-        ind = membership(pts if d > 1 else pts[:, 0]).astype(np.float64)
-        partial = running + np.cumsum(ind - volume)
-        sup = max(sup, float(np.max(np.abs(partial))))
-        running = partial[-1]
-    return sup
+    for i in range(chunks):
+        top, low, last = parts[i % len(parts)][i // len(parts)]
+        sup = max(sup, abs(running + top), abs(running + low))
+        running = running + last
+    return float(sup)

@@ -1,6 +1,7 @@
 """Discrepancy scans against brute-force oracles, ETK / VdC, rate fits."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -226,6 +227,106 @@ def test_grid_2d_blocks_split_exactly(monkeypatch, block):
                     brute_grid_discrepancy_2d(counts, n), abs=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# scans split over worker threads against one serial loop
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_grid_2d_split_matches_serial_scan(monkeypatch, workers):
+    rng = np.random.default_rng(61 + workers)
+    monkeypatch.setattr(fb, "_WORKERS", workers)
+    # G below the part count, odd G, and G past one block of rows
+    for g in (1, 2, 3, 4, 7, 64, 129):
+        cells = g * g
+        cases = [rng.multinomial(n, np.full(cells, 1.0 / cells))
+                 .reshape(g, g) for n in (3, 1001)]
+        # all mass in the last row of cuts: the sup sits in one part only
+        last = np.zeros((g, g), dtype=np.int64)
+        last[-1, :] = rng.integers(0, 5, g)
+        last[-1, 0] += 1
+        cases.append(last)
+        for counts in cases:
+            n = int(counts.sum())
+            got = fb.grid_discrepancy_2d(counts, n)
+            assert got.hex() == unblocked_grid_discrepancy_2d(counts, n).hex()
+
+
+def test_grid_2d_parts_share_no_buffer(monkeypatch):
+    # more parts than cores, switching threads every microsecond: a block
+    # buffer shared between parts would mix their bands
+    monkeypatch.setattr(fb, "_WORKERS", 5)
+    rng = np.random.default_rng(79)
+    g = 97
+    counts = rng.multinomial(4000, np.full(g * g, 1.0 / (g * g)))
+    counts = counts.reshape(g, g)
+    want = unblocked_grid_discrepancy_2d(counts, 4000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert fb.grid_discrepancy_2d(counts, 4000) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_cpu_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(fb, "_WORKERS", 1)
+    monkeypatch.setattr(fb.threading, "Thread", no_thread)
+    pts = np.random.default_rng(71).random((40, 2))
+    counts = eq._cell_counts(pts, 16)
+    assert fb.grid_discrepancy_2d(counts, 40) == \
+        unblocked_grid_discrepancy_2d(counts, 40)
+
+
+def test_parts_interleave_and_keep_their_order(monkeypatch):
+    monkeypatch.setattr(fb, "_WORKERS", 3)
+    assert fb._in_parts(list, 8) == [[0, 3, 6], [1, 4, 7], [2, 5]]
+    assert fb._in_parts(list, 2) == [[0], [1]]
+    assert fb._in_parts(list, 0) == [[]]
+
+
+def test_worker_exceptions_and_warnings_reach_the_caller(monkeypatch):
+    monkeypatch.setattr(fb, "_WORKERS", 3)
+
+    def fails_in_part_one(items):
+        if 1 in items:
+            raise ValueError("part one")
+        return len(items)
+
+    with pytest.raises(ValueError, match="part one"):
+        fb._in_parts(fails_in_part_one, 6)
+
+    def divides_in_part_two(items):
+        if 2 in items:
+            np.divide(np.ones(3), np.zeros(3))
+        return len(items)
+
+    # pytest turns a RuntimeWarning into an error, and so does the worker
+    with pytest.raises(RuntimeWarning, match="divide by zero"):
+        fb._in_parts(divides_in_part_two, 6)
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        assert fb._in_parts(divides_in_part_two, 6) == [2, 2, 2]
+    # the workers run under the caller's numpy error state
+    with np.errstate(divide="ignore"):
+        assert fb._in_parts(divides_in_part_two, 6) == [2, 2, 2]
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        fb._in_parts(divides_in_part_two, 6)
+
+
+def test_discrepancy_box_leaves_the_point_set_as_it_is():
+    xs = np.random.default_rng(73).random(501)
+    ps = PointSet(xs[:, None].copy())
+    want = fb.exact_discrepancy_1d(np.sort(xs))
+    assert eq.discrepancy_box(ps).d_n == want
+    assert np.array_equal(ps.points[:, 0], xs)
+    # a sorted column is scanned as it is
+    ps = PointSet(np.sort(xs)[:, None])
+    assert eq.discrepancy_box(ps).d_n == want
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -235,20 +336,31 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_scan_work_buffers_stay_within_blocks():
-    # numpy reports its data buffers to tracemalloc
+def test_scan_work_buffers_stay_within_blocks(monkeypatch):
+    # numpy reports its data buffers to tracemalloc, from every thread
     xs = np.sort(np.random.default_rng(53).random(1 << 20))
     peak = _traced_peak(fb.exact_discrepancy_1d, xs)
     assert peak < 12 * fb._SCAN_POINTS * 8 < xs.nbytes // 2
-    # the grid scan holds the prefix and area tables and one block of h,
-    # but no third (G, G + 1) table
+    # the grid scan holds the prefix and area tables, and each of its W
+    # parts one block of h and the buffer of numpy's ufunc iterator (taken
+    # by the row subtraction that broadcasts p[i1]); no third table
+    workers = 2
+    monkeypatch.setattr(fb, "_WORKERS", workers)
     g = 256
     counts = np.random.default_rng(59).multinomial(
         10 ** 5, np.full(g * g, 1.0 / (g * g))).reshape(g, g) * 1.0
     table = (g + 1) * (g + 1) * 8
     block = min(g, fb._BAND_ROWS) * (g + 1) * 8
+    part = block + np.getbufsize() * 8
     peak = _traced_peak(fb.grid_discrepancy_2d, counts, 10 ** 5)
-    assert peak < 2 * table + block + table // 4 < 3 * table
+    assert peak < 2 * table + workers * part + table // 4 < 3 * table
+
+
+def test_d1_orbit_scan_makes_no_sorted_copy():
+    # the orbit is sorted where it was generated: one (N, 1) array, not two
+    n = 1 << 20
+    peak = _traced_peak(eq.orbit_discrepancy, "shift", [GOLDEN], (0.3,), n)
+    assert peak < 1.5 * n * 8
 
 
 def brute_anchored_sup(pts, lattice):

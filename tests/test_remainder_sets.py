@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qdlab.remainder_sets as brs
+from qdlab import _fallback as fb
 from qdlab.arithmetic import parse_frequency
 
 GOLDEN = float(parse_frequency("golden"))
@@ -187,3 +188,83 @@ def test_remainder_sup_chunking_is_transparent(monkeypatch):
     # one block at the default chunk, then ceil(30000 / 777) = 39 blocks
     assert calls[0] == 30000 and len(calls) == 1 + 39
     assert a == pytest.approx(b, abs=1e-9)
+
+
+def serial_remainder_sup(membership, volume, alpha, x0, nmax, chunk):
+    """The remainder scan as one loop over the chunks, on one thread."""
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
+    x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
+    d = alpha.shape[0]
+    sup = 0.0
+    running = 0.0
+    for start in range(0, nmax, chunk):
+        count = min(chunk, nmax - start)
+        ns = np.arange(start, start + count, dtype=np.float64)
+        pts = frac(x0[None, :] + ns[:, None] * alpha[None, :])
+        ind = membership(pts if d > 1 else pts[:, 0]).astype(np.float64)
+        partial = running + np.cumsum(ind - volume)
+        sup = max(sup, float(np.max(np.abs(partial))))
+        running = partial[-1]
+    return sup
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_remainder_sup_split_matches_serial_scan(monkeypatch, workers):
+    monkeypatch.setattr(fb, "_WORKERS", workers)
+    chunk = brs.REMAINDER_CHUNK
+    interval = brs.interval_transfer(GOLDEN, 1, 0)
+    para = brs.parallelogram_transfer(A1, A2, 1, 0, 0, 1, 0)
+    cases = [(interval, [GOLDEN], np.array([0.3])),
+             (para, [A1, A2], np.array([0.2, 0.7]))]
+    for tf, alpha, x0 in cases:
+        for nmax in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+            got = brs.remainder_sup(tf.membership, tf.volume, alpha, x0,
+                                    nmax)
+            want = serial_remainder_sup(tf.membership, tf.volume, alpha, x0,
+                                        nmax, chunk)
+            assert got.hex() == want.hex()
+    # many short chunks, not a multiple of any part count
+    monkeypatch.setattr(brs, "REMAINDER_CHUNK", 97)
+    for tf, alpha, x0 in cases:
+        got = brs.remainder_sup(tf.membership, tf.volume, alpha, x0, 20011)
+        want = serial_remainder_sup(tf.membership, tf.volume, alpha, x0,
+                                    20011, 97)
+        assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_remainder_sup_at_a_chunk_end(monkeypatch, workers):
+    # x_n = n / (2 chunk) is exact, inside [0, 1/2) for n < chunk and
+    # outside up to n = 2 chunk: the remainder climbs by 1/2 a step through
+    # chunk 0 and falls from there, so the sup is at that chunk's end
+    monkeypatch.setattr(fb, "_WORKERS", workers)
+    chunk = brs.REMAINDER_CHUNK
+    alpha = [1.0 / (2 * chunk)]
+
+    def member(x):
+        return x < 0.5
+
+    for nmax in (chunk, chunk + 1, 3 * chunk + 5):
+        got = brs.remainder_sup(member, 0.5, alpha, np.array([0.0]), nmax)
+        assert got == chunk / 2
+        assert got.hex() == serial_remainder_sup(
+            member, 0.5, alpha, np.array([0.0]), nmax, chunk).hex()
+
+
+def test_remainder_sup_reduces_the_start_exactly():
+    tf = brs.interval_transfer(GOLDEN, 1, 0)
+    sups = [brs.remainder_sup(tf.membership, tf.volume, [GOLDEN],
+                              np.array([x0]), 300000)
+            for x0 in (0.25, 1.25, 2.0 ** 40 + 0.25, -0.75)]
+    # unreduced, a start of 2^40 + 0.25 rounds every x0 + n alpha to 2^-12
+    assert len({s.hex() for s in sups}) == 1
+    assert sups[0] <= tf.bound
+    # a start in [0, 1) keeps its bits, so the sup is the serial scan's
+    assert sups[0].hex() == serial_remainder_sup(
+        tf.membership, tf.volume, [GOLDEN], np.array([0.25]), 300000,
+        brs.REMAINDER_CHUNK).hex()
+    tf2 = brs.parallelogram_transfer(A1, A2, 1, 0, 0, 1, 0)
+    sups = [brs.remainder_sup(tf2.membership, tf2.volume, [A1, A2],
+                              np.array(x0), 50000)
+            for x0 in ([0.25, 0.75], [3.25, -0.25], [2.0 ** 40 + 0.25, 0.75])]
+    assert len({s.hex() for s in sups}) == 1
