@@ -7,8 +7,17 @@ loops.  A cocycle row is one product: one phase orbit at one energy, so a
 Lyapunov scan puts every energy x phase pair in one batch, and a
 CocycleState carries the products across column blocks of the orbits.
 The discrepancy scans stream through blocks that fit in L2 cache (sorted
-points in d=1, band rows of one lower cut in d=2), carrying their running
-maxima from block to block; max is exact, so the blocks change no bits.
+points in d=1, band rows in d=2), carrying their running maxima from
+block to block; max is exact, so the blocks change no bits.
+
+The d=2 grid scan is a branch and bound over the x-bands [i1, i2).  The
+deviation e[i, j] = P[i, j] G^2 - i j N of the count prefix P is an exact
+int64, and a band's value at column j is (e[i2, j] - e[i1, j]) / (N G^2)
+up to a few roundings.  The row extrema of e over column blocks bound
+every band's sup - inf from above; a band whose bound, plus a margin far
+above that rounding, is at most the best band value formed so far is
+never formed.  The bands that are formed are formed as an exhaustive scan
+forms them, so the result is the max over the same floats, bit for bit.
 
 Two scans reduce independent work with max or another order-free rule,
 the d=2 grid scan here and remainder_sets.remainder_sup, and they split
@@ -27,6 +36,7 @@ import os
 import threading
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +143,20 @@ def skew_chunk(y0, alpha, n):
 # ---------------------------------------------------------------------------
 
 # Both scans stream their work through blocks that stay in L2 cache:
-# points of the sorted sample, and band rows of one lower cut of the grid.
-# Timed on a 2-core Xeon with 2 MiB of L2 per core: 2^15 was the fastest
-# of 2^12 .. 2^18 points at N = 4e6, 64 of 16 .. 256 rows at G = 1024.
+# points of the sorted sample, and band rows of the grid.  Timed on a
+# 2-core Xeon with 2 MiB of L2 per core: 2^15 was the fastest of 2^12 ..
+# 2^18 points at N = 4e6, 64 of 16 .. 256 rows at G = 1024 when the grid
+# scan formed every band.
 _SCAN_POINTS = 1 << 15
 _BAND_ROWS = 64
+# The d=2 grid scan bounds every band on column blocks of _COARSE_COLS
+# columns and the bands left over on blocks of _FINE_COLS.  Timed at
+# G = 1024 on the pair orbit (N = 8192 .. 1e6) on the same host: 16 and 4
+# beat 32/4, 32/8, 16/8 and 8/4.  _BOUND_MARGIN absorbs the rounding of
+# the float band values, which stays below 2e-15 (see grid_discrepancy_2d).
+_COARSE_COLS = 16
+_FINE_COLS = 4
+_BOUND_MARGIN = 1e-13
 
 
 def exact_discrepancy_1d(xs_sorted):
@@ -184,12 +203,109 @@ def exact_discrepancy_1d(xs_sorted):
     return float(max(best, run_b[0]))
 
 
+def _column_extrema(e, width):
+    """Row maxima and minima of e over the column blocks [kB, (k+1)B].
+
+    B = width.  Neighbouring blocks share their edge column, and the last
+    block ends at the last column.  Returns two (rows, blocks) arrays.
+    """
+    g = e.shape[1] - 1
+    blocks = -(-g // width)
+    cols = np.minimum(np.arange(blocks * width + 1), g)
+    win = sliding_window_view(e[:, cols], width + 1, axis=1)[:, ::width]
+    return win.max(axis=2), win.min(axis=2)
+
+
+def _deviation_extrema(p, n_points, width):
+    """Block extrema of the deviation e[i, j] = P[i, j] G^2 - i j N.
+
+    p: the (G + 1, G + 1) prefix table, whose integers are exact in
+    float64; e is exact in int64 and is formed _BAND_ROWS rows at a time,
+    so no third table is held.  Returns (top, low) = _column_extrema of e.
+    """
+    g = p.shape[0] - 1
+    j = np.arange(g + 1, dtype=np.int64)
+    blocks = -(-g // width)
+    top = np.empty((g + 1, blocks), dtype=np.int64)
+    low = np.empty((g + 1, blocks), dtype=np.int64)
+    for r0 in range(0, g + 1, _BAND_ROWS):
+        r1 = min(r0 + _BAND_ROWS, g + 1)
+        e = p[r0:r1].astype(np.int64)
+        e *= g * g
+        e -= np.multiply.outer(np.arange(r0, r1, dtype=np.int64) * n_points, j)
+        top[r0:r1], low[r0:r1] = _column_extrema(e, width)
+    return top, low
+
+
+def _cut_bounds(top, low, i1, work, up, lo):
+    """Bounds of the bands [i1, i2), i2 = i1 + 1 .. G, in units of 1/(N G^2).
+
+    top, low: block extrema of e; work: an int64 work buffer of at least
+    2 (G - i1) blocks; up, lo: int64, G - i1 long or more.  The row of i1
+    is copied into the work buffer, so no ufunc broadcasts it.  Returns a
+    view of up.
+    """
+    rows, blocks = top.shape[0] - 1 - i1, top.shape[1]
+    rep = work[:rows * blocks].reshape(rows, blocks)
+    diff = work[rows * blocks:2 * rows * blocks].reshape(rows, blocks)
+    up, lo = up[:rows], lo[:rows]
+    np.copyto(rep, low[i1])
+    np.subtract(top[i1 + 1:], rep, out=diff)
+    np.max(diff, axis=1, out=up)
+    np.copyto(rep, top[i1])
+    np.subtract(low[i1 + 1:], rep, out=diff)
+    np.min(diff, axis=1, out=lo)
+    return np.subtract(up, lo, out=up)
+
+
+def _pair_bounds(top, low, lower, upper, work, up, lo):
+    """_cut_bounds of the bands [lower[r], upper[r]), rows gathered.
+
+    _cut_bounds reads a cut's rows as slices instead: on the pass over
+    every band, the scan's largest step, gathers took 40 % longer.
+    """
+    rows, blocks = lower.shape[0], top.shape[1]
+    rep = work[:rows * blocks].reshape(rows, blocks)
+    diff = work[rows * blocks:2 * rows * blocks].reshape(rows, blocks)
+    up, lo = up[:rows], lo[:rows]
+    # mode="clip": with out= and the default mode, take writes a copy first
+    np.take(top, upper, axis=0, out=diff, mode="clip")
+    np.take(low, lower, axis=0, out=rep, mode="clip")
+    np.subtract(diff, rep, out=diff)
+    np.max(diff, axis=1, out=up)
+    np.take(low, upper, axis=0, out=diff, mode="clip")
+    np.take(top, lower, axis=0, out=rep, mode="clip")
+    np.subtract(diff, rep, out=diff)
+    np.min(diff, axis=1, out=lo)
+    return np.subtract(up, lo, out=up)
+
+
+def _band_sups(p, lower, upper, fn, jrep, h, rest):
+    """max over r of max(h[r]) - min(h[r]) for the bands [lower[r], upper[r]).
+
+    h[r, j] = fl(fl((P[upper, j] - P[lower, j]) / N) - area), with the area
+    (w/G) * (j/G), w = upper - lower, a product of the same two floats as
+    in a table of areas.  h and rest are (len(lower), G + 1) buffers, and
+    jrep holds j/G in each of at least as many rows: every operand has the
+    shape of h, so no ufunc takes an iterator buffer.
+    """
+    g = p.shape[0] - 1
+    np.take(p, upper, axis=0, out=h, mode="clip")
+    np.take(p, lower, axis=0, out=rest, mode="clip")
+    np.subtract(h, rest, out=h)
+    np.divide(h, fn, out=h)
+    np.copyto(rest, ((upper - lower) / g)[:, None])
+    np.multiply(rest, jrep[:h.shape[0]], out=rest)
+    np.subtract(h, rest, out=h)
+    return float(np.max(h.max(axis=1) - h.min(axis=1)))
+
+
 def grid_discrepancy_2d(counts, n_points):
     """Sup over grid-aligned half-open boxes of |count/N - area|.
 
-    counts: (G, G) array of per-cell point counts (axis 0 = x, axis 1 = y).
-    Exact for the grid-restricted box family; the caller reports the 2d/G
-    additive error of restricting to the grid.
+    counts: (G, G) array of per-cell point counts (axis 0 = x, axis 1 = y),
+    n_points: the integer N.  Exact for the grid-restricted box family;
+    the caller reports the 2d/G additive error of restricting to the grid.
 
     For the x-band [i1, i2), let P be the exact integer 2d prefix sum and
     h[j] = fl(fl((P[i2, j] - P[i1, j]) / N) - ((i2 - i1)/G) * (j/G)).  The
@@ -199,39 +315,105 @@ def grid_discrepancy_2d(counts, n_points):
     largest fl(h[j2] - h[j1]) over all pairs, so the result is bit for bit
     that of a scan over every grid box with these h.
 
-    The bands of one lower cut i1 run in blocks of _BAND_ROWS widths: a
-    block's h is formed and reduced to its row sups while it is in cache,
-    and h is one block, beside the (G + 1, G + 1) prefix and the (G, G + 1)
-    area tables.  Each h and each sup is the same operation on the same
-    operands as in one pass over all widths, and max is exact, so the bits
-    do not depend on the block.
+    Most bands cannot hold the sup, and a bound rules them out unformed.
+    The exact deviation e[i, j] = P[i, j] G^2 - i j N is an integer, held
+    in int64 (|e| < 2^61 is checked), and h[j] is (e[i2, j] - e[i1, j]) /
+    (N G^2) up to rounding.  With M and m the row max and min of e over the
+    column blocks [kB, (k+1)B] (edges included), every j lies in a block,
+    so the band's exact sup(h) - inf(h) is at most
+        (max_k (M[i2, k] - m[i1, k]) - min_k (m[i2, k] - M[i1, k])) / (N G^2).
+    The float h differs from the exact one by at most five roundings of
+    numbers below max(1, C/N), C the total count: 5 * 2^-53 * max(1, C/N)
+    < 6e-16 * max(1, C/N).  So the float range exceeds the exact bound by
+    less than 2e-15 * max(1, C/N), comparison rounding included, and a
+    band whose bound plus _BOUND_MARGIN * max(1, C/N) is at most the best
+    float range found so far cannot beat it and is skipped.
+
+    Each part runs its lower cuts in turn.  It bounds every band of a cut
+    on _COARSE_COLS blocks and keeps those whose bound may beat its best,
+    from a few cuts at a time, bounds them again on _FINE_COLS blocks, and
+    forms the survivors, largest bound first, in blocks of up to half of
+    _BAND_ROWS rows beside their lower rows (_band_sups): the three ufunc
+    steps of one pass over all bands, on the same operands.  Its best is
+    the max of those exact band values, starting from 0; max is exact, so
+    the result is the max over the same floats as an exhaustive scan, and
+    every bit holds.  The block extrema are formed in row blocks (no third
+    (G + 1)^2 table) and the bounds per cut; no area table is held.
 
     The lower cuts are split over _in_parts: part k scans i1 = k, k + W,
-    ... with a block buffer of its own, and the result is the max of the
-    parts' maxima, which is exact too.
+    ... with buffers of its own, and the result is the max of the parts'
+    maxima, which is exact too.
     """
-    counts = np.asarray(counts, dtype=np.float64)
+    counts = np.asarray(counts)
     g = counts.shape[0]
     fn = float(n_points)
     # p[i, j] = sum of counts[:i, :j]; integers, exact in float64
     p = np.zeros((g + 1, g + 1), dtype=np.float64)
-    np.cumsum(counts, axis=0, out=p[1:, 1:])
+    np.cumsum(counts, axis=0, dtype=np.float64, out=p[1:, 1:])
     np.cumsum(p[1:, 1:], axis=1, out=p[1:, 1:])
-    # area[w - 1, j] = (w/G) * (j/G), the area of [0, w/G) x [0, j/G)
-    jgrid = np.arange(g + 1, dtype=np.float64) / g
-    area = (np.arange(1, g + 1, dtype=np.float64) / g)[:, None] * jgrid
+    mass = max(1.0, p[g, g] / fn)
+    if mass * fn * g * g >= 2.0 ** 61:
+        raise ValueError("too many points for the int64 deviation")
+    coarse = _deviation_extrema(p, int(n_points), _COARSE_COLS)
+    fine = _deviation_extrema(p, int(n_points), _FINE_COLS)
+    scale = fn * g * g
+    margin = _BOUND_MARGIN * mass
+    # a band block and its lower rows share one _BAND_ROWS buffer, which
+    # first holds the int64 work of a cut's coarse bounds, and of the
+    # fine bounds of `chunk` bands at a time
+    rows = max(1, min(g, _BAND_ROWS) // 2)
+    size = max(2 * rows * (g + 1), 2 * g * coarse[0].shape[1])
+    chunk = max(1, size // (2 * fine[0].shape[1]))
+    jrep = np.empty((rows, g + 1))
+    np.copyto(jrep, np.arange(g + 1, dtype=np.float64) / g)
 
     def scan(cuts):
-        h = np.empty((min(g, _BAND_ROWS), g + 1), dtype=np.float64)
+        flat = np.empty(size)
+        work = flat.view(np.int64)
+        h = flat[:rows * (g + 1)].reshape(rows, g + 1)
+        rest = flat[rows * (g + 1):2 * rows * (g + 1)].reshape(rows, g + 1)
+        up = np.empty(max(g, chunk), dtype=np.int64)
+        lo = np.empty(max(g, chunk), dtype=np.int64)
         best = 0.0
+        limit = -1                          # bound, in units of e, to beat
+
+        def settle(lower, upper):
+            nonlocal best, limit
+            lower = np.concatenate(lower)
+            upper = np.concatenate(upper)
+            kept = []
+            for s in range(0, lower.shape[0], chunk):
+                a, b = lower[s:s + chunk], upper[s:s + chunk]
+                bound = _pair_bounds(*fine, a, b, work, up, lo)
+                keep = bound > limit
+                kept.append((bound[keep], a[keep], b[keep]))
+            bound, lower, upper = (np.concatenate(x) for x in zip(*kept))
+            order = np.argsort(bound)[::-1]
+            bound, lower, upper = bound[order], lower[order], upper[order]
+            for s in range(0, bound.shape[0], rows):
+                k = int(np.count_nonzero(bound[s:s + rows] > limit))
+                if k == 0:                  # the bounds fall from here on
+                    break
+                top = _band_sups(p, lower[s:s + k], upper[s:s + k], fn,
+                                 jrep, h[:k], rest[:k])
+                if top > best:
+                    best = top
+                    limit = math.floor((best - margin) * scale)
+
+        lower, upper, pending = [], [], 0
         for i1 in cuts:
-            for w0 in range(0, g - i1, _BAND_ROWS):
-                w1 = min(w0 + _BAND_ROWS, g - i1)
-                hb = h[:w1 - w0]            # bands [i1, i1 + w), w0 < w <= w1
-                np.subtract(p[i1 + 1 + w0:i1 + 1 + w1], p[i1], out=hb)
-                np.divide(hb, fn, out=hb)
-                np.subtract(hb, area[w0:w1], out=hb)
-                best = max(best, np.max(hb.max(axis=1) - hb.min(axis=1)))
+            keep = np.flatnonzero(_cut_bounds(*coarse, i1, work, up, lo)
+                                  > limit)
+            if keep.shape[0]:
+                keep += i1 + 1
+                lower.append(np.full(keep.shape[0], i1))
+                upper.append(keep)
+                pending += keep.shape[0]
+            if pending >= g:
+                settle(lower, upper)
+                lower, upper, pending = [], [], 0
+        if pending:
+            settle(lower, upper)
         return best
 
     return float(max(_in_parts(scan, g)))

@@ -213,22 +213,39 @@ def remainder_sup(membership, volume, alpha, x0, nmax):
     running remainder r: sup = max(sup, |r + max c|, |r + min c|) and r =
     r + c[-1].  Rounding is monotone, so max_i fl(r + c_i) is fl(r + max
     c), and the sup has the bits of the sup over every fl(r + c_i).
+
+    Each part forms its chunks' orbit points, one coordinate row at a
+    time, and their partial sums in buffers of its own, reused through
+    out= from chunk to chunk; only membership allocates.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     x0 = _frac(np.atleast_1d(np.asarray(x0, dtype=np.float64)))
     d = alpha.shape[0]
     chunks = -(-nmax // REMAINDER_CHUNK)
+    steps = np.arange(min(nmax, REMAINDER_CHUNK), dtype=np.float64)
 
     def reduce(indices):
+        # pts[k] holds coordinate k, so every ufunc runs on contiguous rows
+        pts = np.empty((d, steps.shape[0]))
+        c = np.empty(steps.shape[0])
         out = []
         for i in indices:
             start = i * REMAINDER_CHUNK
             count = min(REMAINDER_CHUNK, nmax - start)
-            ns = np.arange(start, start + count, dtype=np.float64)
-            pts = _frac(x0[None, :] + ns[:, None] * alpha[None, :])
-            ind = membership(pts if d > 1 else pts[:, 0]).astype(np.float64)
-            c = np.cumsum(ind - volume)
-            out.append((c.max(), c.min(), c[-1]))
+            x, cs = pts[:, :count], c[:count]
+            # the indices n sit in the last row until it takes its own
+            # coordinate; cs holds floors until it takes the indicator
+            n = np.add(steps[:count], start, out=x[-1])
+            for k in range(d):
+                # _frac(x0 + n alpha), one rounding at a time
+                np.multiply(n, alpha[k], out=x[k])
+                np.add(x[k], x0[k], out=x[k])
+                np.floor(x[k], out=cs)
+                np.subtract(x[k], cs, out=x[k])
+            np.copyto(cs, membership(x.T if d > 1 else x[0]))
+            np.subtract(cs, volume, out=cs)
+            np.cumsum(cs, out=cs)
+            out.append((cs.max(), cs.min(), cs[-1]))
         return out
 
     parts = kernels._in_parts(reduce, chunks)

@@ -245,13 +245,20 @@ def dense_evolve(ham, ts):
     One eigendecomposition of the box serves every time: row t is
     u @ (e^{-i t w} * u[center]), where u[center] are the delta's
     eigenbasis amplitudes (u is real).  Restricted to small boxes, where
-    it is the oracle for evolve and decides auto_box probes.
+    it is the oracle for evolve and decides auto_box probes.  The real and
+    imaginary parts are two real products: u @ c would first cast u to a
+    complex copy (4 MB at 513 sites) and run a slower loop.
     """
     if ham.size > 4097:
         raise ValueError("dense evolution restricted to small boxes")
     w, u = eigh_tridiagonal(ham.v, np.ones(ham.size - 1))
     amps = u[ham.l_box]
-    return np.array([u @ (np.exp(-1j * t * w) * amps) for t in ts])
+    out = np.empty((len(ts), ham.size), dtype=np.complex128)
+    for row, t in zip(out, ts):
+        c = np.exp(-1j * t * w) * amps
+        row.real = u @ c.real
+        row.imag = u @ c.imag
+    return out
 
 
 def moment(state, p):

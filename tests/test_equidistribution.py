@@ -1,5 +1,6 @@
 """Discrepancy scans against brute-force oracles, ETK / VdC, rate fits."""
 
+import functools
 import math
 import sys
 import tracemalloc
@@ -231,24 +232,35 @@ def test_grid_2d_blocks_split_exactly(monkeypatch, block):
 # scans split over worker threads against one serial loop
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _split_cases(g):
+    """Count arrays on a G-grid, with the unblocked scan's float.hex."""
+    rng = np.random.default_rng(61 + g)
+    cells = g * g
+    cases = [rng.multinomial(n, np.full(cells, 1.0 / cells)).reshape(g, g)
+             for n in (3, 1001)]
+    # all mass in the last row of cuts: the sup sits in one part only
+    last = np.zeros((g, g), dtype=np.int64)
+    last[-1, :] = rng.integers(0, 5, g)
+    last[-1, 0] += 1
+    cases.append(last)
+    for n in (1000, 8192, 100000):
+        cases.append(eq.orbit_grid_counts("shift", PAIR, (0.0, 0.0), n, g))
+        cases.append(eq.orbit_grid_counts("skew", GOLDEN, (0.0, 0.0), n, g))
+    return [(counts, int(counts.sum()),
+             unblocked_grid_discrepancy_2d(counts, int(counts.sum())).hex())
+            for counts in cases]
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
 def test_grid_2d_split_matches_serial_scan(monkeypatch, workers):
-    rng = np.random.default_rng(61 + workers)
     monkeypatch.setattr(fb, "_WORKERS", workers)
-    # G below the part count, odd G, and G past one block of rows
-    for g in (1, 2, 3, 4, 7, 64, 129):
-        cells = g * g
-        cases = [rng.multinomial(n, np.full(cells, 1.0 / cells))
-                 .reshape(g, g) for n in (3, 1001)]
-        # all mass in the last row of cuts: the sup sits in one part only
-        last = np.zeros((g, g), dtype=np.int64)
-        last[-1, :] = rng.integers(0, 5, g)
-        last[-1, 0] += 1
-        cases.append(last)
-        for counts in cases:
-            n = int(counts.sum())
-            got = fb.grid_discrepancy_2d(counts, n)
-            assert got.hex() == unblocked_grid_discrepancy_2d(counts, n).hex()
+    # G below the part count and the column blocks, G not a multiple of
+    # them, and G past one block of rows; pair and skew orbits of
+    # N = 1e3, 8192 and 1e5
+    for g in (1, 2, 3, 4, 7, 31, 64, 100, 129, 256):
+        for counts, n, want in _split_cases(g):
+            assert fb.grid_discrepancy_2d(counts, n).hex() == want
 
 
 def test_grid_2d_parts_share_no_buffer(monkeypatch):
@@ -267,6 +279,114 @@ def test_grid_2d_parts_share_no_buffer(monkeypatch):
             assert fb.grid_discrepancy_2d(counts, 4000) == want
     finally:
         sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
+# band bounds of the grid scan
+# ---------------------------------------------------------------------------
+
+def _band_bound_cases(g, rng):
+    """Counts that stress the band bounds on a G-grid: random, orbit,
+    uniform (D tiny, ties everywhere), one cell, holes, all mass in the
+    last row."""
+    cells = g * g
+    cases = [rng.multinomial(n, np.full(cells, 1.0 / cells)).reshape(g, g)
+             for n in (5, 997)]
+    cases.append(eq.orbit_grid_counts("shift", PAIR, (0.0, 0.0), 8192, g))
+    cases.append(eq.orbit_grid_counts("skew", GOLDEN, (0.3, 0.6), 8192, g))
+    cases.append(np.full((g, g), 3, dtype=np.int64))
+    one = np.zeros((g, g), dtype=np.int64)
+    one[rng.integers(g), rng.integers(g)] = 50
+    cases.append(one)
+    holes = rng.multinomial(400, np.full(cells, 1.0 / cells)).reshape(g, g)
+    holes[rng.integers(g)] = 0
+    holes[:, rng.integers(g)] = 0
+    cases.append(holes)
+    last = np.zeros((g, g), dtype=np.int64)
+    last[-1] = rng.integers(0, 4, g)
+    last[-1, -1] += 1
+    cases.append(last)
+    # at G = 1 the holes leave no point: N = 1 then, as elsewhere
+    return [(c, max(int(c.sum()), 1)) for c in cases]
+
+
+def _deviation_bounds(e, width, i1):
+    """The bound of every band [i1, i2) from the block extrema of e, formed
+    column block by column block."""
+    g = e.shape[1] - 1
+    edges = list(range(0, g, width)) + [g]
+    top = np.stack([e[:, a:b + 1].max(axis=1)
+                    for a, b in zip(edges, edges[1:])], axis=1)
+    low = np.stack([e[:, a:b + 1].min(axis=1)
+                    for a, b in zip(edges, edges[1:])], axis=1)
+    return ((top[i1 + 1:] - low[i1]).max(axis=1)
+            - (low[i1 + 1:] - top[i1]).min(axis=1))
+
+
+@pytest.mark.parametrize("g", [1, 3, 4, 16, 37, 64])
+def test_band_bounds_hold_every_float_range(g):
+    # G = 1 and G below a block, G a multiple of both widths, and G not
+    # a multiple of either.  The rounding stays 50 times below the margin
+    # the scan adds
+    assert 2e-15 * 50 <= fb._BOUND_MARGIN
+    rng = np.random.default_rng(83 + g)
+    for counts, n in _band_bound_cases(g, rng):
+        fn = float(n)
+        p = np.zeros((g + 1, g + 1))
+        np.cumsum(counts, axis=0, out=p[1:, 1:])
+        np.cumsum(p[1:, 1:], axis=1, out=p[1:, 1:])
+        e = (p.astype(np.int64) * g * g
+             - np.multiply.outer(np.arange(g + 1) * n, np.arange(g + 1)))
+        scale = fn * g * g
+        mass = max(1.0, p[g, g] / fn)
+        area = (np.arange(1, g + 1) / g)[:, None] * (np.arange(g + 1) / g)
+        for width in (fb._COARSE_COLS, fb._FINE_COLS, 1, 2, 5):
+            tables = fb._deviation_extrema(p, n, width)
+            work = np.empty(2 * g * tables[0].shape[1], dtype=np.int64)
+            up, lo = np.empty(g, dtype=np.int64), np.empty(g, dtype=np.int64)
+            for i1 in range(g):
+                h = (p[i1 + 1:] - p[i1]) / fn - area[:g - i1]
+                spread = h.max(axis=1) - h.min(axis=1)
+                bound = _deviation_bounds(e, width, i1)
+                assert np.all(spread <= bound / scale + 2e-15 * mass)
+                cut = fb._cut_bounds(*tables, i1, work, up, lo)
+                assert np.array_equal(cut, bound)
+                lower = np.full(g - i1, i1)
+                upper = np.arange(i1 + 1, g + 1)
+                assert np.array_equal(
+                    fb._pair_bounds(*tables, lower, upper, work, up, lo),
+                    bound)
+
+
+def test_grid_2d_rejects_counts_past_int64():
+    # e = P G^2 - i j N and the bounds must stay inside int64
+    counts = np.array([[1 << 59, 0], [0, 0]], dtype=np.int64)
+    with pytest.raises(ValueError, match="int64"):
+        fb.grid_discrepancy_2d(counts, 1 << 59)
+    counts[0, 0] = 1 << 57
+    assert fb.grid_discrepancy_2d(counts, 1 << 57) == \
+        unblocked_grid_discrepancy_2d(counts, 1 << 57)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_2d_scans_few_bands(monkeypatch, workers):
+    # the pair orbit at the benchmark's grid-scale N: the bounds rule out
+    # more than 80 % of the bands before any is formed
+    monkeypatch.setattr(fb, "_WORKERS", workers)
+    g, n = 256, 8192
+    counts = eq.orbit_grid_counts("shift", PAIR, (0.0, 0.0), n, g)
+    formed = []
+    band_sups = fb._band_sups
+
+    def counted(p, lower, upper, *args):
+        formed.append(lower.shape[0])
+        return band_sups(p, lower, upper, *args)
+
+    monkeypatch.setattr(fb, "_band_sups", counted)
+    got = fb.grid_discrepancy_2d(counts, n)
+    assert got == unblocked_grid_discrepancy_2d(counts, n)
+    assert 0 < sum(formed) < 0.2 * g * (g + 1) // 2
+    assert max(formed) <= fb._BAND_ROWS
 
 
 def test_one_cpu_starts_no_thread(monkeypatch):
@@ -341,9 +461,9 @@ def test_scan_work_buffers_stay_within_blocks(monkeypatch):
     xs = np.sort(np.random.default_rng(53).random(1 << 20))
     peak = _traced_peak(fb.exact_discrepancy_1d, xs)
     assert peak < 12 * fb._SCAN_POINTS * 8 < xs.nbytes // 2
-    # the grid scan holds the prefix and area tables, and each of its W
-    # parts one block of h and the buffer of numpy's ufunc iterator (taken
-    # by the row subtraction that broadcasts p[i1]); no third table
+    # the grid scan holds the prefix table, the block extrema of the
+    # deviation and one row block of j/G, and each of its W parts one
+    # block of h and its lower rows; no third table
     workers = 2
     monkeypatch.setattr(fb, "_WORKERS", workers)
     g = 256
@@ -351,9 +471,37 @@ def test_scan_work_buffers_stay_within_blocks(monkeypatch):
         10 ** 5, np.full(g * g, 1.0 / (g * g))).reshape(g, g) * 1.0
     table = (g + 1) * (g + 1) * 8
     block = min(g, fb._BAND_ROWS) * (g + 1) * 8
-    part = block + np.getbufsize() * 8
     peak = _traced_peak(fb.grid_discrepancy_2d, counts, 10 ** 5)
-    assert peak < 2 * table + workers * part + table // 4 < 3 * table
+    assert peak < 2 * table + workers * block + table // 4 < 3 * table
+
+
+def test_band_blocks_take_no_iterator_buffer():
+    # a ufunc that broadcasts a row takes a bufsize buffer (64 KiB) on each
+    # call; the band blocks are formed from operands of one shape only
+    g, rows = 256, 32
+    counts = np.random.default_rng(67).multinomial(
+        10 ** 4, np.full(g * g, 1.0 / (g * g))).reshape(g, g)
+    p = np.zeros((g + 1, g + 1))
+    np.cumsum(counts, axis=0, out=p[1:, 1:])
+    np.cumsum(p[1:, 1:], axis=1, out=p[1:, 1:])
+    jrep = np.empty((rows, g + 1))
+    np.copyto(jrep, np.arange(g + 1) / g)
+    h, rest = np.empty((rows, g + 1)), np.empty((rows, g + 1))
+    lower = np.repeat([3, 40], rows // 2)
+    upper = np.concatenate((np.arange(10, 26), np.arange(100, 116)))
+    got = fb._band_sups(p, lower, upper, 1e4, jrep, h, rest)
+    j = np.arange(g + 1) / g
+    want = max(np.ptp((p[b] - p[a]) / 1e4 - ((b - a) / g) * j)
+               for a, b in zip(lower, upper))
+    assert got == want
+    peak = _traced_peak(fb._band_sups, p, lower, upper, 1e4, jrep, h, rest)
+    assert peak < 4096 < 8 * np.getbufsize()
+    work = np.empty(2 * g * 16, dtype=np.int64)
+    up, lo = np.empty(g, dtype=np.int64), np.empty(g, dtype=np.int64)
+    top, low = fb._deviation_extrema(p, 10 ** 4, 16)
+    assert _traced_peak(fb._cut_bounds, top, low, 5, work, up, lo) < 4096
+    assert _traced_peak(fb._pair_bounds, top, low, lower, upper, work, up,
+                        lo) < 4096
 
 
 def test_d1_orbit_scan_makes_no_sorted_copy():
