@@ -18,8 +18,10 @@ import numpy as np
 from qdlab.backend import kernels
 
 
-def _frac(x):
-    return x - np.floor(x)
+def _frac(x, out=None):
+    """x - floor(x), written into out when one is given (out is not x)."""
+    floor = np.floor(x, out=out)
+    return np.subtract(x, floor, out=floor)
 
 
 TWO_PI_I = 2j * math.pi
@@ -37,7 +39,7 @@ class TransferFunction:
     bound: float                 # certified sup-norm bound
     fourier: callable = None     # integer mode vector -> complex coefficient
     volume: float = None
-    membership: callable = None  # vectorized indicator of the underlying set
+    membership: callable = None  # indicator of the set: (points, out=None)
 
     def __call__(self, x):
         return self.evaluator(np.asarray(x, dtype=np.float64))
@@ -75,8 +77,10 @@ def interval_transfer(alpha, q, p):
             raise ValueError("mode 0 is not determined by the identity")
         return sign * _phase_sum(js, m * alpha) / (TWO_PI_I * m)
 
-    def membership(x):
-        return _frac(np.asarray(x, dtype=np.float64)) < kappa
+    def membership(x, out=None):
+        """chi_I at x, 1.0 or 0.0, written into the float buffer out."""
+        f = _frac(np.asarray(x, dtype=np.float64), out)
+        return np.less(f, kappa, out=f)
 
     return TransferFunction(evaluator, abs(q), fourier, kappa, membership)
 
@@ -146,16 +150,26 @@ def parallelogram_transfer(alpha1, alpha2, m, l1, l2, q, p):
             acc += gt(pts[:, 0] - j * alpha[0], pts[:, 1] - j * alpha[1])
         return acc
 
-    def membership(pts):
+    def membership(pts, out=None):
+        """chi_U at pts, 1.0 or 0.0, written into the float buffer out.
+
+        out holds t = ({y} - [v2 < 0]) / v2 and then s = {x - t v1}; the
+        only temporaries are two boolean masks.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         x, y = pts[:, 0], pts[:, 1]
-        if v2 > 0:
-            t = _frac(y) / v2
-        else:
-            t = (_frac(y) - 1.0) / v2
-        ok = t < 1.0
-        s = _frac(x - t * v1)
-        return ok & (s < sigma)
+        t = _frac(y, out)
+        if v2 < 0:
+            np.subtract(t, 1.0, out=t)
+        np.divide(t, v2, out=t)
+        inside = t < 1.0
+        s = np.subtract(x, np.multiply(t, v1, out=t), out=t)
+        # s - floor(s) in place, bit for bit: fmod(s, 1) is exact, and a
+        # negative one plus 1 rounds the same real number once
+        np.remainder(s, 1.0, out=s)
+        inside &= s < sigma
+        np.copyto(s, inside)
+        return s
 
     def fourier(mode):
         m1, m2 = (int(mode[0]), int(mode[1]))
@@ -199,8 +213,10 @@ def parallelogram_indicator_fourier(tf, mode):
 def remainder_sup(membership, volume, alpha, x0, nmax):
     """sup over N <= nmax of |A_N - N vol| along the rotation orbit of x0.
 
-    membership: vectorized indicator over points, called from worker
-    threads, so it must depend on its points only; alpha and x0 are
+    membership(points, out): writes the indicator of the set at the
+    points, 1.0 or 0.0, into the float buffer out, one entry per point.  It
+    is called from worker threads, so it must depend on its points only,
+    and each part passes a buffer of its own.  alpha and x0 are
     scalars (d=1) or length-2 sequences (d=2).  x0 is first reduced to
     x0 - floor(x0), which is exact for x0 >= 0 and keeps a start in [0, 1)
     bit for bit: a large start would round every orbit point x0 + n alpha.
@@ -215,8 +231,8 @@ def remainder_sup(membership, volume, alpha, x0, nmax):
     c), and the sup has the bits of the sup over every fl(r + c_i).
 
     Each part forms its chunks' orbit points, one coordinate row at a
-    time, and their partial sums in buffers of its own, reused through
-    out= from chunk to chunk; only membership allocates.
+    time, their indicators and their partial sums in buffers of its own,
+    reused through out= from chunk to chunk.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     x0 = _frac(np.atleast_1d(np.asarray(x0, dtype=np.float64)))
@@ -234,7 +250,7 @@ def remainder_sup(membership, volume, alpha, x0, nmax):
             count = min(REMAINDER_CHUNK, nmax - start)
             x, cs = pts[:, :count], c[:count]
             # the indices n sit in the last row until it takes its own
-            # coordinate; cs holds floors until it takes the indicator
+            # coordinate; cs holds floors until membership writes into it
             n = np.add(steps[:count], start, out=x[-1])
             for k in range(d):
                 # _frac(x0 + n alpha), one rounding at a time
@@ -242,7 +258,7 @@ def remainder_sup(membership, volume, alpha, x0, nmax):
                 np.add(x[k], x0[k], out=x[k])
                 np.floor(x[k], out=cs)
                 np.subtract(x[k], cs, out=x[k])
-            np.copyto(cs, membership(x.T if d > 1 else x[0]))
+            membership(x.T if d > 1 else x[0], cs)
             np.subtract(cs, volume, out=cs)
             np.cumsum(cs, out=cs)
             out.append((cs.max(), cs.min(), cs[-1]))

@@ -3,8 +3,9 @@
 The Hamiltonian is the discrete Schrodinger operator on sites |n| <= L_box
 with unit hoppings and potential sampled along the two-sided orbit of the
 phase.  Time evolution uses the Chebyshev expansion of e^{-itH} with Bessel
-coefficients, truncated below 1e-14, with the norm defect and the mass on
-the outer sites certified on every state.
+coefficients, truncated below 1e-14, or on a box of at most DENSE_SITES
+sites one eigendecomposition of the box, with the norm defect and the mass
+on the outer sites certified on every state.
 
 Every Chebyshev propagation is a block of rows (kernels.cheb_apply):
 evolve, evolve_times and averaged_profile take a list of BoxHamiltonians
@@ -14,15 +15,16 @@ and scale and equals its one-row propagation bit for bit: a block costs
 each row only its own series terms, and the per-term overhead is paid once
 per block instead of once per row.  Three kinds of work share boxes:
 
-- the auto_box probes of the t_max still open at one half-width: one
-  eigendecomposition of the box (dense_evolve) up to DENSE_PROBE_SITES
-  sites, one Chebyshev block above;
+- the auto_box probes of the t_max still open at one half-width;
 - the Abel sweeps of xi_estimate: every T whose box agrees, times the
   phase pair theta, f(theta) (one row per T when the potentials agree);
 - the boxes themselves, which all sample one two-sided Orbit of theta,
   grown as the box doubles and shifted by one site for f(theta).
 
-Within one sweep the Bessel coefficients of each distinct step are
+A probe or an Abel average on at most DENSE_SITES sites takes every state
+from one eigendecomposition of the box per distinct potential
+(_dense_parts), and only larger boxes run Chebyshev blocks.  Within one
+Chebyshev sweep the Bessel coefficients of each distinct step are
 evaluated once.
 """
 
@@ -41,7 +43,7 @@ DEFAULT_BOUNDARY_BUDGET = 1e-8
 COEFF_TOL = 1e-14
 BOX_START = 128
 BOX_CAP = 1 << 17
-DENSE_PROBE_SITES = 513
+DENSE_SITES = 513
 PROBE_BUDGET = 1e-4 * DEFAULT_BOUNDARY_BUDGET
 ABEL_PANELS = 20
 ABEL_ORDER = 12
@@ -142,21 +144,27 @@ def _chebyshev_coefficients(tau):
     return coeffs
 
 
-def _margins(psi):
-    """Norm defect and mass on the outer percent of sites of one row."""
-    norm_defect = abs(float(np.vdot(psi, psi).real) - 1.0)
-    m = psi.shape[0]
-    edge = max(1, int(math.ceil(0.01 * m)))
-    prob = np.abs(psi) ** 2
-    return norm_defect, float(np.sum(prob[:edge]) + np.sum(prob[-edge:]))
+def _margins(prob):
+    """Norm defects and masses on the outer percent of sites, per row.
+
+    prob: site probabilities |psi|^2, sites on the last axis.
+    """
+    edge = max(1, int(math.ceil(0.01 * prob.shape[-1])))
+    return (np.abs(np.sum(prob, axis=-1) - 1.0),
+            np.sum(prob[..., :edge], axis=-1) + np.sum(prob[..., -edge:],
+                                                       axis=-1))
+
+
+def _passes(norm_defect, boundary, budget):
+    return (norm_defect <= NORM_DEFECT_TOL) & (boundary <= budget)
 
 
 def _certify(t, psi, budget):
     """A state certified by its worst row: valid only if every row is."""
-    margins = [_margins(row) for row in np.atleast_2d(psi)]
-    valid = all(d <= NORM_DEFECT_TOL and b <= budget for d, b in margins)
-    norm_defect, boundary = np.max(margins, axis=0).tolist()
-    return EvolutionState(t, psi, norm_defect, boundary, valid)
+    norm_defect, boundary = _margins(np.abs(np.atleast_2d(psi)) ** 2)
+    return EvolutionState(t, psi, float(np.max(norm_defect)),
+                          float(np.max(boundary)),
+                          bool(np.all(_passes(norm_defect, boundary, budget))))
 
 
 def initial_state(ham):
@@ -213,6 +221,8 @@ def evolve(hams, ts, budget=DEFAULT_BOUNDARY_BUDGET):
     hams: BoxHamiltonians on one box, advanced as one block.  Returns one
     state per row, each certified on its own row.
     """
+    if not hams:
+        raise ValueError("need at least one row")
     if len(ts) != len(hams):
         raise ValueError("need one time per row")
     if any(t < 0 for t in ts):
@@ -239,25 +249,46 @@ def evolve_times(hams, grids):
             for t, psi in _sweep(hams, grids)]
 
 
-def dense_evolve(ham, ts):
-    """e^{-i t H} applied to the delta at the origin, one row per time.
-
-    One eigendecomposition of the box serves every time: row t is
-    u @ (e^{-i t w} * u[center]), where u[center] are the delta's
-    eigenbasis amplitudes (u is real).  Restricted to small boxes, where
-    it is the oracle for evolve and decides auto_box probes.  The real and
-    imaginary parts are two real products: u @ c would first cast u to a
-    complex copy (4 MB at 513 sites) and run a slower loop.
-    """
+def _eigenbasis(ham):
+    """Eigenvalues w and eigenvectors u (columns) of the box, and u[center]."""
     if ham.size > 4097:
         raise ValueError("dense evolution restricted to small boxes")
     w, u = eigh_tridiagonal(ham.v, np.ones(ham.size - 1))
-    amps = u[ham.l_box]
-    out = np.empty((len(ts), ham.size), dtype=np.complex128)
-    for row, t in zip(out, ts):
-        c = np.exp(-1j * t * w) * amps
-        row.real = u @ c.real
-        row.imag = u @ c.imag
+    return w, u, u[ham.l_box]
+
+
+def _dense_parts(basis, ts):
+    """Real and imaginary parts of e^{-i t H} delta, one row per time of ts.
+
+    Returns a (2, times, sites) block.  Row t is u @ (e^{-i t w} *
+    u[center]), where u[center] are the delta's eigenbasis amplitudes (u
+    is real), taken as two real matrix-vector products per time: u @ c
+    would first cast u to a complex copy (4 MB at 513 sites) and run a
+    slower loop, and one matrix product over all times would touch the
+    BLAS's level-3 packing buffer, about 1 MB that stays resident.
+    """
+    w, u, amps = basis
+    c = np.exp(-1j * np.multiply.outer(np.asarray(ts, dtype=np.float64), w))
+    c *= amps
+    parts = np.stack((c.real, c.imag))
+    out = np.empty_like(parts)
+    sites = w.shape[0]
+    for x, y in zip(parts.reshape(-1, sites), out.reshape(-1, sites)):
+        np.matmul(u, x, out=y)
+    return out
+
+
+def dense_evolve(ham, ts):
+    """e^{-i t H} applied to the delta at the origin, one row per time.
+
+    One eigendecomposition of the box serves every time.  Restricted to
+    small boxes, where it is the oracle for evolve and decides auto_box
+    probes; averaged_profile takes its node states the same way.
+    """
+    re, im = _dense_parts(_eigenbasis(ham), ts)
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real = re
+    out.imag = im
     return out
 
 
@@ -295,23 +326,70 @@ def abel_nodes(big_t):
 def averaged_profile(hams, big_ts):
     """Abel-averaged site probabilities <a(n, t)>_T for the delta start.
 
-    hams: BoxHamiltonians on one box; big_ts: one T per row.  The rows are
-    averaged in one sweep, each on its own Abel rule, and the profile has
-    one row per Hamiltonian.
+    hams: BoxHamiltonians on one box; big_ts: one T per row.  Each row is
+    averaged on its own Abel rule, and the profile has one row per
+    Hamiltonian.  Every node state is certified like an evolve_times state
+    (norm defect and outer-percent mass at DEFAULT_BOUNDARY_BUDGET), and a
+    node that fails raises a ValueError naming its time.
+
+    On at most DENSE_SITES sites the node states come from one
+    eigendecomposition per distinct potential (_dense_profile), which costs
+    milliseconds against 240 Chebyshev steps per row; a larger box is one
+    Chebyshev sweep of all rows (evolve_times).  On 257 sites the two agree
+    to 4e-14 up to T = 80 and to 5e-13 at T = 1000, where most of the gap
+    is the sweep's own rounding.
     """
+    if not hams:
+        raise ValueError("need at least one row")
     if len(big_ts) != len(hams):
         raise ValueError("need one T per row")
     rules = [abel_nodes(t) for t in big_ts]
+    if hams[0].size <= DENSE_SITES:
+        return _dense_profile(hams, rules)
     states = evolve_times(hams, [nodes for nodes, _ in rules])
     # one row per node: the rows' weights at that node
     weights = np.array([w for _, w in rules]).T
     acc = np.zeros(states[0].psi.shape)
     for st, w in zip(states, weights):
         if not st.valid:
-            raise ValueError(
-                f"evolution flagged at t={np.max(st.t):.3g} "
-                f"(defect {st.norm_defect:.2e}, boundary {st.boundary_mass:.2e})")
+            raise _flagged(st.t, st.norm_defect, st.boundary_mass)
         acc += w[:, None] * np.abs(st.psi) ** 2
+    return acc
+
+
+def _flagged(ts, norm_defect, boundary):
+    """The error of a node state that fails its certificate at times ts."""
+    return ValueError(
+        f"evolution flagged at t={np.max(ts):.3g} "
+        f"(defect {norm_defect:.2e}, boundary {boundary:.2e})")
+
+
+def _dense_profile(hams, rules):
+    """averaged_profile from eigendecompositions: weights @ |psi|^2 per row.
+
+    Rows with equal potentials share one eigendecomposition.  Each row's
+    node states are certified in one pass; a failure is reported as the
+    Chebyshev sweep reports it, at the first node where any row fails,
+    with the rows' latest time there and their worst margins.
+    """
+    bases = {}
+    acc = np.empty((len(hams), hams[0].size))
+    defects = np.empty((len(hams), len(rules[0][0])))
+    masses = np.empty_like(defects)
+    for p, (ham, (nodes, weights)) in enumerate(zip(hams, rules)):
+        key = ham.v.tobytes()
+        if key not in bases:
+            bases[key] = _eigenbasis(ham)
+        re, im = _dense_parts(bases[key], nodes)
+        prob = np.square(re, out=re)
+        prob += np.square(im, out=im)
+        defects[p], masses[p] = _margins(prob)
+        acc[p] = weights @ prob
+    failed = ~_passes(defects, masses, DEFAULT_BOUNDARY_BUDGET)
+    if failed.any():
+        k = int(np.argmax(failed.any(axis=0)))
+        raise _flagged([nodes[k] for nodes, _ in rules],
+                       np.max(defects[:, k]), np.max(masses[:, k]))
     return acc
 
 
@@ -367,10 +445,10 @@ def _probe(ham, t_maxes):
     The budget is much smaller than a sweep's: near the ballistic edge the
     boundary mass oscillates over a couple of orders of magnitude, so a box
     that barely fits at t_max can overflow slightly earlier.  A box of at
-    most DENSE_PROBE_SITES sites is evolved by one eigendecomposition
+    most DENSE_SITES sites is evolved by one eigendecomposition
     (dense_evolve), a larger one by one Chebyshev block (evolve).
     """
-    if ham.size <= DENSE_PROBE_SITES:
+    if ham.size <= DENSE_SITES:
         return [_certify(t, row, PROBE_BUDGET)
                 for t, row in zip(t_maxes, dense_evolve(ham, t_maxes))]
     return evolve([ham] * len(t_maxes), t_maxes, budget=PROBE_BUDGET)
@@ -388,7 +466,7 @@ def auto_box(map_spec, theta, phi, t_maxes, orbit=None):
     doubles: orbit if given, which must be an Orbit of theta under
     map_spec and phi.
 
-    A probe on at most DENSE_PROBE_SITES = 513 sites is one
+    A probe on at most DENSE_SITES = 513 sites is one
     eigendecomposition, which there costs milliseconds against up to a
     second of Chebyshev terms at t_max = 1e4; its cubic cost overtakes
     the Chebyshev block above that.  A probe state only decides yes or no

@@ -1,6 +1,7 @@
 """Bounded remainder sets: cohomological identities, bounds, Fourier."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,8 +163,8 @@ def test_parallelogram_remainder_stays_bounded():
 def test_generic_interval_is_not_bounded_remainder():
     # [0, 1/2) is not a bounded remainder set for the golden rotation: the
     # remainder must exceed any fixed bound along the orbit
-    def member(x):
-        return frac(x) < 0.5
+    def member(x, out):
+        np.copyto(out, frac(x) < 0.5)
 
     # logarithmic growth: the sup keeps climbing with the orbit length
     sup_small = brs.remainder_sup(member, 0.5, [GOLDEN], np.array([0.0]),
@@ -178,9 +179,9 @@ def test_remainder_sup_chunking_is_transparent(monkeypatch):
     tf = brs.interval_transfer(GOLDEN, 1, 0)
     calls = []
 
-    def member(x):
+    def member(x, out):
         calls.append(len(x))
-        return tf.membership(x)
+        tf.membership(x, out)
 
     a = brs.remainder_sup(member, tf.volume, [GOLDEN], np.array([0.1]), 30000)
     monkeypatch.setattr(brs, "REMAINDER_CHUNK", 777)
@@ -201,7 +202,8 @@ def serial_remainder_sup(membership, volume, alpha, x0, nmax, chunk):
         count = min(chunk, nmax - start)
         ns = np.arange(start, start + count, dtype=np.float64)
         pts = frac(x0[None, :] + ns[:, None] * alpha[None, :])
-        ind = membership(pts if d > 1 else pts[:, 0]).astype(np.float64)
+        ind = np.empty(count)
+        membership(pts if d > 1 else pts[:, 0], ind)
         partial = running + np.cumsum(ind - volume)
         sup = max(sup, float(np.max(np.abs(partial))))
         running = partial[-1]
@@ -241,8 +243,8 @@ def test_remainder_sup_at_a_chunk_end(monkeypatch, workers):
     chunk = brs.REMAINDER_CHUNK
     alpha = [1.0 / (2 * chunk)]
 
-    def member(x):
-        return x < 0.5
+    def member(x, out):
+        np.less(x, 0.5, out=out)
 
     for nmax in (chunk, chunk + 1, 3 * chunk + 5):
         got = brs.remainder_sup(member, 0.5, alpha, np.array([0.0]), nmax)
@@ -268,3 +270,68 @@ def test_remainder_sup_reduces_the_start_exactly():
                               np.array(x0), 50000)
             for x0 in ([0.25, 0.75], [3.25, -0.25], [2.0 ** 40 + 0.25, 0.75])]
     assert len({s.hex() for s in sups}) == 1
+
+
+def _interval_reference(kappa, x):
+    return frac(x) < kappa
+
+
+def _parallelogram_reference(tf, pts):
+    """The parallelogram's indicator as one expression per step."""
+    v1, v2 = tf.parallelogram.v
+    sigma = abs(tf.parallelogram.sigma_len)
+    x, y = pts[:, 0], pts[:, 1]
+    t = frac(y) / v2 if v2 > 0 else (frac(y) - 1.0) / v2
+    return (t < 1.0) & (frac(x - t * v1) < sigma)
+
+
+def _orbit_and_edges(rng, n):
+    """Random points, points near integers on both sides, and signed zeros."""
+    near = np.round(rng.uniform(-4.0, 4.0, n)) + rng.choice(
+        [-1.0, 1.0], n) * rng.choice([0.0, 1e-17, 1e-16, 2.0 ** -53, 1e-9], n)
+    return np.concatenate([rng.uniform(-3.0, 3.0, n), near,
+                           np.array([0.0, -0.0, 1.0, -1.0, 1e17, -1e17])])
+
+
+def test_membership_writes_into_the_buffer():
+    rng = np.random.default_rng(59)
+    chunk = brs.REMAINDER_CHUNK
+    interval = brs.interval_transfer(GOLDEN, 1, 0)
+    x = _orbit_and_edges(rng, chunk)
+    out = np.full(x.shape, np.nan)
+    assert interval.membership(x, out) is out
+    assert np.array_equal(out, _interval_reference(interval.volume, x))
+    assert np.array_equal(interval.membership(x), out)
+    paras = [brs.parallelogram_transfer(A1, A2, 1, 0, 0, 1, 0),
+             brs.parallelogram_transfer(A1, A2, 2, 1, 1, 1, 0),
+             brs.parallelogram_transfer(A1, A2, 1, 0, 1, 1, -1)]
+    # both signs of v2 take their own branch
+    assert [np.sign(p.parallelogram.v[1]) for p in paras] == [1, 1, -1]
+    for para in paras:
+        pts = np.stack([rng.permutation(x), x], axis=1)
+        want = _parallelogram_reference(para, pts)
+        assert 0 < want.sum() < len(want)
+        out = np.full(len(pts), np.nan)
+        assert para.membership(pts, out) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(para.membership(pts), out)
+
+
+def test_membership_allocates_no_chunk_buffer():
+    # one chunk's float temporary is 8 * chunk bytes; the interval takes
+    # none and the parallelogram two boolean masks of chunk bytes
+    chunk = brs.REMAINDER_CHUNK
+    rng = np.random.default_rng(61)
+    x = rng.random((chunk, 2))
+    cases = [(brs.interval_transfer(GOLDEN, 1, 0), x[:, 0].copy()),
+             (brs.parallelogram_transfer(A1, A2, 1, 0, 0, 1, 0), x),
+             (brs.parallelogram_transfer(A1, A2, 1, 0, 1, 1, -1), x)]
+    for tf, pts in cases:
+        out = np.empty(chunk)
+        tracemalloc.start()
+        try:
+            tf.membership(pts, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * chunk

@@ -288,8 +288,11 @@ def test_cheb_apply_rows_equal_the_one_row_recurrence(lengths):
         assert got[p].tobytes() == want.tobytes()
 
 
+# the Chebyshev Abel sweep runs on boxes over DENSE_SITES = 513 sites, so
+# the row-block tests below take half-widths of at least 257
 @pytest.mark.parametrize("phi, phase, l_box", [
-    (cc.CosinePotential(3.0), 0.105, 32), (ZERO, 0.3, 96)],
+    # at 0.335 the shifted box gains its largest |v| at its new edge site
+    (cc.CosinePotential(3.0), 0.335, 257), (ZERO, 0.3, 300)],
     ids=["scales-differ", "free"])
 def test_phase_pair_profile_equals_two_one_row_profiles(phi, phase, l_box):
     th = TorusPoint((phase,))
@@ -319,7 +322,7 @@ def test_bessel_coefficients_once_per_distinct_step(monkeypatch):
         return original(tau)
 
     monkeypatch.setattr(tp, "_chebyshev_coefficients", counted)
-    hams = _hamiltonians(2, l_box=32)
+    hams = _hamiltonians(2, l_box=257)
     assert hams[0].enclosure != hams[1].enclosure
     big_t = 3.0
     nodes, _ = tp.abel_nodes(big_t)
@@ -336,8 +339,8 @@ def test_bessel_coefficients_once_per_distinct_step(monkeypatch):
 def test_abel_rows_at_several_t_equal_one_row_profiles():
     # three T on one box, both phases of the pair: six rows at two scales
     phi = cc.CosinePotential(3.0)
-    th = TorusPoint((0.105,))
-    l_box = 32
+    th = TorusPoint((0.335,))
+    l_box = 257
     ham = tp.build_hamiltonian(SHIFT1, th, phi, l_box)
     shifted = tp.build_hamiltonian(SHIFT1, tp.step(SHIFT1, th), phi, l_box)
     assert ham.enclosure != shifted.enclosure
@@ -352,6 +355,90 @@ def test_abel_rows_at_several_t_equal_one_row_profiles():
     rows = tp.averaged_profile([ham, shifted, ham], [3.0, 2.0, 5.0])
     for row, h, big_t in zip(rows, (ham, shifted, ham), (3.0, 2.0, 5.0)):
         assert row.tobytes() == _profile_reference(h, big_t).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Abel averages on small boxes, from eigendecompositions
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("phi, phase, l_box, big_ts", [
+    (cc.CosinePotential(3.0), 0.41, 128, [50.0, 30.0]),
+    (cc.CosinePotential(1.0), 0.3, 200, [8.0]),
+    (ZERO, 0.0, 256, [10.0, 4.0])],
+    ids=["localized", "critical", "free"])
+def test_dense_profile_matches_the_chebyshev_sweep(monkeypatch, phi, phase,
+                                                   l_box, big_ts):
+    th = TorusPoint((phase,))
+    ham = tp.build_hamiltonian(SHIFT1, th, phi, l_box)
+    shifted = tp.build_hamiltonian(SHIFT1, tp.step(SHIFT1, th), phi, l_box)
+    assert ham.size <= tp.DENSE_SITES
+    eigen = []
+    basis = tp._eigenbasis
+
+    def counted(h):
+        eigen.append(h.v.tobytes())
+        return basis(h)
+
+    def no_sweep(*args):
+        raise AssertionError("a box of at most DENSE_SITES sites ran a sweep")
+
+    monkeypatch.setattr(tp, "_eigenbasis", counted)
+    monkeypatch.setattr(tp, "evolve_times", no_sweep)
+    # both phases at every T, in mixed order: one eigendecomposition per
+    # distinct potential, and every row on its own rule
+    rows = [(h, t) for t in big_ts for h in (ham, shifted)][::-1]
+    got = tp.averaged_profile([h for h, _ in rows], [t for _, t in rows])
+    assert got.shape == (len(rows), ham.size)
+    assert len(eigen) == len(set(eigen)) == len({ham.v.tobytes(),
+                                                 shifted.v.tobytes()})
+    for profile, (h, big_t) in zip(got, rows):
+        want = _profile_reference(h, big_t)
+        assert np.max(np.abs(profile - want)) <= 1e-12
+
+
+def _flag_message(hams, big_ts):
+    with pytest.raises(ValueError, match="evolution flagged at t=") as err:
+        tp.averaged_profile(hams, big_ts)
+    return str(err.value)
+
+
+def test_dense_profile_flags_a_small_box(monkeypatch):
+    # the free delta puts 1e-8 on the edge sites of a 49-site box near
+    # t = 7: the first node to fail is named with the latest time of the
+    # rows there, as the Chebyshev sweep names it
+    ham = tp.build_hamiltonian(SHIFT1, THETA, ZERO, 24)
+    shifted = tp.build_hamiltonian(SHIFT1, THETA, cc.CosinePotential(0.1), 24)
+    hams, big_ts = [ham, shifted, ham], [4.0, 2.0, 10.0]
+    dense = _flag_message(hams, big_ts)
+    monkeypatch.setattr(tp, "DENSE_SITES", 0)
+    chebyshev = _flag_message(hams, big_ts)
+    assert dense.split(" (")[0] == chebyshev.split(" (")[0]
+    # a box that holds every node raises nothing
+    monkeypatch.undo()
+    tp.averaged_profile([tp.build_hamiltonian(SHIFT1, THETA, ZERO, 128)],
+                        [4.0])
+
+
+def test_empty_row_lists_are_rejected():
+    with pytest.raises(ValueError, match="at least one row"):
+        tp.evolve([], [])
+    with pytest.raises(ValueError, match="at least one row"):
+        tp.averaged_profile([], [])
+
+
+@pytest.mark.parametrize("phase", np.random.default_rng(17).random(3).round(6),
+                         ids=lambda p: f"{p:.6f}")
+def test_xi_fronts_equal_the_chebyshev_fronts(monkeypatch, phase):
+    # the transport workload's localized front, on eigendecompositions and
+    # with every sweep and probe forced onto Chebyshev blocks
+    phi = cc.CosinePotential(3.0)
+    th = TorusPoint((float(phase),))
+    t_grid = list(np.geomspace(30.0, 50.0, 9))
+    dense = tp.xi_estimate(SHIFT1, th, phi, [0.25, 0.5], t_grid)
+    monkeypatch.setattr(tp, "DENSE_SITES", 0)
+    chebyshev = tp.xi_estimate(SHIFT1, th, phi, [0.25, 0.5], t_grid)
+    assert dense.fronts == chebyshev.fronts
+    assert (dense.low, dense.high) == (chebyshev.low, chebyshev.high)
 
 
 def _hamiltonian_reference(map_spec, theta, phi, l_box):
@@ -462,7 +549,7 @@ def test_auto_box_never_probes_a_ceiling_box(monkeypatch):
         assert all(l_box < tp.worst_case_box(0.0, t) for t in times)
     # the 257- and 513-site probes are eigendecompositions: the only
     # Chebyshev probe is the 1025-site one
-    assert tp.DENSE_PROBE_SITES == 513
+    assert tp.DENSE_SITES == 513
     assert chebyshev == [1025]
 
 
@@ -478,7 +565,7 @@ def test_auto_box_never_probes_a_ceiling_box(monkeypatch):
 def test_dense_probe_margins_agree_with_chebyshev(phi, phase, l_box,
                                                   t_maxes):
     ham = tp.build_hamiltonian(SHIFT1, TorusPoint((phase,)), phi, l_box)
-    assert ham.size <= tp.DENSE_PROBE_SITES
+    assert ham.size <= tp.DENSE_SITES
     dense = tp._probe(ham, t_maxes)
     chebyshev = tp.evolve([ham] * len(t_maxes), t_maxes,
                           budget=1e-4 * tp.DEFAULT_BOUNDARY_BUDGET)
