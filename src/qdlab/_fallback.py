@@ -3,9 +3,11 @@
 Callers reach them through qdlab.backend.kernels.  Vectorization is
 over whatever axis is wide (cocycle rows, grid rows, chunk indices);
 sequential recurrences that cannot be vectorized fall back to plain Python
-loops.  A cocycle row is one product: one phase orbit at one energy, so a
-Lyapunov scan puts every energy x phase pair in one batch, and a
-CocycleState carries the products across column blocks of the orbits.
+loops.  The SL(2) cocycle has one recurrence, _cocycle, over rows (a phase
+orbit at one energy, or one energy of the DT integral) x steps.  Its two
+entry points, cocycle_batch for Lyapunov batches and cocycle_lognorms_all
+for DT prefix maxima, call it directly, so the benchmark's tracer, which
+wraps both names, counts each stage's steps under its own name.
 The discrepancy scans stream through blocks that fit in L2 cache (sorted
 points in d=1, band rows in d=2), carrying their running maxima from
 block to block; max is exact, so the blocks change no bits.
@@ -423,35 +425,92 @@ def grid_discrepancy_2d(counts, n_points):
 # SL(2) cocycle products
 # ---------------------------------------------------------------------------
 
-# Check the carried Frobenius norm every few steps and rescale only when it
-# exceeds the threshold.  Bounded (elliptic) products then never rescale, so
-# their carried determinant stays well conditioned; growing products rescale
-# long before double overflow (worst-case inter-check growth keeps the
-# squared norm far below 1e308).
+# The Frobenius norm is checked every _RENORM_EVERY steps, and a product is
+# rescaled only when its square exceeds _RENORM_THRESHOLD, so bounded
+# (elliptic) products never rescale and their determinant stays well
+# conditioned.  A step multiplies the norm by at most |z - v| + 1, so
+# between two checks the squared norm stays below 1e50 (|z - v| + 1)^32,
+# which is finite while |z - v| + 1 <= REACH.
 _RENORM_EVERY = 16
 _RENORM_THRESHOLD = 1e50
-
-
-def _spectral_lognorm(a, b, c, d, logs):
-    q = (np.abs(a) ** 2 + np.abs(b) ** 2 + np.abs(c) ** 2 + np.abs(d) ** 2)
-    det2 = np.abs(a * d - b * c) ** 2
-    disc = np.sqrt(np.maximum(q * q - 4.0 * det2, 0.0))
-    smax2 = 0.5 * (q + disc)
-    return 0.5 * np.log(smax2) + logs
+REACH = 1e8
 
 
 class CocycleState:
-    """A product that cocycle_batch carries across split columns.
+    """Transfer products that the cocycle kernel carries across calls.
 
-    Holds the unit-scale entries (a, b, c, d) and the log-scale of every
-    row after `steps` columns.  A fresh state is the identity; the first
-    cocycle_batch call that receives it sets it up.
+    Each row's unit-scale entries (a, b, c, d) and log-scale logs, the
+    steps taken, and best, the running maximum of log ||A_k|| when kept.
+    A fresh state is the identity until a cocycle_batch call sets it up.
     """
 
     def __init__(self):
-        self.entries = None
-        self.logs = None
+        self.entries = self.logs = self.best = None
         self.steps = 0
+
+    def start(self, rows, dtype, swap=False):
+        """Set up the identity, or the swap matrix [[0, 1], [1, 0]]."""
+        m = np.zeros((4, rows), dtype=dtype)
+        m[[1, 2] if swap else [0, 3]] = 1.0
+        self.entries = tuple(m)
+        self.logs = np.zeros(rows)
+
+
+def _frobenius2(a, b, c, d):
+    return np.abs(a) ** 2 + np.abs(b) ** 2 + np.abs(c) ** 2 + np.abs(d) ** 2
+
+
+def _log_sigma(q, logs):
+    """log sigma_max of the full products, from the squared Frobenius norms
+    q of the carried ones.  Every step has determinant 1, so 2 |det| is
+    dd = 2 exp(-2 logs), and sigma_max = (sqrt(q + dd) + sqrt(q - dd)) / 2:
+    nothing is squared, so it is finite wherever q is, and it grows with q.
+    """
+    dd = 2.0 * np.exp(-2.0 * logs)
+    sigma = 0.5 * (np.sqrt(q + dd) + np.sqrt(np.maximum(q - dd, 0.0)))
+    return np.log(sigma) + logs
+
+
+def _cocycle(v, z, state, keep_max=False):
+    """The one transfer recurrence: advance state by the columns of v.
+
+    v: (rows, n) float64 potential samples, or (1, n) shared by every row;
+    z: the energy, a scalar or one per row, real or complex, with
+    |z - v| + 1 <= REACH.  Row r's product M becomes A_n ... A_1 M,
+    A_k = [[z - v[r, k], -1], [1, 0]].  The steps run in groups that end on
+    the norm checks at the global steps 16, 32, ..., so splitting the
+    columns over several calls gives the same bits as one.  keep_max: keep
+    in state.best the running maximum over k of log ||A_k ... A_1 M|| too.
+    logs is fixed within a group, so a step keeps only the peak q, and a
+    group takes one log.
+    """
+    n = v.shape[1]
+    a, b, c, d = state.entries
+    logs = state.logs
+    if keep_max and state.best is None:
+        state.best = np.full(logs.shape, -np.inf)
+    k = 0
+    while k < n:
+        m = min(n - k, _RENORM_EVERY - state.steps % _RENORM_EVERY)
+        if keep_max:                        # r is below the first q
+            peak = r = np.abs(a) ** 2 + np.abs(b) ** 2
+        # the steps' t = z - v, one contiguous row per step
+        for t in np.subtract(z, v[:, k:k + m].T, order="C"):
+            a, b, c, d = t * a - c, t * b - d, a, b
+            if keep_max:
+                # q = |a|^2 + |b|^2 + |c|^2 + |d|^2, and (c, d) was (a, b)
+                r, prev = np.abs(a) ** 2 + np.abs(b) ** 2, r
+                peak = np.maximum(peak, r + prev)
+        if keep_max:
+            np.maximum(state.best, _log_sigma(peak, logs), out=state.best)
+        k += m
+        state.steps += m
+        if state.steps % _RENORM_EVERY == 0:
+            q = _frobenius2(a, b, c, d)
+            s = np.where(q > _RENORM_THRESHOLD, np.sqrt(q), 1.0)
+            a, b, c, d = a / s, b / s, c / s, d / s
+            logs += np.log(s)
+    state.entries = (a, b, c, d)
 
 
 def cocycle_batch(v, e, eta=0.0, state=None):
@@ -462,183 +521,42 @@ def cocycle_batch(v, e, eta=0.0, state=None):
     The product is A_n = A(theta_{n-1}) ... A(theta_0) with
     A = [[z-v, -1],[1, 0]].
     state: a CocycleState to continue; the n columns of v then extend the
-    product it carries, it is advanced in place, and the renormalisation
-    checks fall on the global steps 16, 32, ... of the whole product, so
-    splitting the columns over several calls gives the same bits as one.
+    product it carries, and it is advanced in place (see _cocycle).
     Returns (lognorm, detlog_err) of shape (P,) for the product so far:
     detlog_err is log|det| + 2*logscale, zero for an exact unimodular
     product.
     """
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-    pcount, n = v.shape
+    z = e + 1j * eta if np.any(eta != 0.0) else e
     if state is None:
-        if pcount == 1 and n > 4096:
-            ln, dl = _cocycle_scalar(v[0], e, eta)
-            return np.array([ln]), np.array([dl])
         state = CocycleState()
-    if np.any(eta != 0.0):
-        dtype = np.complex128
-        z = e + 1j * eta
-    else:
-        dtype = np.float64
-        z = e
     if state.entries is None:
-        state.entries = (np.ones(pcount, dtype=dtype),
-                         np.zeros(pcount, dtype=dtype),
-                         np.zeros(pcount, dtype=dtype),
-                         np.ones(pcount, dtype=dtype))
-        state.logs = np.zeros(pcount, dtype=np.float64)
+        state.start(v.shape[0], np.result_type(z, v))
+    _cocycle(v, z, state)
     a, b, c, d = state.entries
-    logs = state.logs
-    for k in range(n):
-        t = z - v[:, k]
-        a, b, c, d = t * a - c, t * b - d, a, b
-        if (state.steps + k + 1) % _RENORM_EVERY == 0:
-            q = (np.abs(a) ** 2 + np.abs(b) ** 2
-                 + np.abs(c) ** 2 + np.abs(d) ** 2)
-            s = np.where(q > _RENORM_THRESHOLD, np.sqrt(q), 1.0)
-            a = a / s
-            b = b / s
-            c = c / s
-            d = d / s
-            logs += np.log(s)
-    state.entries = (a, b, c, d)
-    state.steps += n
-    lognorm = _spectral_lognorm(a, b, c, d, logs)
+    q = _frobenius2(a, b, c, d)
     det = np.abs(a * d - b * c)
     with np.errstate(divide="ignore"):
-        detlog = np.where(det > 0.0, np.log(det), -np.inf) + 2.0 * logs
-    return np.asarray(lognorm, dtype=np.float64), detlog
-
-
-def _cocycle_scalar(v, e, eta):
-    # plain Python floats beat numpy scalar overhead for a single long orbit
-    if eta != 0.0:
-        z = complex(e, eta)
-        a, b, c, d = complex(1), complex(0), complex(0), complex(1)
-    else:
-        z = e
-        a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    logs = 0.0
-    vl = v.tolist()
-    k = 0
-    for vk in vl:
-        t = z - vk
-        a, b, c, d = t * a - c, t * b - d, a, b
-        k += 1
-        if k % _RENORM_EVERY == 0:
-            q = (abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2)
-            if q > _RENORM_THRESHOLD:
-                s = math.sqrt(q)
-                a /= s
-                b /= s
-                c /= s
-                d /= s
-                logs += math.log(s)
-    q = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-    det2 = abs(a * d - b * c) ** 2
-    disc = math.sqrt(max(q * q - 4.0 * det2, 0.0))
-    lognorm = 0.5 * math.log(0.5 * (q + disc)) + logs
-    detlog = (0.5 * math.log(det2) if det2 > 0.0 else -math.inf) + 2.0 * logs
-    return lognorm, detlog
-
-
-# step block of the prefix walk: libm log runs once per block of rows
-_PREFIX_BLOCK = 64
-
-
-def _abs2(re, im):
-    # |z| ** 2 as Python's float computes it: hypot, then libm pow
-    return np.float_power(np.hypot(re, im), 2.0)
-
-
-def _libm_log(x):
-    # math.log element by element: numpy's own log can round differently
-    return np.fromiter(map(math.log, x.ravel().tolist()), dtype=np.float64,
-                       count=x.size).reshape(x.shape)
-
-
-def cocycle_prefix_lognorms(v, e, eta, inverse=False):
-    """Yields log ||A_1 ... A_k|| at every energy, in blocks of steps k.
-
-    v: (n,) potential samples; e: (E,) energies, each at z = e + i eta.
-    inverse: products of A^{-1} = [[0, 1],[-1, z-v]] in the given order.
-    Each block is a (B, E) float64 array of consecutive steps, so at most
-    _PREFIX_BLOCK x E values are ever held.
-
-    Every value equals that of Python complex arithmetic on one energy:
-    real and imaginary parts are carried separately with the operand
-    order of CPython's complex product, |z| ** 2 is libm pow of hypot,
-    logs are libm log, and a renormalisation divides each part by s.
-    The inverse recurrence is the forward one on (c, d, a, b); only the
-    order of the terms of the Frobenius sum differs.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    e = np.asarray(e, dtype=np.float64)
-    n, count = v.shape[0], e.shape[0]
-    # top = rows (p, q), bot = rows (r, s), each (2, 2, E): real part, then
-    # imaginary part, of each row.  p' = t p - r, q' = t q - s, r' = p,
-    # s' = q; (a, b) and (c, d) forward, (c, d) and (a, b) inverse
-    ab = np.zeros((2, 2, count))
-    ab[0, 0] = 1.0
-    cd = np.zeros((2, 2, count))
-    cd[0, 1] = 1.0
-    top, bot = (cd, ab) if inverse else (ab, cd)
-    # x - y is x + (-y) exactly, so the minus signs of the complex product
-    # ride on these factors: t p = (tr pr - eta pi, tr pi + eta pr)
-    turn = np.array([-eta, eta])[:, None, None]
-    sign = np.array([-1.0, 1.0])[:, None, None]
-    # (r, s) are the previous (p, q), so their |.|^2 carry over
-    tops = _abs2(top[0], top[1])
-    norm = np.empty((2, count))
-    logs = np.zeros(count)
-    for lo in range(0, n, _PREFIX_BLOCK):
-        rows = min(_PREFIX_BLOCK, n - lo)
-        steps = e - v[lo:lo + rows, None]
-        peak = np.empty((rows, count))         # 2 sigma_max^2 of each step
-        scale = np.ones((rows + 1, count))     # row k + 1: s of step k
-        for k, tr in enumerate(steps):
-            top, bot = (tr * top + turn * top[::-1]) - bot, top
-            bots, tops = tops, _abs2(top[0], top[1])
-            first, last = (bots, tops) if inverse else (tops, bots)
-            q = first[0] + first[1] + last[0] + last[1]
-            # (p s, q r) and det = p s - q r, up to a sign |.| ignores
-            flip = bot[:, ::-1]
-            cross = top[0] * flip + sign * (top[1] * flip[::-1])
-            det = cross[:, 0] - cross[:, 1]
-            det2 = _abs2(det[0], det[1])
-            np.add(q, np.sqrt(np.maximum(q * q - 4.0 * det2, 0.0)),
-                   out=peak[k])
-            big = q > _RENORM_THRESHOLD
-            if big.any():
-                s = np.sqrt(q, out=scale[k + 1], where=big)
-                np.divide(top, s, out=top, where=big)
-                np.divide(bot, s, out=bot, where=big)
-                np.hypot(top[0], top[1], out=norm, where=big)
-                np.float_power(norm, 2.0, out=tops, where=big)
-        # the log-scale before each step: logs, plus log s step by step
-        shift = np.zeros((rows + 1, count))
-        shift[0] = logs
-        hit = scale[1:] != 1.0
-        shift[1:][hit] = _libm_log(scale[1:][hit])
-        np.add.accumulate(shift, axis=0, out=shift)
-        logs = shift[rows]
-        yield 0.5 * _libm_log(0.5 * peak) + shift[:rows]
+        detlog = np.where(det > 0.0, np.log(det), -np.inf) + 2.0 * state.logs
+    return _log_sigma(q, state.logs), detlog
 
 
 def cocycle_lognorms_all(v, e, eta, inverse=False):
-    """max over k <= n of log ||A_1 ... A_k|| at every energy.
+    """max over 1 <= k <= n of log ||A_1 ... A_k|| at every energy.
 
     v: (n,) potential samples, n >= 1; e: (E,) energies at z = e + i eta.
-    inverse: products of A^{-1}.  One pass over the steps carries every
-    energy's product, and the (E,) running maximum is all it keeps of the
-    prefixes that cocycle_prefix_lognorms yields.  Returns float64 (E,).
+    inverse: products of A^{-1} = [[0, 1],[-1, z-v]] in the given order.
+    As S A^{-1} S = A for S = [[0, 1], [1, 0]], the inverse product is
+    S (A_k ... A_1) S, which the forward recurrence from S carries with its
+    rows swapped: the same norm.  Returns the (E,) running maxima.
     """
-    best = None
-    for block in cocycle_prefix_lognorms(v, e, eta, inverse):
-        top = block.max(axis=0)
-        best = top if best is None else np.maximum(best, top)
-    return best
+    e = np.asarray(e, dtype=np.float64)
+    z = e + 1j * eta if eta != 0.0 else e
+    state = CocycleState()
+    state.start(e.shape[0], z.dtype, swap=inverse)
+    _cocycle(np.asarray(v, dtype=np.float64)[None, :], z, state,
+             keep_max=True)
+    return state.best
 
 
 # ---------------------------------------------------------------------------

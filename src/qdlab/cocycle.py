@@ -1,10 +1,10 @@
 """Schrodinger cocycles over torus dynamics and Lyapunov-type estimators.
 
 The one-step transfer matrix at phase theta and energy z is
-[[z - phi(theta), -1], [1, 0]]; n-step products are carried as a unit-scale
-2x2 matrix plus an accumulated log-scale, and their spectral norms come from
-the closed-form singular values.  Bulk products (phase batches, per-step
-norm traces) are delegated to the numpy kernels in qdlab._fallback.
+[[z - phi(theta), -1], [1, 0]].  Every product runs through the one cocycle
+recurrence of qdlab._fallback, by its two entry names: cocycle_batch for
+Lyapunov batches and cocycle_lognorms_all for the DT prefix maxima, kept
+apart so that the benchmark counts each stage's steps under its own name.
 """
 
 import math
@@ -14,12 +14,6 @@ import numpy as np
 
 from .backend import kernels
 from .torus import TorusPoint, step_array, inverse_step_array
-
-# rescale once the Frobenius norm passes the square root of the kernels'
-# squared-norm threshold: the closed-form spectral norm squares the squared
-# Frobenius norm, so a later threshold would overflow the discriminant
-# q^2 - 4 det^2
-RENORM_NORM = math.sqrt(kernels._RENORM_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------
@@ -94,31 +88,8 @@ class ZeroPotential:
 
 
 # ---------------------------------------------------------------------------
-# transfer matrices and products
+# transfer matrix products
 # ---------------------------------------------------------------------------
-
-@dataclass
-class TransferProduct:
-    matrix: np.ndarray
-    logscale: float
-
-    def log_norm(self):
-        """log of the spectral norm of the full product."""
-        return _spectral_log(self.matrix) + self.logscale
-
-    def det_log(self):
-        """log |det| of the full product (0 means unimodular)."""
-        det = self.matrix[0, 0] * self.matrix[1, 1] \
-            - self.matrix[0, 1] * self.matrix[1, 0]
-        return math.log(abs(det)) + 2.0 * self.logscale
-
-
-def _spectral_log(m):
-    q = float(np.sum(np.abs(m) ** 2))
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    disc = max(q * q - 4.0 * abs(det) ** 2, 0.0)
-    return 0.5 * math.log(0.5 * (q + math.sqrt(disc)))
-
 
 # column block of the orbit walk: at most this many potential samples per
 # block, so no (rows x n) array is ever held
@@ -154,26 +125,6 @@ def potential_sequence(map_spec, theta, n, phi, forward=True):
     return np.concatenate([np.empty(0)] + [phi(pts[:, 0]) for pts in blocks])
 
 
-def cocycle_product(map_spec, theta, z, n, phi):
-    """A_n(theta, z) as a scaled TransferProduct; n = 0 gives the identity."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    dtype = np.complex128 if isinstance(z, complex) else np.float64
-    m = np.eye(2, dtype=dtype)
-    logscale = 0.0
-    if n:
-        v = potential_sequence(map_spec, theta, n, phi)
-        for k in range(n):
-            t = z - v[k]
-            m = np.array([[t * m[0, 0] - m[1, 0], t * m[0, 1] - m[1, 1]],
-                          [m[0, 0], m[0, 1]]], dtype=dtype)
-            norm = math.sqrt(float(np.sum(np.abs(m) ** 2)))
-            if norm > RENORM_NORM:
-                m /= norm
-                logscale += math.log(norm)
-    return TransferProduct(m, logscale)
-
-
 def _batch_lognorms(map_spec, thetas, z, n, phi, orbit):
     """log ||A_n|| of a batch of product rows, via the kernel product.
 
@@ -186,14 +137,11 @@ def _batch_lognorms(map_spec, thetas, z, n, phi, orbit):
     if n < 1:
         raise ValueError("need n >= 1")
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
-    z = np.asarray(z)
-    e, eta = (z.real, z.imag) if np.iscomplexobj(z) else (z, 0.0)
     state = kernels.CocycleState()
     width = max(1, _BLOCK_CELLS // orbit.shape[0])
     for pts in _orbit_blocks(map_spec, thetas, n, width, True):
         v = phi(pts.reshape(-1, pts.shape[2])).reshape(pts.shape[:2])
-        lognorm, detlog = kernels.cocycle_batch(v.T[orbit], e, eta,
-                                                state=state)
+        lognorm, detlog = kernels.cocycle_batch(v.T[orbit], z, state=state)
     return lognorm, detlog
 
 
@@ -270,6 +218,5 @@ def dt_integral(map_spec, theta, big_t, rho, e_count, k_bound, phi):
     es = np.linspace(-k_bound, k_bound, e_count)
     fwd = kernels.cocycle_lognorms_all(v_fwd, es, eta)
     bwd = kernels.cocycle_lognorms_all(v_bwd, es, eta, inverse=True)
-    integrand = np.array([math.exp(-2.0 * max(min(f, b), 0.0))
-                          for f, b in zip(fwd.tolist(), bwd.tolist())])
+    integrand = np.exp(-2.0 * np.maximum(np.minimum(fwd, bwd), 0.0))
     return float(np.trapezoid(integrand, es)), integrand

@@ -23,6 +23,7 @@ from . import equidistribution as eq
 from . import remainder_sets as brs
 from . import transport as tp
 from .arithmetic import parse_frequency
+from .backend import kernels
 from .torus import Shift, SkewShift, TorusPoint
 
 
@@ -343,11 +344,20 @@ def _energy_grid(values):
     return float(lo), float(hi), int(count)
 
 
+def _within_reach(path, energy, phi):
+    """A ConfigError naming path unless the cocycle products stay finite
+    at every |z| <= energy (see kernels.REACH)."""
+    if energy + phi.sup_bound + 1.0 > kernels.REACH:
+        raise ConfigError(path, f"|z| + sup|potential| + 1 must stay below "
+                                f"{kernels.REACH:g}, got {energy:g} for |z|")
+
+
 def _run_lyapunov_scan(config):
     mp = _parse_map(config)
     phi = _parse_potential(config)
     seed = _require_seed(config)
     lo, hi, count = _energy_grid(_get(config, "params.energies", kind=list))
+    _within_reach("params.energies", max(abs(lo), abs(hi)), phi)
     n = _positive_int(config, "params.n")
     phases = _positive_int(config, "params.phases")
     min_l = _number(config, "params.min_l", None)
@@ -374,6 +384,8 @@ def _run_dt_integral(config):
     if k_bound < 4.0:
         raise ConfigError("params.k_bound",
                           f"energy bound must be >= 4, got {k_bound!r}")
+    # z = E + i/T
+    _within_reach("params.k_bound", k_bound + 1.0 / min(t_list), phi)
     e_count = _get(config, "params.e_count", 201, kind=int)
     if e_count < 2:
         raise ConfigError("params.e_count",

@@ -140,7 +140,9 @@ def _chebyshev_coefficients(tau):
     while keep > 1 and abs(bess[keep]) < COEFF_TOL and abs(bess[keep - 1]) < COEFF_TOL:
         keep -= 1
     k = k[:keep + 1]
-    coeffs = (2.0 - (k == 0)) * (-1j) ** k * bess[:keep + 1]
+    # (-i)^k from a table: (-1j) ** k is inexact from k = 100 on
+    unit = np.array([1.0, -1j, -1.0, 1j])[k % 4]
+    coeffs = (2.0 - (k == 0)) * unit * bess[:keep + 1]
     return coeffs
 
 

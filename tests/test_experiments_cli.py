@@ -124,12 +124,14 @@ def _lyapunov_config(**params):
     ({"energies": [1.0, -1.0, 3]}, "params.energies"),
     ({"energies": [-1.0, float("inf"), 3]}, "params.energies"),
     ({"energies": ["a", 1.0, 3]}, "params.energies"),
+    ({"energies": [-1e8, 1.0, 3]}, "params.energies"),
     ({"n": 0}, "params.n"),
     ({"n": True}, "params.n"),
     ({"phases": 0}, "params.phases"),
     ({"phases": True}, "params.phases"),
 ], ids=["two-entries", "four-entries", "zero-count", "fractional-count",
-        "bool-count", "reversed", "infinite", "string", "zero-n", "bool-n",
+        "bool-count", "reversed", "infinite", "string", "out-of-reach",
+        "zero-n", "bool-n",
         "zero-phases", "bool-phases"])
 def test_bad_lyapunov_scan_input_names_the_field(params, field):
     with pytest.raises(ex.ConfigError) as err:
@@ -260,6 +262,7 @@ BAD_INPUTS = {
     "dt-rho-above-one": (_dt(rho=200.0), "params.rho"),
     "dt-k-bound-string": (_dt(k_bound="9"), "params.k_bound"),
     "dt-k-bound-below-four": (_dt(k_bound=3.5), "params.k_bound"),
+    "dt-k-bound-out-of-reach": (_dt(k_bound=1e8), "params.k_bound"),
     "coupling-string": (
         dict(_dt(), potential={"kind": "cosine", "coupling": "3.0"}),
         "potential.coupling"),
