@@ -248,8 +248,9 @@ def criterion_8():
     details = []
     ok = True
 
-    # free evolution against the Bessel closed form
-    ham = tp.build_hamiltonian(shift1, theta, zero, 128)
+    # free evolution against the Bessel closed form, and the dense oracle,
+    # on boxes over DENSE_SITES, so that both check the Chebyshev sweep
+    ham = tp.build_hamiltonian(shift1, theta, zero, 300)
     st, = tp.evolve([ham], [10.0], budget=1.0)
     sites = ham.sites()
     exact = (-1j) ** np.abs(sites) * jv(np.abs(sites), 20.0)
@@ -257,13 +258,12 @@ def criterion_8():
     ok &= err_free <= 1e-8
     details.append(f"free amp err {err_free:.2e}")
 
-    # dense diagonalization oracle
     rng = np.random.default_rng(5)
     err_dense = 0.0
     for _ in range(10):
         lam = float(rng.uniform(0.0, 3.0))
         t = float(rng.uniform(0.0, 20.0))
-        hamd = tp.build_hamiltonian(shift1, theta, cc.CosinePotential(lam), 128)
+        hamd = tp.build_hamiltonian(shift1, theta, cc.CosinePotential(lam), 300)
         st1, = tp.evolve([hamd], [t], budget=1.0)
         psi2, = tp.dense_evolve(hamd, [t])
         err_dense = max(err_dense, float(np.max(np.abs(st1.psi - psi2))))

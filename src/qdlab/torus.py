@@ -183,23 +183,23 @@ def skew_closed_form(alpha, y, n):
 
 # ------------------------------------------------------------------
 # vectorized map action on float arrays (used by covering and potential
-# sampling).  inverse_step_array is exact for inputs on the k/2^53 lattice:
-# every difference is a lattice value in (-1,1), and adding 1 to a negative
-# one is exact, so n steps give the closed-form iterate f^{-n} bit for bit.
-# step_array is not: a lattice sum in [1,2) can lose its last bit before
-# the shift back into [0,1).  Inputs off the lattice get plain double
-# rounding at each step in both.
+# sampling), exact for inputs on the k/2^53 lattice, so n steps give the
+# orbit of step (or the closed-form iterate f^{-n}) bit for bit.  Every
+# difference is a lattice value in (-1,1), and adding 1 to a negative one
+# is exact; step_array therefore forms x + y as x - (1 - y), where 1 - y is
+# a lattice value too, instead of a sum in [1,2) that can lose its last
+# bit.  Inputs off the lattice get plain double rounding at each step.
 # ------------------------------------------------------------------
 
 def step_array(map_spec, pts):
     pts = np.asarray(pts, dtype=np.float64)
     out = np.empty_like(pts)
     if isinstance(map_spec, Shift):
-        out[:] = pts + np.asarray(map_spec.alpha.coords)
+        out[:] = pts - (1.0 - np.asarray(map_spec.alpha.coords))
     else:
-        out[:, 0] = pts[:, 0] + map_spec.alpha
+        out[:, 0] = pts[:, 0] - (1.0 - map_spec.alpha)
         if pts.shape[1] > 1:
-            out[:, 1:] = pts[:, 1:] + pts[:, :-1]
+            out[:, 1:] = pts[:, 1:] - (1.0 - pts[:, :-1])
     out -= np.floor(out)
     return out
 

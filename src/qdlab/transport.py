@@ -2,18 +2,20 @@
 
 The Hamiltonian is the discrete Schrodinger operator on sites |n| <= L_box
 with unit hoppings and potential sampled along the two-sided orbit of the
-phase.  Time evolution uses the Chebyshev expansion of e^{-itH} with Bessel
-coefficients, truncated below 1e-14, or on a box of at most DENSE_SITES
-sites one eigendecomposition of the box, with the norm defect and the mass
-on the outer sites certified on every state.
+phase.  Every state is e^{-itH} applied to the delta at the origin, with
+the norm defect and the mass on the outer sites certified.  One rule picks
+the propagator (_sweep): a box of at most DENSE_SITES sites takes every
+state from one eigendecomposition of the box per distinct potential, and a
+larger box runs the Chebyshev expansion of e^{-itH} with Bessel
+coefficients, truncated below 1e-14.
 
-Every Chebyshev propagation is a block of rows (kernels.cheb_apply):
 evolve, evolve_times and averaged_profile take a list of BoxHamiltonians
 on one box, one row each, with one time, time grid or T per row, and a
-single state is a block of one row.  Each row runs on its own time grid
-and scale and equals its one-row propagation bit for bit: a block costs
-each row only its own series terms, and the per-term overhead is paid once
-per block instead of once per row.  Three kinds of work share boxes:
+single state is a block of one row.  A Chebyshev block
+(kernels.cheb_apply) runs each row on its own time grid and scale and
+equals its one-row propagation bit for bit: a block costs each row only
+its own series terms, and the per-term overhead is paid once per block
+instead of once per row.  Three kinds of work share boxes:
 
 - the auto_box probes of the t_max still open at one half-width;
 - the Abel sweeps of xi_estimate: every T whose box agrees, times the
@@ -21,11 +23,8 @@ per block instead of once per row.  Three kinds of work share boxes:
 - the boxes themselves, which all sample one two-sided Orbit of theta,
   grown as the box doubles and shifted by one site for f(theta).
 
-A probe or an Abel average on at most DENSE_SITES sites takes every state
-from one eigendecomposition of the box per distinct potential
-(_dense_parts), and only larger boxes run Chebyshev blocks.  Within one
-Chebyshev sweep the Bessel coefficients of each distinct step are
-evaluated once.
+Within one Chebyshev sweep the Bessel coefficients of each distinct step
+are evaluated once.
 """
 
 import math
@@ -146,27 +145,19 @@ def _chebyshev_coefficients(tau):
     return coeffs
 
 
-def _margins(prob):
-    """Norm defects and masses on the outer percent of sites, per row.
-
-    prob: site probabilities |psi|^2, sites on the last axis.
-    """
-    edge = max(1, int(math.ceil(0.01 * prob.shape[-1])))
-    return (np.abs(np.sum(prob, axis=-1) - 1.0),
-            np.sum(prob[..., :edge], axis=-1) + np.sum(prob[..., -edge:],
-                                                       axis=-1))
-
-
-def _passes(norm_defect, boundary, budget):
-    return (norm_defect <= NORM_DEFECT_TOL) & (boundary <= budget)
-
-
 def _certify(t, psi, budget):
-    """A state certified by its worst row: valid only if every row is."""
-    norm_defect, boundary = _margins(np.abs(np.atleast_2d(psi)) ** 2)
+    """A state certified by its worst row: valid only if every row is.
+
+    Each row has a norm defect and a mass on the outer percent of sites.
+    """
+    prob = np.abs(np.atleast_2d(psi)) ** 2
+    edge = max(1, int(math.ceil(0.01 * prob.shape[-1])))
+    norm_defect = np.abs(np.sum(prob, axis=-1) - 1.0)
+    boundary = (np.sum(prob[..., :edge], axis=-1)
+                + np.sum(prob[..., -edge:], axis=-1))
+    valid = (norm_defect <= NORM_DEFECT_TOL) & (boundary <= budget)
     return EvolutionState(t, psi, float(np.max(norm_defect)),
-                          float(np.max(boundary)),
-                          bool(np.all(_passes(norm_defect, boundary, budget))))
+                          float(np.max(boundary)), bool(np.all(valid)))
 
 
 def initial_state(ham):
@@ -176,17 +167,30 @@ def initial_state(ham):
 
 
 def _sweep(hams, grids):
-    """psi of every row at each node of its own time grid, node to node.
+    """psi of every row at each node of its own time grid.
 
     hams: BoxHamiltonians on one box, one row each; grids: one
-    nondecreasing time grid per row, all of one length.  The rows advance
-    as one block (kernels.cheb_apply), each with its own scale and
-    Chebyshev coefficients; a row whose time does not move sits out that
-    step.  The coefficients of a step are evaluated once per distinct
-    scaled step tau (keyed on the exact float) within the sweep: the
-    Gauss-Legendre hops of an Abel rule repeat bit for bit from panel to
-    panel, and rows at one scale and T share them.  Yields the rows'
-    times and the (rows, sites) block at each node.
+    nondecreasing time grid per row, all of one length.  A box of at most
+    DENSE_SITES sites is propagated by eigendecompositions (_dense_sweep),
+    which there cost milliseconds against up to a second of Chebyshev terms
+    at t = 1e4, and a larger box by Chebyshev blocks (_chebyshev_sweep),
+    where the cubic cost of an eigendecomposition overtakes them.  Yields
+    the rows' times and the (rows, sites) block at each node.
+    """
+    if hams and hams[0].size <= DENSE_SITES:
+        return _dense_sweep(hams, grids)
+    return _chebyshev_sweep(hams, grids)
+
+
+def _chebyshev_sweep(hams, grids):
+    """_sweep by Chebyshev blocks, node to node.
+
+    The rows advance as one block (kernels.cheb_apply), each with its own
+    scale and Chebyshev coefficients; a row whose time does not move sits
+    out that step.  The coefficients of a step are evaluated once per
+    distinct scaled step tau (keyed on the exact float) within the sweep:
+    the Gauss-Legendre hops of an Abel rule repeat bit for bit from panel
+    to panel, and rows at one scale and T share them.
     """
     scales = [h.enclosure for h in hams]
     diag = np.array([h.v / s for h, s in zip(hams, scales)])
@@ -234,7 +238,7 @@ def evolve(hams, ts, budget=DEFAULT_BOUNDARY_BUDGET):
 
 
 def evolve_times(hams, grids):
-    """States at increasing time grids, advancing node to node.
+    """States at nondecreasing time grids, one per node (_sweep).
 
     hams: BoxHamiltonians on one box, swept as one row block; grids: one
     grid per row, all of one length.  Each state's psi is (rows, sites),
@@ -259,39 +263,50 @@ def _eigenbasis(ham):
     return w, u, u[ham.l_box]
 
 
-def _dense_parts(basis, ts):
-    """Real and imaginary parts of e^{-i t H} delta, one row per time of ts.
+def _dense_sweep(hams, grids):
+    """_sweep by eigendecompositions, each node straight from time 0.
 
-    Returns a (2, times, sites) block.  Row t is u @ (e^{-i t w} *
-    u[center]), where u[center] are the delta's eigenbasis amplitudes (u
-    is real), taken as two real matrix-vector products per time: u @ c
-    would first cast u to a complex copy (4 MB at 513 sites) and run a
-    slower loop, and one matrix product over all times would touch the
-    BLAS's level-3 packing buffer, about 1 MB that stays resident.
+    Rows with equal potentials share one eigendecomposition.  Row p at time
+    t is u @ (e^{-i t w} * u[center]), where u[center] are the delta's
+    eigenbasis amplitudes (u is real), taken as two real matrix-vector
+    products per row and time: u @ c would first cast u to a complex copy
+    (4 MB at 513 sites) and run a slower loop, and one matrix product over
+    all rows would touch the BLAS's level-3 packing buffer, about 1 MB that
+    stays resident.  At each node the exponentials of the rows that share
+    a basis are one call.
     """
-    w, u, amps = basis
-    c = np.exp(-1j * np.multiply.outer(np.asarray(ts, dtype=np.float64), w))
-    c *= amps
-    parts = np.stack((c.real, c.imag))
-    out = np.empty_like(parts)
-    sites = w.shape[0]
-    for x, y in zip(parts.reshape(-1, sites), out.reshape(-1, sites)):
-        np.matmul(u, x, out=y)
-    return out
+    bases, rows_of = {}, {}
+    for p, ham in enumerate(hams):
+        key = ham.v.tobytes()
+        if key not in bases:
+            bases[key] = _eigenbasis(ham)
+        rows_of.setdefault(key, []).append(p)
+    for ts in zip(*grids):
+        parts = np.empty((2, len(hams), hams[0].size))
+        out = np.empty_like(parts)
+        for key, rows in rows_of.items():
+            w, u, amps = bases[key]
+            c = np.exp(-1j * np.multiply.outer(np.take(ts, rows), w))
+            c *= amps
+            parts[0, rows] = c.real
+            parts[1, rows] = c.imag
+            for p in rows:
+                np.matmul(u, parts[0, p], out=out[0, p])
+                np.matmul(u, parts[1, p], out=out[1, p])
+        psi = np.empty(out.shape[1:], dtype=np.complex128)
+        psi.real = out[0]
+        psi.imag = out[1]
+        yield ts, psi
 
 
 def dense_evolve(ham, ts):
     """e^{-i t H} applied to the delta at the origin, one row per time.
 
-    One eigendecomposition of the box serves every time.  Restricted to
-    small boxes, where it is the oracle for evolve and decides auto_box
-    probes; averaged_profile takes its node states the same way.
+    The one-row use of _dense_sweep: one eigendecomposition of the box
+    serves every time.  Allowed up to 4097 sites, so that on boxes over
+    DENSE_SITES it is an oracle for the Chebyshev sweep.
     """
-    re, im = _dense_parts(_eigenbasis(ham), ts)
-    out = np.empty(re.shape, dtype=np.complex128)
-    out.real = re
-    out.imag = im
-    return out
+    return np.concatenate([psi for _, psi in _dense_sweep([ham], [ts])])
 
 
 def moment(state, p):
@@ -330,68 +345,29 @@ def averaged_profile(hams, big_ts):
 
     hams: BoxHamiltonians on one box; big_ts: one T per row.  Each row is
     averaged on its own Abel rule, and the profile has one row per
-    Hamiltonian.  Every node state is certified like an evolve_times state
-    (norm defect and outer-percent mass at DEFAULT_BOUNDARY_BUDGET), and a
-    node that fails raises a ValueError naming its time.
-
-    On at most DENSE_SITES sites the node states come from one
-    eigendecomposition per distinct potential (_dense_profile), which costs
-    milliseconds against 240 Chebyshev steps per row; a larger box is one
-    Chebyshev sweep of all rows (evolve_times).  On 257 sites the two agree
-    to 4e-14 up to T = 80 and to 5e-13 at T = 1000, where most of the gap
-    is the sweep's own rounding.
+    Hamiltonian.  The node states are one evolve_times sweep of all rows,
+    from eigendecompositions on at most DENSE_SITES sites: on 257 sites
+    those agree with the Chebyshev sweep to 4e-14 up to T = 80 and to
+    5e-13 at T = 1000, where most of the gap is the sweep's own rounding.
+    Every node state is certified (norm defect and outer-percent mass at
+    DEFAULT_BOUNDARY_BUDGET), and the first node that fails raises a
+    ValueError naming the rows' latest time there.
     """
     if not hams:
         raise ValueError("need at least one row")
     if len(big_ts) != len(hams):
         raise ValueError("need one T per row")
     rules = [abel_nodes(t) for t in big_ts]
-    if hams[0].size <= DENSE_SITES:
-        return _dense_profile(hams, rules)
     states = evolve_times(hams, [nodes for nodes, _ in rules])
     # one row per node: the rows' weights at that node
     weights = np.array([w for _, w in rules]).T
     acc = np.zeros(states[0].psi.shape)
     for st, w in zip(states, weights):
         if not st.valid:
-            raise _flagged(st.t, st.norm_defect, st.boundary_mass)
+            raise ValueError(
+                f"evolution flagged at t={np.max(st.t):.3g} (defect "
+                f"{st.norm_defect:.2e}, boundary {st.boundary_mass:.2e})")
         acc += w[:, None] * np.abs(st.psi) ** 2
-    return acc
-
-
-def _flagged(ts, norm_defect, boundary):
-    """The error of a node state that fails its certificate at times ts."""
-    return ValueError(
-        f"evolution flagged at t={np.max(ts):.3g} "
-        f"(defect {norm_defect:.2e}, boundary {boundary:.2e})")
-
-
-def _dense_profile(hams, rules):
-    """averaged_profile from eigendecompositions: weights @ |psi|^2 per row.
-
-    Rows with equal potentials share one eigendecomposition.  Each row's
-    node states are certified in one pass; a failure is reported as the
-    Chebyshev sweep reports it, at the first node where any row fails,
-    with the rows' latest time there and their worst margins.
-    """
-    bases = {}
-    acc = np.empty((len(hams), hams[0].size))
-    defects = np.empty((len(hams), len(rules[0][0])))
-    masses = np.empty_like(defects)
-    for p, (ham, (nodes, weights)) in enumerate(zip(hams, rules)):
-        key = ham.v.tobytes()
-        if key not in bases:
-            bases[key] = _eigenbasis(ham)
-        re, im = _dense_parts(bases[key], nodes)
-        prob = np.square(re, out=re)
-        prob += np.square(im, out=im)
-        defects[p], masses[p] = _margins(prob)
-        acc[p] = weights @ prob
-    failed = ~_passes(defects, masses, DEFAULT_BOUNDARY_BUDGET)
-    if failed.any():
-        k = int(np.argmax(failed.any(axis=0)))
-        raise _flagged([nodes[k] for nodes, _ in rules],
-                       np.max(defects[:, k]), np.max(masses[:, k]))
     return acc
 
 
@@ -441,43 +417,25 @@ def worst_case_box(phi_sup, t_max):
     return int(math.ceil((2.0 + phi_sup) * t_max * 1.05)) + 96
 
 
-def _probe(ham, t_maxes):
-    """The delta evolved to each t_max on ham's box, certified per row.
-
-    The budget is much smaller than a sweep's: near the ballistic edge the
-    boundary mass oscillates over a couple of orders of magnitude, so a box
-    that barely fits at t_max can overflow slightly earlier.  A box of at
-    most DENSE_SITES sites is evolved by one eigendecomposition
-    (dense_evolve), a larger one by one Chebyshev block (evolve).
-    """
-    if ham.size <= DENSE_SITES:
-        return [_certify(t, row, PROBE_BUDGET)
-                for t, row in zip(t_maxes, dense_evolve(ham, t_maxes))]
-    return evolve([ham] * len(t_maxes), t_maxes, budget=PROBE_BUDGET)
-
-
 def auto_box(map_spec, theta, phi, t_maxes, orbit=None):
     """Smallest power-of-2-scaled box keeping boundary mass within budget.
 
     One box per time of t_maxes.  The half-width l doubles from BOX_START.
     At each l, an open time whose light-cone ceiling (worst_case_box) is
     at most l takes its ceiling box without a probe; the other open times
-    are the rows of one probe on the l box (_probe), which evolves the
-    delta to each t_max and keeps the box of every row within
-    PROBE_BUDGET.  Every box samples one orbit of theta, grown as the box
-    doubles: orbit if given, which must be an Orbit of theta under
-    map_spec and phi.
+    are the rows of one probe on the l box, an evolve of the delta to each
+    t_max that keeps the box of every row within PROBE_BUDGET.  That budget
+    is much smaller than a sweep's: near the ballistic edge the boundary
+    mass oscillates over a couple of orders of magnitude, so a box that
+    barely fits at t_max can overflow slightly earlier.  Every box samples
+    one orbit of theta, grown as the box doubles: orbit if given, which
+    must be an Orbit of theta under map_spec and phi.
 
-    A probe on at most DENSE_SITES = 513 sites is one
-    eigendecomposition, which there costs milliseconds against up to a
-    second of Chebyshev terms at t_max = 1e4; its cubic cost overtakes
-    the Chebyshev block above that.  A probe state only decides yes or no
-    and is then dropped, and a box is the same orbit sample whichever
-    propagator decided it, so boxes and sweeps keep their bits unless the
-    two propagators decide a row apart.  They do not: their boundary
-    masses agree to 4e-10 relative at the budget, while the eigen-decided
-    rows of the transport workloads lie at least nine decades from
-    PROBE_BUDGET.
+    A probe state only decides yes or no and is then dropped, so a box is
+    the same orbit sample whichever propagator decided it.  On at most
+    DENSE_SITES sites the two propagators' boundary masses agree to 4e-10
+    relative at the budget, and the rows of the transport workloads there
+    lie at least nine decades from PROBE_BUDGET.
     """
     if orbit is None:
         orbit = Orbit(map_spec, theta, phi)
@@ -504,7 +462,8 @@ def auto_box(map_spec, theta, phi, t_maxes, orbit=None):
                 boxes[i] = box(ceilings[i])
         probed = [i for i in open_ if ceilings[i] > l]
         if probed:
-            states = _probe(box(l), [t_maxes[i] for i in probed])
+            states = evolve([box(l)] * len(probed),
+                            [t_maxes[i] for i in probed], PROBE_BUDGET)
             for i, st in zip(probed, states):
                 if st.valid:
                     boxes[i] = box(l)

@@ -10,7 +10,7 @@ import qdlab.cocycle as cc
 from qdlab.arithmetic import parse_frequency
 from qdlab.backend import kernels
 from qdlab.torus import (Shift, SkewShift, TorusPoint, inverse_step_array,
-                         step, step_array)
+                         orbit, step, step_array)
 
 GOLDEN = float(parse_frequency("golden"))
 SHIFT1 = Shift(TorusPoint((GOLDEN,)))
@@ -212,6 +212,27 @@ def test_potential_sequence_blocks_equal_the_per_step_walk(monkeypatch, spec,
     got = cc.potential_sequence(spec, theta, 100, phi, forward=forward)
     assert got.tobytes() == want.tobytes()
     assert calls == [7] * 14 + [2]
+
+
+def _last_coordinate(pts):
+    return np.atleast_2d(pts)[:, -1].copy()
+
+
+@pytest.mark.parametrize("spec, phi", [
+    (SHIFT1, cc.CosinePotential(1.5)),
+    (Shift(TorusPoint((GOLDEN, float(parse_frequency("sqrt2m1"))))),
+     _last_coordinate),
+    (SkewShift(GOLDEN, 2), _last_coordinate),
+    (SkewShift(GOLDEN, 3), _last_coordinate),
+], ids=["shift-d1", "shift-d2", "skew-d2", "skew-d3"])
+def test_forward_potential_sequence_samples_the_orbit(spec, phi):
+    # the forward walk takes exact lattice steps, so every sample is phi at
+    # the orbit point of step, bit for bit
+    theta = TorusPoint(tuple(0.1 + 0.3 * k for k in range(spec.d)))
+    n = 3000
+    want = np.asarray(phi(orbit(spec, theta, n).points), dtype=np.float64)
+    got = cc.potential_sequence(spec, theta, n, phi)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_potential_sequence_directions():

@@ -121,6 +121,33 @@ def test_step_array_agrees_with_step():
         assert np.allclose(back, pts, atol=1e-12)
 
 
+# 0.75 + 2^-53 under a shift by 0.5 is the smallest case of a lattice sum
+# in [1, 2) whose last bit a plain float sum would drop
+EDGE = 0.75 + 2.0 ** -53
+
+
+@pytest.mark.parametrize("m", [
+    Shift(TorusPoint((0.5,))),
+    Shift(TorusPoint((0.61803398874989481,))),
+    Shift(TorusPoint((0.41421356237309503, 0.73205080756887729))),
+    SkewShift(0.61803398874989481, 2),
+    SkewShift(0.41421356237309503, 3)],
+    ids=["shift-half", "shift-d1", "shift-d2", "skew-d2", "skew-d3"])
+def test_step_array_walks_the_orbit_bit_for_bit(m):
+    # one random lattice start and one at EDGE in every coordinate, stepped
+    # as one array: each row is the orbit of step
+    rng = np.random.default_rng(23)
+    starts = [lattice_point(rng, m.d), TorusPoint((EDGE,) * m.d)]
+    n = 3000
+    cur = np.array([p.coords for p in starts])
+    got = np.empty((n,) + cur.shape)
+    for k in range(n):
+        got[k] = cur
+        cur = step_array(m, cur)
+    for row, p in enumerate(starts):
+        assert got[:, row].tobytes() == orbit(m, p, n).points.tobytes()
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         step(Shift(TorusPoint((0.3,))), TorusPoint((0.1, 0.2)))

@@ -29,27 +29,50 @@ def test_hamiltonian_sampling_matches_potential_formula():
     assert ham.enclosure == pytest.approx(2.0 + float(np.max(np.abs(ham.v))))
 
 
-def test_free_evolution_bessel_closed_form():
+def _chebyshev_sites(monkeypatch):
+    """The site count of every kernels.cheb_apply call from now on."""
+    sites, apply = [], kernels.cheb_apply
+
+    def counted(diag, off, coeffs, psi):
+        sites.append(diag.shape[1])
+        return apply(diag, off, coeffs, psi)
+
+    monkeypatch.setattr(kernels, "cheb_apply", counted)
+    return sites
+
+
+def test_free_evolution_bessel_closed_form(monkeypatch):
+    # on the eigendecomposition, then with the box forced onto Chebyshev
     ham = tp.build_hamiltonian(SHIFT1, THETA, ZERO, 96)
-    st, = tp.evolve([ham], [7.0], budget=1.0)
     sites = ham.sites()
     exact = (-1j) ** np.abs(sites) * jv(np.abs(sites), 14.0)
-    assert np.max(np.abs(st.psi - exact)) < 1e-10
-    assert st.norm_defect < 1e-12
+    chebyshev = _chebyshev_sites(monkeypatch)
+    for dense_sites, applied in ((tp.DENSE_SITES, []), (0, [ham.size])):
+        monkeypatch.setattr(tp, "DENSE_SITES", dense_sites)
+        st, = tp.evolve([ham], [7.0], budget=1.0)
+        assert chebyshev == applied
+        assert np.max(np.abs(st.psi - exact)) < 1e-10
+        assert st.norm_defect < 1e-12
 
 
-def test_chebyshev_matches_dense_oracle():
+def test_chebyshev_matches_dense_oracle(monkeypatch):
     phi = cc.CosinePotential(2.0)
     ham = tp.build_hamiltonian(SHIFT1, THETA, phi, 64)
+    monkeypatch.setattr(tp, "DENSE_SITES", 0)
+    chebyshev = _chebyshev_sites(monkeypatch)
     st, = tp.evolve([ham], [9.0], budget=1.0)
     dense, = tp.dense_evolve(ham, [9.0])
+    assert chebyshev == [ham.size]
     assert np.max(np.abs(st.psi - dense)) < 1e-10
 
 
-def test_node_to_node_equals_single_shot():
+def test_node_to_node_equals_single_shot(monkeypatch):
     phi = cc.CosinePotential(1.0)
     ham = tp.build_hamiltonian(SHIFT1, THETA, phi, 64)
+    monkeypatch.setattr(tp, "DENSE_SITES", 0)
+    chebyshev = _chebyshev_sites(monkeypatch)
     states = tp.evolve_times([ham], [[2.0, 5.0, 9.0]])
+    assert chebyshev == [ham.size] * 3
     direct, = tp.evolve([ham], [9.0], budget=1.0)
     assert states[-1].psi.shape == (1, ham.size)
     assert np.max(np.abs(states[-1].psi[0] - direct.psi)) < 1e-10
@@ -180,6 +203,34 @@ def test_localized_moments_stay_flat():
     assert est.high <= 0.15
 
 
+def test_localized_beta_takes_no_chebyshev_term(monkeypatch):
+    # criterion 8's localized moments, on a 257-site box: from one
+    # eigendecomposition, and equal to the Chebyshev sweep's
+    phi = cc.CosinePotential(3.0)
+    t_grid = list(np.geomspace(5.0, 1000.0, 12))
+    moments, moment = [], tp.moment
+
+    def recorded(state, p):
+        assert state.psi.shape[-1] == 257
+        moments[-1].append(moment(state, p))
+        return moments[-1][-1]
+
+    monkeypatch.setattr(tp, "moment", recorded)
+    chebyshev = _chebyshev_sites(monkeypatch)
+    estimates = []
+    for dense_sites in (tp.DENSE_SITES, 0):
+        monkeypatch.setattr(tp, "DENSE_SITES", dense_sites)
+        moments.append([])
+        estimates.append(tp.beta_estimate(SHIFT1, THETA, phi, 2.0, t_grid))
+        if dense_sites:
+            assert chebyshev == []
+    assert chebyshev
+    dense, swept = (np.array(m) for m in moments)
+    assert len(dense) == len(t_grid)
+    assert np.max(np.abs(dense / swept - 1.0)) <= 1e-12
+    assert estimates[0].high <= 0.1
+
+
 def test_estimator_input_validation(monkeypatch):
     with pytest.raises(ValueError):
         tp.beta_estimate(SHIFT1, THETA, ZERO, 2.0, [1.0, 2.0, 3.0])
@@ -288,8 +339,8 @@ def test_cheb_apply_rows_equal_the_one_row_recurrence(lengths):
         assert got[p].tobytes() == want.tobytes()
 
 
-# the Chebyshev Abel sweep runs on boxes over DENSE_SITES = 513 sites, so
-# the row-block tests below take half-widths of at least 257
+# Chebyshev sweeps run on boxes over DENSE_SITES = 513 sites, so the
+# row-block tests below take half-widths of at least 257
 @pytest.mark.parametrize("phi, phase, l_box", [
     # at 0.335 the shifted box gains its largest |v| at its new edge site
     (cc.CosinePotential(3.0), 0.335, 257), (ZERO, 0.3, 300)],
@@ -379,21 +430,21 @@ def test_dense_profile_matches_the_chebyshev_sweep(monkeypatch, phi, phase,
         eigen.append(h.v.tobytes())
         return basis(h)
 
-    def no_sweep(*args):
-        raise AssertionError("a box of at most DENSE_SITES sites ran a sweep")
-
     monkeypatch.setattr(tp, "_eigenbasis", counted)
-    monkeypatch.setattr(tp, "evolve_times", no_sweep)
+    chebyshev = _chebyshev_sites(monkeypatch)
     # both phases at every T, in mixed order: one eigendecomposition per
-    # distinct potential, and every row on its own rule
+    # distinct potential, no Chebyshev term, and every row on its own rule
     rows = [(h, t) for t in big_ts for h in (ham, shifted)][::-1]
-    got = tp.averaged_profile([h for h, _ in rows], [t for _, t in rows])
+    hams, row_ts = [h for h, _ in rows], [t for _, t in rows]
+    got = tp.averaged_profile(hams, row_ts)
     assert got.shape == (len(rows), ham.size)
     assert len(eigen) == len(set(eigen)) == len({ham.v.tobytes(),
                                                  shifted.v.tobytes()})
-    for profile, (h, big_t) in zip(got, rows):
-        want = _profile_reference(h, big_t)
-        assert np.max(np.abs(profile - want)) <= 1e-12
+    assert chebyshev == []
+    monkeypatch.setattr(tp, "DENSE_SITES", 0)
+    want = tp.averaged_profile(hams, row_ts)
+    assert chebyshev
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def _flag_message(hams, big_ts):
@@ -525,19 +576,17 @@ def test_auto_box_rows_equal_the_one_time_loop(phi, phase, t_maxes, boxes):
 
 
 def test_auto_box_never_probes_a_ceiling_box(monkeypatch):
-    probes, chebyshev = [], []
-    probe, evolve = tp._probe, tp.evolve
+    probes = []
+    evolve = tp.evolve
 
-    def counted(ham, t_maxes):
-        probes.append((ham.l_box, list(t_maxes)))
-        return probe(ham, t_maxes)
-
-    def chebyshev_sites(hams, ts, budget=tp.DEFAULT_BOUNDARY_BUDGET):
-        chebyshev.append(hams[0].size)
+    def counted(hams, ts, budget=tp.DEFAULT_BOUNDARY_BUDGET):
+        assert all(ham is hams[0] for ham in hams)
+        assert budget == tp.PROBE_BUDGET
+        probes.append((hams[0].l_box, list(ts)))
         return evolve(hams, ts, budget)
 
-    monkeypatch.setattr(tp, "_probe", counted)
-    monkeypatch.setattr(tp, "evolve", chebyshev_sites)
+    monkeypatch.setattr(tp, "evolve", counted)
+    chebyshev = _chebyshev_sites(monkeypatch)
     # free: 60 fails at 128 and takes its ceiling 222 unprobed, 20 passes
     # at 128 and 200 at 512
     t_maxes = [60.0, 20.0, 200.0]
@@ -562,13 +611,14 @@ def test_auto_box_never_probes_a_ceiling_box(monkeypatch):
     (cc.CosinePotential(3.0), 0.41, 128, XI_PROBE)],
     ids=["free-128", "free-256", "critical-256", "localized-beta",
          "localized-xi"])
-def test_dense_probe_margins_agree_with_chebyshev(phi, phase, l_box,
-                                                  t_maxes):
+def test_dense_probe_margins_agree_with_chebyshev(monkeypatch, phi, phase,
+                                                  l_box, t_maxes):
     ham = tp.build_hamiltonian(SHIFT1, TorusPoint((phase,)), phi, l_box)
     assert ham.size <= tp.DENSE_SITES
-    dense = tp._probe(ham, t_maxes)
-    chebyshev = tp.evolve([ham] * len(t_maxes), t_maxes,
-                          budget=1e-4 * tp.DEFAULT_BOUNDARY_BUDGET)
+    hams = [ham] * len(t_maxes)
+    dense = tp.evolve(hams, t_maxes, tp.PROBE_BUDGET)
+    monkeypatch.setattr(tp, "DENSE_SITES", 0)
+    chebyshev = tp.evolve(hams, t_maxes, tp.PROBE_BUDGET)
     for d, c in zip(dense, chebyshev):
         assert d.t == c.t and d.valid == c.valid
         assert d.norm_defect <= 1e-8 and c.norm_defect <= 1e-8
