@@ -275,17 +275,16 @@ def _dense_sweep(hams, grids):
     stays resident.  At each node the exponentials of the rows that share
     a basis are one call.
     """
-    bases, rows_of = {}, {}
+    groups = {}
     for p, ham in enumerate(hams):
         key = ham.v.tobytes()
-        if key not in bases:
-            bases[key] = _eigenbasis(ham)
-        rows_of.setdefault(key, []).append(p)
+        if key not in groups:
+            groups[key] = (_eigenbasis(ham), [])
+        groups[key][1].append(p)
     for ts in zip(*grids):
         parts = np.empty((2, len(hams), hams[0].size))
         out = np.empty_like(parts)
-        for key, rows in rows_of.items():
-            w, u, amps = bases[key]
+        for (w, u, amps), rows in groups.values():
             c = np.exp(-1j * np.multiply.outer(np.take(ts, rows), w))
             c *= amps
             parts[0, rows] = c.real
