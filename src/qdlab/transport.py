@@ -171,14 +171,15 @@ def _sweep(hams, grids):
 
     hams: BoxHamiltonians on one box, one row each; grids: one
     nondecreasing time grid per row, all of one length.  A box of at most
-    DENSE_SITES sites is propagated by eigendecompositions (_dense_sweep),
+    DENSE_SITES sites is propagated by eigendecompositions (_dense_states),
     which there cost milliseconds against up to a second of Chebyshev terms
     at t = 1e4, and a larger box by Chebyshev blocks (_chebyshev_sweep),
-    where the cubic cost of an eigendecomposition overtakes them.  Yields
-    the rows' times and the (rows, sites) block at each node.
+    where the cubic cost of an eigendecomposition overtakes them.  Returns
+    an iterator over the rows' times and the (rows, sites) block at each
+    node.
     """
     if hams and hams[0].size <= DENSE_SITES:
-        return _dense_sweep(hams, grids)
+        return zip(zip(*grids), _dense_states(hams, grids))
     return _chebyshev_sweep(hams, grids)
 
 
@@ -263,49 +264,44 @@ def _eigenbasis(ham):
     return w, u, u[ham.l_box]
 
 
-def _dense_sweep(hams, grids):
-    """_sweep by eigendecompositions, each node straight from time 0.
+def _dense_states(hams, grids):
+    """psi of every row at each node of its grid: a (nodes, rows, sites) array.
 
     Rows with equal potentials share one eigendecomposition.  Row p at time
     t is u @ (e^{-i t w} * u[center]), where u[center] are the delta's
-    eigenbasis amplitudes (u is real), taken as two real matrix-vector
-    products per row and time: u @ c would first cast u to a complex copy
-    (4 MB at 513 sites) and run a slower loop, and one matrix product over
-    all rows would touch the BLAS's level-3 packing buffer, about 1 MB that
-    stays resident.  At each node the exponentials of the rows that share
-    a basis are one call.
+    eigenbasis amplitudes (u is real).  One exponential call covers a row's
+    whole grid, and each node is two real matrix-vector products written
+    straight into the real and imaginary parts of its block: u @ c would
+    first cast u to a complex copy (4 MB at 513 sites) and run a slower
+    loop, and one matrix product over all nodes would touch the BLAS's
+    level-3 packing buffer, about 1 MB that stays resident.
     """
-    groups = {}
-    for p, ham in enumerate(hams):
+    bases = {}
+    psi = np.empty((len(grids[0]), len(hams), hams[0].size),
+                   dtype=np.complex128)
+    for p, (ham, ts) in enumerate(zip(hams, grids)):
         key = ham.v.tobytes()
-        if key not in groups:
-            groups[key] = (_eigenbasis(ham), [])
-        groups[key][1].append(p)
-    for ts in zip(*grids):
-        parts = np.empty((2, len(hams), hams[0].size))
-        out = np.empty_like(parts)
-        for (w, u, amps), rows in groups.values():
-            c = np.exp(-1j * np.multiply.outer(np.take(ts, rows), w))
-            c *= amps
-            parts[0, rows] = c.real
-            parts[1, rows] = c.imag
-            for p in rows:
-                np.matmul(u, parts[0, p], out=out[0, p])
-                np.matmul(u, parts[1, p], out=out[1, p])
-        psi = np.empty(out.shape[1:], dtype=np.complex128)
-        psi.real = out[0]
-        psi.imag = out[1]
-        yield ts, psi
+        if key not in bases:
+            bases[key] = _eigenbasis(ham)
+        w, u, amps = bases[key]
+        c = np.exp(-1j * np.multiply.outer(np.asarray(ts, dtype=np.float64),
+                                           w))
+        c *= amps
+        parts = np.stack((c.real, c.imag))
+        for node, x, y in zip(psi[:, p], parts[0], parts[1]):
+            np.matmul(u, x, out=node.real)
+            np.matmul(u, y, out=node.imag)
+    return psi
 
 
 def dense_evolve(ham, ts):
     """e^{-i t H} applied to the delta at the origin, one row per time.
 
-    The one-row use of _dense_sweep: one eigendecomposition of the box
+    The one-row use of _dense_states: one eigendecomposition of the box
     serves every time.  Allowed up to 4097 sites, so that on boxes over
     DENSE_SITES it is an oracle for the Chebyshev sweep.
     """
-    return np.concatenate([psi for _, psi in _dense_sweep([ham], [ts])])
+    return _dense_states([ham], [ts])[:, 0]
 
 
 def moment(state, p):

@@ -64,6 +64,7 @@ def test_chebyshev_matches_dense_oracle(monkeypatch):
     dense, = tp.dense_evolve(ham, [9.0])
     assert chebyshev == [ham.size]
     assert np.max(np.abs(st.psi - dense)) < 1e-10
+    assert tp.dense_evolve(ham, []).shape == (0, ham.size)
 
 
 def test_node_to_node_equals_single_shot(monkeypatch):
@@ -518,19 +519,29 @@ def test_shared_orbit_samples_equal_fresh_walks():
         assert ham.v.tobytes() == want.tobytes()
 
 
-def test_row_probes_equal_one_row_evolutions():
+def test_row_probes_equal_one_row_evolutions(monkeypatch):
+    # on the eigendecomposition, then forced onto Chebyshev, where the 0.0
+    # row sits out the block's one step and its one-row evolution makes no
+    # kernel call: one block call and three one-row calls
     ham = tp.build_hamiltonian(SHIFT1, THETA, cc.CosinePotential(1.0), 48)
     times = [30.0, 4.0, 0.0, 12.5]
-    states = tp.evolve([ham] * len(times), times, budget=1e-6)
-    for t, st in zip(times, states):
-        one, = tp.evolve([ham], [t], budget=1e-6)
-        assert st.psi.tobytes() == one.psi.tobytes()
-        assert (st.t, st.valid, st.norm_defect, st.boundary_mass) == \
-            (one.t, one.valid, one.norm_defect, one.boundary_mass)
+    chebyshev = _chebyshev_sites(monkeypatch)
+    for dense_sites, applied in ((tp.DENSE_SITES, []), (0, [ham.size] * 4)):
+        monkeypatch.setattr(tp, "DENSE_SITES", dense_sites)
+        states = tp.evolve([ham] * len(times), times, budget=1e-6)
+        for t, st in zip(times, states):
+            one, = tp.evolve([ham], [t], budget=1e-6)
+            assert st.psi.tobytes() == one.psi.tobytes()
+            assert (st.t, st.valid, st.norm_defect, st.boundary_mass) == \
+                (one.t, one.valid, one.norm_defect, one.boundary_mass)
+        assert chebyshev == applied
 
 
 def _auto_box_reference(map_spec, theta, phi, t_max):
-    """auto_box for one t_max: one probe per box, one box at a time."""
+    """auto_box for one t_max: one probe per box, one box at a time.
+
+    Called with DENSE_SITES = 0, so that every probe is a Chebyshev one.
+    """
     ceiling = tp.worst_case_box(phi.sup_bound or 0.0, t_max)
     l = min(tp.BOX_START, ceiling)
     while True:
@@ -561,18 +572,22 @@ XI_PROBE = [10.0 * t for t in np.geomspace(30.0, 80.0, 9)]
     # ceiling of 306
     (ZERO, 0.0, [100.0], [256])],
     ids=["free", "localized", "localized-beta", "localized-xi", "free-256"])
-def test_auto_box_rows_equal_the_one_time_loop(phi, phase, t_maxes, boxes):
+def test_auto_box_rows_equal_the_one_time_loop(monkeypatch, phi, phase,
+                                              t_maxes, boxes):
     th = TorusPoint((phase,))
     got = tp.auto_box(SHIFT1, th, phi, t_maxes)
     assert len(got) == len(t_maxes)
     if boxes is not None:
         assert [ham.l_box for ham in got] == boxes
+    one, = tp.auto_box(SHIFT1, th, phi, t_maxes[:1])
+    assert one.v.tobytes() == got[0].v.tobytes()
+    # the boxes decided above on at most DENSE_SITES sites are the ones
+    # the Chebyshev probes decide
+    monkeypatch.setattr(tp, "DENSE_SITES", 0)
     for t_max, ham in zip(t_maxes, got):
         want = _auto_box_reference(SHIFT1, th, phi, t_max)
         assert ham.l_box == want.l_box
         assert ham.v.tobytes() == want.v.tobytes()
-    one, = tp.auto_box(SHIFT1, th, phi, t_maxes[:1])
-    assert one.v.tobytes() == got[0].v.tobytes()
 
 
 def test_auto_box_never_probes_a_ceiling_box(monkeypatch):
