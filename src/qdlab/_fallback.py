@@ -28,7 +28,7 @@ part 0 on the calling thread.  Each part runs the serial code on its own
 share and buffers, and the parts' results are combined by the same exact
 rule, so the split moves no bits.  numpy releases the GIL inside its
 loops, so the parts run side by side.  Work made of many small arrays is
-not split, as its threads mostly wait for the GIL: the Chebyshev blocks
+not split, as its threads mostly wait for the GIL: the Chebyshev rows
 (a 2-way row split took a transport pass from about 7 s to 11 s) and the
 exact d=2 scan.
 """
@@ -564,75 +564,39 @@ def cocycle_lognorms_all(v, e, eta, inverse=False):
 # ---------------------------------------------------------------------------
 
 def cheb_apply(diag_scaled, off_scaled, coeffs, psi):
-    """Sum_k coeffs[p, k] * T_k(Hs_p) psi[p] for each row p of a block.
+    """Sum_k coeffs[k] * T_k(Hs) psi for the scaled tridiagonal operator Hs.
 
-    Hs_p is the scaled tridiagonal operator of row p.  diag_scaled: (P, M)
-    float64 diagonals; off_scaled: (P, 1) float64 off-diagonal couplings;
-    coeffs: (P, K) complex128, each row zero-padded past its own length;
-    psi: (P, M) complex128.  Returns (P, M).
-
-    Each row stops at its last nonzero coefficient (a row of zeros takes
-    its first term), so ragged rows cost only their own terms.  The rows
-    run sorted by length, longest first: the rows still running at term k
-    are then a leading slice of the block, which shrinks as series end.
-    Every operation runs over that slice, and every element sees the
-    operations of the one-row recurrence in the same order, so each row
-    equals its own one-row call bit for bit.  A complex coefficient
-    multiplies its row as a (P, 1) column broadcast along the sites: the
-    inner loop is then a scalar times a contiguous row, as in the one-row
-    call (a site-major (M, P) block times a (P,) row takes another SIMD
-    loop, which does not round like it).  The recurrence runs in buffers
-    allocated once per call.
+    diag_scaled: (M,) float64 diagonal of Hs; off_scaled: its off-diagonal
+    coupling, a float; coeffs: (K,) complex128; psi: (M,) complex128.
+    Returns (M,).  The three-term recurrence T_k = 2 Hs T_{k-1} - T_{k-2}
+    runs in buffers allocated once per call.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    nonzero = coeffs != 0
-    lengths = np.where(nonzero.any(axis=1),
-                       coeffs.shape[1] - np.argmax(nonzero[:, ::-1], axis=1),
-                       1)
-    order = np.argsort(-lengths, kind="stable")
-    lengths = lengths[order]
-    # cols[k]: the (P, 1) column of term k
-    cols = coeffs[order].T[:, :, None]
-    t0 = np.array(psi, dtype=np.complex128)[order]
-    acc = cols[0] * t0
-    if lengths[0] > 1:
-        diag = np.asarray(diag_scaled, dtype=np.complex128)[order]
-        off = np.empty_like(t0)
-        off[:] = np.asarray(off_scaled)[order]
-        t1, y, nb, term = (np.empty_like(t0) for _ in range(4))
-        # rows with a term k: a leading slice, as many as are longer than k
-        a = int(np.count_nonzero(lengths > 1))
-        np.multiply(diag[:a], t0[:a], out=y[:a])
-        np.multiply(off[:a], t0[:a], out=nb[:a])
-        y[:a, :-1] += nb[:a, 1:]
-        y[:a, 1:] += nb[:a, :-1]
-        np.copyto(t1[:a], y[:a])
-        np.multiply(cols[1, :a], t1[:a], out=term[:a])
-        np.add(acc[:a], term[:a], out=acc[:a])
-        # terms 2, 3, ... in runs of one slice width; the run ends at the
-        # length of its shortest row.  t0 is overwritten by T_k while t1
-        # holds T_{k-1}; then they swap
-        k = 2
-        while k < lengths[0]:
-            a = int(np.count_nonzero(lengths > k))
-            end = int(lengths[a - 1])
-            d, o, ac, tm = diag[:a], off[:a], acc[:a], term[:a]
-            ya, nba, x0, x1 = y[:a], nb[:a], t0[:a], t1[:a]
-            y_lo, nb_hi, y_hi, nb_lo = (ya[:, :-1], nba[:, 1:], ya[:, 1:],
-                                        nba[:, :-1])
-            for col in cols[k:end, :a]:
-                np.multiply(d, x1, out=ya)
-                np.multiply(o, x1, out=nba)
-                np.add(y_lo, nb_hi, out=y_lo)
-                np.add(y_hi, nb_lo, out=y_hi)
-                np.multiply(2.0, ya, out=ya)
-                np.subtract(ya, x0, out=x0)
-                np.multiply(col, x0, out=tm)
-                np.add(ac, tm, out=ac)
-                x0, x1 = x1, x0
-            if (end - k) % 2:
-                t0, t1 = t1, t0
-            k = end
-    out = np.empty_like(acc)
-    out[order] = acc
-    return out
+    t0 = np.array(psi, dtype=np.complex128)
+    acc = coeffs[0] * t0
+    if coeffs.shape[0] == 1:
+        return acc
+    diag = np.asarray(diag_scaled, dtype=np.complex128)
+    t1, y, nb, term = (np.empty_like(t0) for _ in range(4))
+    y_lo, y_hi, nb_lo, nb_hi = y[:-1], y[1:], nb[:-1], nb[1:]
+
+    def hs(x):
+        # y = Hs x
+        np.multiply(diag, x, out=y)
+        np.multiply(off_scaled, x, out=nb)
+        np.add(y_lo, nb_hi, out=y_lo)
+        np.add(y_hi, nb_lo, out=y_hi)
+
+    hs(t0)
+    np.copyto(t1, y)
+    np.multiply(coeffs[1], t1, out=term)
+    acc += term
+    # t0 is overwritten by T_k while t1 holds T_{k-1}; then they swap
+    for c in coeffs[2:]:
+        hs(t1)
+        y *= 2.0
+        np.subtract(y, t0, out=t0)
+        np.multiply(c, t0, out=term)
+        acc += term
+        t0, t1 = t1, t0
+    return acc

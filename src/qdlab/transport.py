@@ -11,11 +11,10 @@ coefficients, truncated below 1e-14.
 
 evolve, evolve_times and averaged_profile take a list of BoxHamiltonians
 on one box, one row each, with one time, time grid or T per row, and a
-single state is a block of one row.  A Chebyshev block
-(kernels.cheb_apply) runs each row on its own time grid and scale and
-equals its one-row propagation bit for bit: a block costs each row only
-its own series terms, and the per-term overhead is paid once per block
-instead of once per row.  Three kinds of work share boxes:
+single state is a block of one row.  Times must be nonnegative and finite.
+A Chebyshev sweep advances each row on its own time grid and scale, one
+kernels.cheb_apply call per row and step, so a row of a block equals its
+one-row propagation bit for bit.  Three kinds of work share boxes:
 
 - the auto_box probes of the t_max still open at one half-width;
 - the Abel sweeps of xi_estimate: every T whose box agrees, times the
@@ -173,10 +172,10 @@ def _sweep(hams, grids):
     nondecreasing time grid per row, all of one length.  A box of at most
     DENSE_SITES sites is propagated by eigendecompositions (_dense_states),
     which there cost milliseconds against up to a second of Chebyshev terms
-    at t = 1e4, and a larger box by Chebyshev blocks (_chebyshev_sweep),
-    where the cubic cost of an eigendecomposition overtakes them.  Returns
-    an iterator over the rows' times and the (rows, sites) block at each
-    node.
+    at t = 1e4, and a larger box row by row by the Chebyshev expansion
+    (_chebyshev_sweep), where the cubic cost of an eigendecomposition
+    overtakes it.  Returns an iterator over the rows' times and the
+    (rows, sites) block at each node.
     """
     if hams and hams[0].size <= DENSE_SITES:
         return zip(zip(*grids), _dense_states(hams, grids))
@@ -184,56 +183,44 @@ def _sweep(hams, grids):
 
 
 def _chebyshev_sweep(hams, grids):
-    """_sweep by Chebyshev blocks, node to node.
+    """_sweep by the Chebyshev expansion, node to node.
 
-    The rows advance as one block (kernels.cheb_apply), each with its own
-    scale and Chebyshev coefficients; a row whose time does not move sits
-    out that step.  The coefficients of a step are evaluated once per
-    distinct scaled step tau (keyed on the exact float) within the sweep:
-    the Gauss-Legendre hops of an Abel rule repeat bit for bit from panel
-    to panel, and rows at one scale and T share them.
+    Each row whose time moves advances by one kernels.cheb_apply call at its
+    own scale, and a row whose time does not move keeps its state; the rows
+    are stacked into a fresh block at every node.  The coefficients of a
+    step are evaluated once per distinct scaled step tau (keyed on the exact
+    float) within the sweep: the Gauss-Legendre hops of an Abel rule repeat
+    bit for bit from panel to panel, and rows at one scale and T share them.
     """
     scales = [h.enclosure for h in hams]
-    diag = np.array([h.v / s for h, s in zip(hams, scales)])
-    off = np.array([[1.0 / s] for s in scales])
-    psi = np.array([initial_state(h) for h in hams])
+    diags = [h.v / s for h, s in zip(hams, scales)]
+    psi = [initial_state(h) for h in hams]
     coefficients = {}
     prev = [0.0] * len(hams)
     for ts in zip(*grids):
-        moving = [p for p, (t, t0) in enumerate(zip(ts, prev)) if t > t0]
-        if moving:
-            rows = []
-            for p in moving:
-                tau = (ts[p] - prev[p]) * scales[p]
+        for p, (t, t0, scale) in enumerate(zip(ts, prev, scales)):
+            if t > t0:
+                tau = (t - t0) * scale
                 if tau not in coefficients:
                     coefficients[tau] = _chebyshev_coefficients(tau)
-                rows.append(coefficients[tau])
-            coeffs = np.zeros((len(rows), max(len(c) for c in rows)),
-                              dtype=np.complex128)
-            for row, c in zip(coeffs, rows):
-                row[:len(c)] = c
-            if len(moving) == len(hams):
-                psi = kernels.cheb_apply(diag, off, coeffs, psi)
-            else:
-                psi = psi.copy()
-                psi[moving] = kernels.cheb_apply(diag[moving], off[moving],
-                                                 coeffs, psi[moving])
-            prev = ts
-        yield ts, psi
+                psi[p] = kernels.cheb_apply(diags[p], 1.0 / scale,
+                                            coefficients[tau], psi[p])
+        prev = ts
+        yield ts, np.array(psi)
 
 
 def evolve(hams, ts, budget=DEFAULT_BOUNDARY_BUDGET):
     """e^{-i t H} applied to the delta at the origin, one time per row.
 
-    hams: BoxHamiltonians on one box, advanced as one block.  Returns one
-    state per row, each certified on its own row.
+    hams: BoxHamiltonians on one box, one row each.  Returns one state per
+    row, each certified on its own row.
     """
     if not hams:
         raise ValueError("need at least one row")
     if len(ts) != len(hams):
         raise ValueError("need one time per row")
-    if any(t < 0 for t in ts):
-        raise ValueError("cannot evolve backward")
+    if not all(0.0 <= t < math.inf for t in ts):
+        raise ValueError("times must be nonnegative and finite")
     (_, psi), = _sweep(hams, [[t] for t in ts])
     return [_certify(t, row, budget) for t, row in zip(ts, psi)]
 
@@ -250,8 +237,10 @@ def evolve_times(hams, grids):
     if len(grids) != len(hams) or len({len(g) for g in grids}) > 1:
         raise ValueError("need one time grid per row, all of one length")
     for g in grids:
-        if any(b < a for a, b in zip(g, g[1:])) or (g and g[0] < 0):
-            raise ValueError("time grid must be nonnegative and nondecreasing")
+        if (not all(0.0 <= t < math.inf for t in g)
+                or any(b < a for a, b in zip(g, g[1:]))):
+            raise ValueError("time grid must be nonnegative, finite and "
+                             "nondecreasing")
     return [_certify(t, psi, DEFAULT_BOUNDARY_BUDGET)
             for t, psi in _sweep(hams, grids)]
 

@@ -34,7 +34,7 @@ def _chebyshev_sites(monkeypatch):
     sites, apply = [], kernels.cheb_apply
 
     def counted(diag, off, coeffs, psi):
-        sites.append(diag.shape[1])
+        sites.append(diag.shape[-1])
         return apply(diag, off, coeffs, psi)
 
     monkeypatch.setattr(kernels, "cheb_apply", counted)
@@ -312,32 +312,73 @@ def _hamiltonians(count, l_box=40):
             for i in range(count)]
 
 
-@pytest.mark.parametrize("lengths", [[40], [1, 1, 1], [5, 23, 60], [30, 30],
-                                     [23, 60, 1, 5, 60, 2]],
-                         ids=["one-row", "one-term", "ragged", "equal",
-                              "unsorted"])
-def test_cheb_apply_rows_equal_the_one_row_recurrence(lengths):
-    hams = _hamiltonians(len(lengths))
-    scales = [h.enclosure for h in hams]
-    diag = np.array([h.v / s for h, s in zip(hams, scales)])
-    off = np.array([[1.0 / s] for s in scales])
+@pytest.mark.parametrize("length", [1, 2, 40, 60],
+                         ids=["one-term", "two-terms", "forty-terms",
+                              "sixty-terms"])
+def test_cheb_apply_rows_equal_the_one_row_recurrence(length):
+    ham, = _hamiltonians(1)
+    scale = ham.enclosure
+    diag = ham.v / scale
     # generic complex coefficients, both parts nonzero, so that a fused and
-    # an unfused complex product would round apart.  Bessel ones are not a
-    # safe stand-in for this: (-1j) ** k is exact only below k = 100, where
-    # numpy's complex power leaves its integer path and the general pow
-    # leaves components up to 1e-11 relative
-    rng = np.random.default_rng(len(lengths))
-    rows = [rng.normal(size=k) + 1j * rng.normal(size=k) for k in lengths]
-    coeffs = np.zeros((len(rows), max(lengths)), complex)
-    for row, c in zip(coeffs, rows):
-        row[:len(c)] = c
+    # an unfused complex product would round apart; Bessel ones are purely
+    # real or purely imaginary
+    rng = np.random.default_rng(length)
+    coeffs = rng.normal(size=length) + 1j * rng.normal(size=length)
     psi = rng.normal(size=diag.shape) + 1j * rng.normal(size=diag.shape)
-    got = kernels.cheb_apply(diag, off, coeffs, psi)
+    got = kernels.cheb_apply(diag, 1.0 / scale, coeffs, psi)
+    want = _cheb_apply_reference(diag, 1.0 / scale, coeffs, psi)
     assert got.shape == diag.shape
-    # each row stops at its own length, so no padded term touches it
-    for p, c in enumerate(rows):
-        want = _cheb_apply_reference(diag[p], off[p, 0], c, psi[p])
-        assert got[p].tobytes() == want.tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_repeated_times_keep_their_state(monkeypatch):
+    # row 0 stays at t = 5 for one node while row 1 moves on: its third
+    # state is its second, and its other nodes are those of the sweep
+    # without the repeat
+    monkeypatch.setattr(tp, "DENSE_SITES", 0)
+    calls, apply = [], kernels.cheb_apply
+
+    def counted(diag, off, coeffs, psi):
+        calls.append((np.ndim(coeffs), np.ndim(psi)))
+        return apply(diag, off, coeffs, psi)
+
+    monkeypatch.setattr(kernels, "cheb_apply", counted)
+    ham, other = _hamiltonians(2)
+    states = tp.evolve_times([ham, other], [[2.0, 5.0, 5.0, 9.0],
+                                            [1.0, 3.0, 4.0, 6.0]])
+    assert len(calls) == 7
+    # one row per call: the tracer counts term_sites as len(coeffs) *
+    # len(psi), terms x sites
+    assert set(calls) == {(1, 1)}
+    assert states[2].psi[0].tobytes() == states[1].psi[0].tobytes()
+    plain = tp.evolve_times([ham], [[2.0, 5.0, 9.0]])
+    for st, want in zip([states[0], states[1], states[3]], plain):
+        assert st.psi[0].tobytes() == want.psi[0].tobytes()
+    alone = tp.evolve_times([other], [[1.0, 3.0, 4.0, 6.0]])
+    for st, want in zip(states, alone):
+        assert st.psi[1].tobytes() == want.psi[0].tobytes()
+
+
+@pytest.mark.parametrize("dense_sites", [tp.DENSE_SITES, 0],
+                         ids=["eigendecomposition", "chebyshev"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_times_are_rejected(monkeypatch, dense_sites, bad):
+    # unchecked, a nan time gives the delta (Chebyshev) or a flagged state
+    # (dense), and inf an OverflowError or a RuntimeWarning
+    monkeypatch.setattr(tp, "DENSE_SITES", dense_sites)
+    chebyshev = _chebyshev_sites(monkeypatch)
+    bases = []
+    monkeypatch.setattr(tp, "_eigenbasis",
+                        lambda ham: bases.append(ham) or None)
+    ham = tp.build_hamiltonian(SHIFT1, THETA, ZERO, 64)
+    with pytest.raises(ValueError, match="finite"):
+        tp.evolve([ham], [bad])
+    with pytest.raises(ValueError, match="finite"):
+        tp.evolve([ham, ham], [1.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        tp.evolve_times([ham], [[1.0, bad, 2.0]])
+    # rejected before any propagation
+    assert chebyshev == bases == []
 
 
 # Chebyshev sweeps run on boxes over DENSE_SITES = 513 sites, so the
@@ -520,13 +561,13 @@ def test_shared_orbit_samples_equal_fresh_walks():
 
 
 def test_row_probes_equal_one_row_evolutions(monkeypatch):
-    # on the eigendecomposition, then forced onto Chebyshev, where the 0.0
-    # row sits out the block's one step and its one-row evolution makes no
-    # kernel call: one block call and three one-row calls
+    # on the eigendecomposition, then forced onto Chebyshev, where each
+    # moving row takes one kernel call and the 0.0 row none: three calls
+    # for the block, then three for the one-row evolutions
     ham = tp.build_hamiltonian(SHIFT1, THETA, cc.CosinePotential(1.0), 48)
     times = [30.0, 4.0, 0.0, 12.5]
     chebyshev = _chebyshev_sites(monkeypatch)
-    for dense_sites, applied in ((tp.DENSE_SITES, []), (0, [ham.size] * 4)):
+    for dense_sites, applied in ((tp.DENSE_SITES, []), (0, [ham.size] * 6)):
         monkeypatch.setattr(tp, "DENSE_SITES", dense_sites)
         states = tp.evolve([ham] * len(times), times, budget=1e-6)
         for t, st in zip(times, states):
