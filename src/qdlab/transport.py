@@ -16,7 +16,10 @@ A Chebyshev sweep advances each row on its own time grid and scale, one
 kernels.cheb_apply call per row and step, so a row of a block equals its
 one-row propagation bit for bit.  Three kinds of work share boxes:
 
-- the auto_box probes of the t_max still open at one half-width;
+- the auto_box probes of the t_max still open at one half-width, which
+  skip the probes that the front times on the eigendecomposition boxes
+  say will fail and walk back down when a probe passes above skipped
+  half-widths, so that every box is the plain doubling search's;
 - the Abel sweeps of xi_estimate: every T whose box agrees, times the
   phase pair theta, f(theta) (one row per T when the potentials agree);
 - the boxes themselves, which all sample one two-sided Orbit of theta,
@@ -43,6 +46,7 @@ BOX_START = 128
 BOX_CAP = 1 << 17
 DENSE_SITES = 513
 PROBE_BUDGET = 1e-4 * DEFAULT_BOUNDARY_BUDGET
+FRONT_EXPONENT = 0.75
 ABEL_PANELS = 20
 ABEL_ORDER = 12
 
@@ -144,13 +148,18 @@ def _chebyshev_coefficients(tau):
     return coeffs
 
 
+def _edge_sites(size):
+    """Sites on each side of a box that make up its outer percent."""
+    return max(1, int(math.ceil(0.01 * size)))
+
+
 def _certify(t, psi, budget):
     """A state certified by its worst row: valid only if every row is.
 
     Each row has a norm defect and a mass on the outer percent of sites.
     """
     prob = np.abs(np.atleast_2d(psi)) ** 2
-    edge = max(1, int(math.ceil(0.01 * prob.shape[-1])))
+    edge = _edge_sites(prob.shape[-1])
     norm_defect = np.abs(np.sum(prob, axis=-1) - 1.0)
     boundary = (np.sum(prob[..., :edge], axis=-1)
                 + np.sum(prob[..., -edge:], axis=-1))
@@ -165,7 +174,7 @@ def initial_state(ham):
     return psi
 
 
-def _sweep(hams, grids):
+def _sweep(hams, grids, bases=None):
     """psi of every row at each node of its own time grid.
 
     hams: BoxHamiltonians on one box, one row each; grids: one
@@ -175,10 +184,11 @@ def _sweep(hams, grids):
     at t = 1e4, and a larger box row by row by the Chebyshev expansion
     (_chebyshev_sweep), where the cubic cost of an eigendecomposition
     overtakes it.  Returns an iterator over the rows' times and the
-    (rows, sites) block at each node.
+    (rows, sites) block at each node.  bases: a dict that keeps the
+    eigendecompositions of a dense sweep (_dense_states), if given.
     """
     if hams and hams[0].size <= DENSE_SITES:
-        return zip(zip(*grids), _dense_states(hams, grids))
+        return zip(zip(*grids), _dense_states(hams, grids, bases))
     return _chebyshev_sweep(hams, grids)
 
 
@@ -209,11 +219,12 @@ def _chebyshev_sweep(hams, grids):
         yield ts, np.array(psi)
 
 
-def evolve(hams, ts, budget=DEFAULT_BOUNDARY_BUDGET):
+def evolve(hams, ts, budget=DEFAULT_BOUNDARY_BUDGET, bases=None):
     """e^{-i t H} applied to the delta at the origin, one time per row.
 
     hams: BoxHamiltonians on one box, one row each.  Returns one state per
-    row, each certified on its own row.
+    row, each certified on its own row.  bases: a dict that keeps the
+    box's eigendecompositions when it takes them (_dense_states).
     """
     if not hams:
         raise ValueError("need at least one row")
@@ -221,7 +232,7 @@ def evolve(hams, ts, budget=DEFAULT_BOUNDARY_BUDGET):
         raise ValueError("need one time per row")
     if not all(0.0 <= t < math.inf for t in ts):
         raise ValueError("times must be nonnegative and finite")
-    (_, psi), = _sweep(hams, [[t] for t in ts])
+    (_, psi), = _sweep(hams, [[t] for t in ts], bases)
     return [_certify(t, row, budget) for t, row in zip(ts, psi)]
 
 
@@ -253,19 +264,20 @@ def _eigenbasis(ham):
     return w, u, u[ham.l_box]
 
 
-def _dense_states(hams, grids):
+def _dense_states(hams, grids, bases=None):
     """psi of every row at each node of its grid: a (nodes, rows, sites) array.
 
-    Rows with equal potentials share one eigendecomposition.  Row p at time
-    t is u @ (e^{-i t w} * u[center]), where u[center] are the delta's
-    eigenbasis amplitudes (u is real).  One exponential call covers a row's
-    whole grid, and each node is two real matrix-vector products written
-    straight into the real and imaginary parts of its block: u @ c would
-    first cast u to a complex copy (4 MB at 513 sites) and run a slower
-    loop, and one matrix product over all nodes would touch the BLAS's
-    level-3 packing buffer, about 1 MB that stays resident.
+    Rows with equal potentials share one eigendecomposition, kept in bases
+    (keyed on the potential's bytes) when the caller passes a dict.  Row p
+    at time t is u @ (e^{-i t w} * u[center]), where u[center] are the
+    delta's eigenbasis amplitudes (u is real).  One exponential call covers
+    a row's whole grid, and each node is two real matrix-vector products
+    written straight into the real and imaginary parts of its block: u @ c
+    would first cast u to a complex copy (4 MB at 513 sites) and run a
+    slower loop, and one matrix product over all nodes would touch the
+    BLAS's level-3 packing buffer, about 1 MB that stays resident.
     """
-    bases = {}
+    bases = {} if bases is None else bases
     psi = np.empty((len(grids[0]), len(hams), hams[0].size),
                    dtype=np.complex128)
     for p, (ham, ts) in enumerate(zip(hams, grids)):
@@ -329,7 +341,8 @@ def averaged_profile(hams, big_ts):
 
     hams: BoxHamiltonians on one box; big_ts: one T per row.  Each row is
     averaged on its own Abel rule, and the profile has one row per
-    Hamiltonian.  The node states are one evolve_times sweep of all rows,
+    Hamiltonian; each T must be positive and finite, checked before any
+    evolution.  The node states are one evolve_times sweep of all rows,
     from eigendecompositions on at most DENSE_SITES sites: on 257 sites
     those agree with the Chebyshev sweep to 4e-14 up to T = 80 and to
     5e-13 at T = 1000, where most of the gap is the sweep's own rounding.
@@ -341,6 +354,9 @@ def averaged_profile(hams, big_ts):
         raise ValueError("need at least one row")
     if len(big_ts) != len(hams):
         raise ValueError("need one T per row")
+    for t in big_ts:
+        if not 0.0 < t < math.inf:
+            raise ValueError(f"T must be positive and finite, got T={t}")
     rules = [abel_nodes(t) for t in big_ts]
     states = evolve_times(hams, [nodes for nodes, _ in rules])
     # one row per node: the rows' weights at that node
@@ -401,19 +417,84 @@ def worst_case_box(phi_sup, t_max):
     return int(math.ceil((2.0 + phi_sup) * t_max * 1.05)) + 96
 
 
-def auto_box(map_spec, theta, phi, t_maxes, orbit=None):
-    """Smallest power-of-2-scaled box keeping boundary mass within budget.
+def _front_time(ham, basis, t_end, budget):
+    """First time up to t_end at which the delta's outer-percent mass on
+    the box exceeds budget, or None if it does not by then.
 
-    One box per time of t_maxes.  The half-width l doubles from BOX_START.
-    At each l, an open time whose light-cone ceiling (worst_case_box) is
-    at most l takes its ceiling box without a probe; the other open times
-    are the rows of one probe on the l box, an evolve of the delta to each
-    t_max that keeps the box of every row within PROBE_BUDGET.  That budget
-    is much smaller than a sweep's: near the ballistic edge the boundary
-    mass oscillates over a couple of orders of magnitude, so a box that
-    barely fits at t_max can overflow slightly earlier.  Every box samples
-    one orbit of theta, grown as the box doubles: orbit if given, which
-    must be an Orbit of theta under map_spec and phi.
+    Read from basis, the box's eigendecomposition (_eigenbasis), of which
+    only the edge rows are used: the edge amplitudes at a block of times
+    are two real matrix products over the cosines and sines of the phases.
+    The scan starts at l_box / 16, where a Lieb-Robinson bound keeps the
+    edge mass far below the budget, and runs one octave of time per block
+    in 16 geometric steps (66 kB of phases on 513 sites) up to the first
+    block that exceeds the budget; bisection then narrows the crossing to
+    1e-5 of its time.  The grid does not depend on t_end, so a scan to a
+    later t_end finds the same time.
+    """
+    w, u, amps = basis
+    edge = _edge_sites(ham.size)
+    rows = np.concatenate((u[:edge], u[-edge:])).T * amps[:, None]
+
+    def mass(ts):
+        phase = np.multiply.outer(ts, w)
+        re = np.cos(phase) @ rows
+        im = np.sin(phase, out=phase) @ rows
+        return np.sum(re * re + im * im, axis=-1)
+
+    lo = 0.0
+    octave = ham.l_box / 16.0 * 2.0 ** (np.arange(1, 17) / 16.0)
+    while lo < t_end:
+        ts = np.minimum(octave, t_end)
+        over = np.flatnonzero(mass(ts) > budget)
+        if over.size:
+            k = over[0]
+            lo, hi = (ts[k - 1] if k else lo), ts[k]
+            while hi - lo > 1e-5 * hi:
+                mid = 0.5 * (lo + hi)
+                if mass(np.array([mid]))[0] > budget:
+                    hi = mid
+                else:
+                    lo = mid
+            return float(hi)
+        lo = ts[-1]
+        octave = 2.0 * octave
+    return None
+
+
+def auto_box(map_spec, theta, phi, t_maxes, orbit=None):
+    """The doubling search's box for each time of t_maxes, from fewer probes.
+
+    The doubling search: the half-width l doubles from BOX_START.  At each
+    l, an open time whose light-cone ceiling (worst_case_box) is at most l
+    takes its ceiling box without a probe; the other open times are the
+    rows of one probe on the l box, an evolve of the delta to each t_max
+    that keeps the box of every row within PROBE_BUDGET.  That budget is
+    much smaller than a sweep's: near the ballistic edge the boundary mass
+    oscillates over a couple of orders of magnitude, so a box that barely
+    fits at t_max can overflow slightly earlier.  Every box samples one
+    orbit of theta, grown as the box doubles: orbit if given, which must be
+    an Orbit of theta under map_spec and phi.
+
+    Front-law skipping: a wavefront moves at a finite speed, so the probes
+    decided by eigendecomposition (boxes of at most DENSE_SITES sites)
+    show which larger probes cannot pass.  When rows fail two successive
+    ones, the times at which the delta's outer-percent mass first exceeds
+    PROBE_BUDGET on the two boxes (_front_time, one scan per box) give a
+    power law, with its exponent capped at 1, that estimates the
+    half-width each row needs at its t_max.  When that exponent is at
+    least FRONT_EXPONENT the front is near ballistic: its log-log slope
+    still rises towards 1, the law falls short of the half-width needed,
+    and the row's probes below the estimate are skipped.  The loop still
+    passes every half-width, with its hard-cap check and ceiling boxes: a
+    row that skipped the half-widths below its ceiling takes it, as the
+    doubling search does once those probes fail.  Slower fronts can slow
+    down further, so that the law would overshoot them, and their rows
+    are probed at every half-width.  A row that passes a probe right above
+    skipped half-widths walks back down over them, probing each, until one
+    fails.  So every box is the doubling search's as long as a probe that
+    fails implies that the probes on smaller boxes fail too, and a front
+    that reads near ballistic on the dense boxes does not slow down before
+    its row's ceiling.
 
     A probe state only decides yes or no and is then dropped, so a box is
     the same orbit sample whichever propagator decided it.  On at most
@@ -432,7 +513,19 @@ def auto_box(map_spec, theta, phi, t_maxes, orbit=None):
                                              orbit)
         return built[width]
 
+    def probe(width, rows):
+        """The rows that pass a probe on the width box, and the box's
+        eigendecomposition if the probe took one."""
+        bases = {}
+        states = evolve([box(width)] * len(rows),
+                        [t_maxes[i] for i in rows], PROBE_BUDGET, bases)
+        passed = [i for i, st in zip(rows, states) if st.valid]
+        return passed, next(iter(bases.values()), None)
+
     boxes = [None] * len(t_maxes)
+    reach = [0.0] * len(t_maxes)     # skip the probes below this half-width
+    skipped = [0] * len(t_maxes)     # half-widths skipped right below l
+    fronts = {}                      # half-width -> front time, dense boxes
     l = BOX_START
     while True:
         open_ = [i for i, ham in enumerate(boxes) if ham is None]
@@ -444,13 +537,46 @@ def auto_box(map_spec, theta, phi, t_maxes, orbit=None):
         for i in sorted(open_, key=ceilings.__getitem__):
             if ceilings[i] <= l:
                 boxes[i] = box(ceilings[i])
-        probed = [i for i in open_ if ceilings[i] > l]
+        probed = []
+        for i in open_:
+            if ceilings[i] > l:
+                if l < reach[i]:
+                    skipped[i] += 1
+                    # the orbit still grows by doubling: a longer step would
+                    # hold more torus points at once (peak RSS)
+                    orbit.potential(-l, l)
+                else:
+                    probed.append(i)
         if probed:
-            states = evolve([box(l)] * len(probed),
-                            [t_maxes[i] for i in probed], PROBE_BUDGET)
-            for i, st in zip(probed, states):
-                if st.valid:
-                    boxes[i] = box(l)
+            passed, basis = probe(l, probed)
+            for i in passed:
+                boxes[i] = box(l)
+            failed = [i for i in probed if boxes[i] is None]
+            if failed and basis is not None:
+                t_end = max(t_maxes[i] for i in failed)
+                t1 = fronts.get(l // 2)
+                if t1 is not None:
+                    # a later front has an exponent below FRONT_EXPONENT
+                    t_end = min(t_end, t1 * 2.0 ** (1.0 / FRONT_EXPONENT))
+                t2 = fronts[l] = _front_time(box(l), basis, t_end,
+                                             PROBE_BUDGET)
+                if t1 is not None and t2 is not None and t2 > t1:
+                    exponent = min(1.0, math.log(2.0) / math.log(t2 / t1))
+                    for i in failed:
+                        reach[i] = l * (t_maxes[i] / t2) ** exponent
+            # the next probe takes its own, as the sweeps do (peak RSS)
+            del basis
+            width = l
+            down = [i for i in passed if skipped[i]]
+            while down:
+                width //= 2
+                down, _ = probe(width, down)
+                for i in down:
+                    boxes[i] = box(width)
+                    skipped[i] -= 1
+                down = [i for i in down if skipped[i]]
+            for i in probed:
+                skipped[i] = 0
         l *= 2
 
 

@@ -512,6 +512,19 @@ def test_dense_profile_flags_a_small_box(monkeypatch):
                         [4.0])
 
 
+@pytest.mark.parametrize("big_t", [0.0, -5.0, math.inf, math.nan])
+def test_averaged_profile_rejects_a_bad_t(monkeypatch, big_t):
+    # unchecked, T = 0 divides by zero in abel_nodes and the others reach
+    # evolve_times as a bad time grid
+    def no_sweep(*args):
+        raise AssertionError("evolved before T was checked")
+
+    monkeypatch.setattr(tp, "evolve_times", no_sweep)
+    ham = tp.build_hamiltonian(SHIFT1, THETA, ZERO, 16)
+    with pytest.raises(ValueError, match="T must be positive and finite"):
+        tp.averaged_profile([ham, ham], [5.0, big_t])
+
+
 def test_empty_row_lists_are_rejected():
     with pytest.raises(ValueError, match="at least one row"):
         tp.evolve([], [])
@@ -598,6 +611,8 @@ def _auto_box_reference(map_spec, theta, phi, t_max):
 
 # the transport_xi workload's localized probe: 10 T for 9 T in [30, 80]
 XI_PROBE = [10.0 * t for t in np.geomspace(30.0, 80.0, 9)]
+# and its free one: 10 T for 8 T in [20, 160]
+FREE_XI = [10.0 * t for t in np.geomspace(20.0, 160.0, 8)]
 
 
 @pytest.mark.parametrize("phi, phase, t_maxes, boxes", [
@@ -610,9 +625,18 @@ XI_PROBE = [10.0 * t for t in np.geomspace(30.0, 80.0, 9)]
     # a 9-row localized xi probe
     (cc.CosinePotential(3.0), 0.41, XI_PROBE, [128] * 9),
     # and a free time that fails at 128 and passes at 256, below its
-    # ceiling of 306
-    (ZERO, 0.0, [100.0], [256])],
-    ids=["free", "localized", "localized-beta", "localized-xi", "free-256"])
+    # ceiling of 306;
+    (ZERO, 0.0, [100.0], [256]),
+    # the free probes that front-law skipping drops: the transport_beta
+    # workload's free t_max, which fails every probe up to its ceiling,
+    (ZERO, 0.0, [2000.0], [4296]),
+    # and the transport_xi workload's free rows, of which only 200 passes
+    # below its ceiling;
+    (ZERO, 0.0, FREE_XI, [512, 662, 857, 1120, 1475, 1951, 2593, 3456]),
+    # a near-critical front, whose exponent is below FRONT_EXPONENT
+    (cc.CosinePotential(1.03), 0.1, [1000.0, 3000.0], [512, 512])],
+    ids=["free", "localized", "localized-beta", "localized-xi", "free-256",
+         "free-beta", "free-xi", "near-critical"])
 def test_auto_box_rows_equal_the_one_time_loop(monkeypatch, phi, phase,
                                               t_maxes, boxes):
     th = TorusPoint((phase,))
@@ -620,8 +644,9 @@ def test_auto_box_rows_equal_the_one_time_loop(monkeypatch, phi, phase,
     assert len(got) == len(t_maxes)
     if boxes is not None:
         assert [ham.l_box for ham in got] == boxes
-    one, = tp.auto_box(SHIFT1, th, phi, t_maxes[:1])
-    assert one.v.tobytes() == got[0].v.tobytes()
+    if len(t_maxes) > 1:
+        one, = tp.auto_box(SHIFT1, th, phi, t_maxes[:1])
+        assert one.v.tobytes() == got[0].v.tobytes()
     # the boxes decided above on at most DENSE_SITES sites are the ones
     # the Chebyshev probes decide
     monkeypatch.setattr(tp, "DENSE_SITES", 0)
@@ -631,17 +656,25 @@ def test_auto_box_rows_equal_the_one_time_loop(monkeypatch, phi, phase,
         assert ham.v.tobytes() == want.v.tobytes()
 
 
-def test_auto_box_never_probes_a_ceiling_box(monkeypatch):
+def _probes(monkeypatch):
+    """The (half-width, t_maxes, passed) of every auto_box probe from now
+    on: evolve calls on one box at PROBE_BUDGET."""
     probes = []
     evolve = tp.evolve
 
-    def counted(hams, ts, budget=tp.DEFAULT_BOUNDARY_BUDGET):
+    def counted(hams, ts, budget=tp.DEFAULT_BOUNDARY_BUDGET, bases=None):
         assert all(ham is hams[0] for ham in hams)
         assert budget == tp.PROBE_BUDGET
-        probes.append((hams[0].l_box, list(ts)))
-        return evolve(hams, ts, budget)
+        states = evolve(hams, ts, budget, bases)
+        probes.append((hams[0].l_box, list(ts), [st.valid for st in states]))
+        return states
 
     monkeypatch.setattr(tp, "evolve", counted)
+    return probes
+
+
+def test_auto_box_never_probes_a_ceiling_box(monkeypatch):
+    probes = _probes(monkeypatch)
     chebyshev = _chebyshev_sites(monkeypatch)
     # free: 60 fails at 128 and takes its ceiling 222 unprobed, 20 passes
     # at 128 and 200 at 512
@@ -649,13 +682,81 @@ def test_auto_box_never_probes_a_ceiling_box(monkeypatch):
     got = tp.auto_box(SHIFT1, THETA, ZERO, t_maxes)
     ceilings = [tp.worst_case_box(0.0, t) for t in t_maxes]
     assert got[0].l_box == ceilings[0]
-    assert probes == [(128, t_maxes), (256, [200.0]), (512, [200.0])]
-    for l_box, times in probes:
+    assert [(l_box, ts) for l_box, ts, _ in probes] == \
+        [(128, t_maxes), (256, [200.0]), (512, [200.0])]
+    for l_box, times, _ in probes:
         assert all(l_box < tp.worst_case_box(0.0, t) for t in times)
     # the 257- and 513-site probes are eigendecompositions: the only
     # Chebyshev probe is the 1025-site one
     assert tp.DENSE_SITES == 513
     assert chebyshev == [1025]
+
+
+@pytest.mark.parametrize("t_maxes, sites", [
+    # the doubling search probes 1025 (all eight rows), 2049 (five) and
+    # 4097 (two); the front law through the dense fronts (50.7 on 257
+    # sites, 109.9 on 513) keeps 200, which passes at 512, and 487.6, for
+    # which it estimates 976, while the free front needs about 1046 there
+    (FREE_XI, [1025, 2049]),
+    # the doubling search probes 1025, 2049, 4097 and 8193; the front law
+    # estimates 3460, below 4096
+    ([2000.0], [8193])],
+    ids=["free-xi", "free-beta"])
+def test_auto_box_skips_the_probes_the_front_law_fails(monkeypatch, t_maxes,
+                                                       sites):
+    probes = _probes(monkeypatch)
+    chebyshev = _chebyshev_sites(monkeypatch)
+    got = tp.auto_box(SHIFT1, THETA, ZERO, t_maxes)
+    assert chebyshev == sites
+    # every Chebyshev probe fails but 200's at 512, and no row walks down
+    assert all(passed == [l_box == 512 and t == 200.0 for t in ts]
+               for l_box, ts, passed in probes if l_box > 256)
+    assert [ham.l_box for ham in got] == [
+        512 if t == 200.0 else tp.worst_case_box(0.0, t) for t in t_maxes]
+
+
+@pytest.mark.parametrize("phi, l_box", [
+    (ZERO, 128), (ZERO, 256), (cc.CosinePotential(1.0), 128)],
+    ids=["free-128", "free-256", "critical-128"])
+def test_front_time_is_the_first_crossing_of_the_probe_budget(phi, l_box):
+    ham = tp.build_hamiltonian(SHIFT1, TorusPoint((0.1,)), phi, l_box)
+    bases = {}
+    tp.evolve([ham], [0.0], bases=bases)
+    basis, = bases.values()
+    t = tp._front_time(ham, basis, 1e4, tp.PROBE_BUDGET)
+    assert tp._front_time(ham, basis, 0.5 * t, tp.PROBE_BUDGET) is None
+
+    def masses(ts):
+        return [st.boundary_mass for st in tp.evolve([ham] * len(ts), ts)]
+
+    # the evolved states cross the budget within 1e-5 of t, and not on a
+    # grid of 0.25-wide steps before it
+    below, above = masses([t * (1.0 - 2e-5), t])
+    assert below <= tp.PROBE_BUDGET < above
+    assert max(masses(list(np.arange(0.0, 0.99 * t, 0.25)))) <= tp.PROBE_BUDGET
+
+
+def test_auto_box_walks_down_over_skipped_half_widths(monkeypatch):
+    # on boxes a quarter the size, with every front counted as near
+    # ballistic, the slowing fronts of lambda 1.1 overshoot the front law:
+    # both rows skip 128 and pass at 256, then walk back down to 128, the
+    # last half-width they skipped, where 400 passes and 500 fails
+    th, phi = TorusPoint((0.1,)), cc.CosinePotential(1.1)
+    t_maxes = [400.0, 500.0]
+    monkeypatch.setattr(tp, "BOX_START", 32)
+    monkeypatch.setattr(tp, "DENSE_SITES", 129)
+    monkeypatch.setattr(tp, "FRONT_EXPONENT", 0.1)
+    probes = _probes(monkeypatch)
+    got = tp.auto_box(SHIFT1, th, phi, t_maxes)
+    assert probes == [(32, t_maxes, [False, False]),
+                      (64, t_maxes, [False, False]),
+                      (256, t_maxes, [True, True]),
+                      (128, t_maxes, [True, False])]
+    assert [ham.l_box for ham in got] == [128, 256]
+    monkeypatch.setattr(tp, "DENSE_SITES", 0)
+    for t_max, ham in zip(t_maxes, got):
+        want = _auto_box_reference(SHIFT1, th, phi, t_max)
+        assert ham.v.tobytes() == want.v.tobytes()
 
 
 @pytest.mark.parametrize("phi, phase, l_box, t_maxes", [
