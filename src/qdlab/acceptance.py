@@ -251,7 +251,7 @@ def criterion_8():
     # free evolution against the Bessel closed form, and the dense oracle,
     # on boxes over DENSE_SITES, so that both check the Chebyshev sweep
     ham = tp.build_hamiltonian(shift1, theta, zero, 300)
-    st, = tp.evolve([ham], [10.0], budget=1.0)
+    st = tp.evolve(ham, 10.0)
     sites = ham.sites()
     exact = (-1j) ** np.abs(sites) * jv(np.abs(sites), 20.0)
     err_free = float(np.max(np.abs(np.abs(st.psi) ** 2 - np.abs(exact) ** 2)))
@@ -264,7 +264,7 @@ def criterion_8():
         lam = float(rng.uniform(0.0, 3.0))
         t = float(rng.uniform(0.0, 20.0))
         hamd = tp.build_hamiltonian(shift1, theta, cc.CosinePotential(lam), 300)
-        st1, = tp.evolve([hamd], [t], budget=1.0)
+        st1 = tp.evolve(hamd, t)
         psi2, = tp.dense_evolve(hamd, [t])
         err_dense = max(err_dense, float(np.max(np.abs(st1.psi - psi2))))
     ok &= err_dense <= 1e-9

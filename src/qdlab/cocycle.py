@@ -211,6 +211,10 @@ def dt_integral(map_spec, theta, big_t, rho, e_count, k_bound, phi):
         raise ValueError("energy bound must be >= 4")
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must be in (0, 1]")
+    if not 0.0 < big_t < math.inf:
+        raise ValueError(f"T must be positive and finite, got T={big_t}")
+    if e_count < 2:
+        raise ValueError(f"need at least 2 energies, got e_count={e_count}")
     nmax = max(1, int(math.floor(big_t ** rho)))
     eta = 1.0 / big_t
     v_fwd = potential_sequence(map_spec, theta, nmax, phi, forward=True)

@@ -5,21 +5,22 @@ with unit hoppings and potential sampled along the two-sided orbit of the
 phase.  Every state is e^{-itH} applied to the delta at the origin, with
 the norm defect and the mass on the outer sites certified.  One rule picks
 the propagator (_sweep): a box of at most DENSE_SITES sites takes every
-state from one eigendecomposition of the box per distinct potential, and a
-larger box runs the Chebyshev expansion of e^{-itH} with Bessel
-coefficients, truncated below 1e-14.
+state from its eigendecomposition, and a larger box runs the Chebyshev
+expansion of e^{-itH} with Bessel coefficients, truncated below 1e-14.
 
-evolve, evolve_times and averaged_profile take a list of BoxHamiltonians
-on one box, one row each, with one time, time grid or T per row, and a
-single state is a block of one row.  Times must be nonnegative and finite.
+evolve takes one BoxHamiltonian and one time; evolve_times and
+averaged_profile take a list of BoxHamiltonians on one box, one row each,
+with one time grid or T per row.  Times must be nonnegative and finite.
 A Chebyshev sweep advances each row on its own time grid and scale, one
 kernels.cheb_apply call per row and step, so a row of a block equals its
-one-row propagation bit for bit.  Three kinds of work share boxes:
+one-row propagation bit for bit.  A box takes its eigendecomposition on
+first use and keeps it (BoxHamiltonian.eigenbasis), so the rows and calls
+that share a box object share it: a localized estimator's sweep reuses the
+one its auto_box probe took.  Three kinds of work share boxes:
 
-- the auto_box probes of the t_max still open at one half-width, which
-  skip the probes that the front times on the eigendecomposition boxes
-  say will fail and walk back down when a probe passes above skipped
-  half-widths, so that every box is the plain doubling search's;
+- the auto_box search, one distinct t_max at a time, whose times share
+  their boxes and the front times of the eigendecomposition boxes, from
+  which it skips the probes that will fail;
 - the Abel sweeps of xi_estimate: every T whose box agrees, times the
   phase pair theta, f(theta) (one row per T when the potentials agree);
 - the boxes themselves, which all sample one two-sided Orbit of theta,
@@ -31,6 +32,7 @@ are evaluated once.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -66,6 +68,11 @@ class BoxHamiltonian:
 
     def sites(self):
         return np.arange(-self.l_box, self.l_box + 1)
+
+    @cached_property
+    def eigenbasis(self):
+        """The box's eigendecomposition (_eigenbasis), taken on first use."""
+        return _eigenbasis(self)
 
 
 @dataclass
@@ -174,21 +181,20 @@ def initial_state(ham):
     return psi
 
 
-def _sweep(hams, grids, bases=None):
+def _sweep(hams, grids):
     """psi of every row at each node of its own time grid.
 
     hams: BoxHamiltonians on one box, one row each; grids: one
     nondecreasing time grid per row, all of one length.  A box of at most
-    DENSE_SITES sites is propagated by eigendecompositions (_dense_states),
-    which there cost milliseconds against up to a second of Chebyshev terms
-    at t = 1e4, and a larger box row by row by the Chebyshev expansion
-    (_chebyshev_sweep), where the cubic cost of an eigendecomposition
-    overtakes it.  Returns an iterator over the rows' times and the
-    (rows, sites) block at each node.  bases: a dict that keeps the
-    eigendecompositions of a dense sweep (_dense_states), if given.
+    DENSE_SITES sites is propagated by its eigendecomposition
+    (_dense_states), which there costs milliseconds against up to a second
+    of Chebyshev terms at t = 1e4, and a larger box row by row by the
+    Chebyshev expansion (_chebyshev_sweep), where the cubic cost of an
+    eigendecomposition overtakes it.  Returns an iterator over the rows'
+    times and the (rows, sites) block at each node.
     """
     if hams and hams[0].size <= DENSE_SITES:
-        return zip(zip(*grids), _dense_states(hams, grids, bases))
+        return zip(zip(*grids), _dense_states(hams, grids))
     return _chebyshev_sweep(hams, grids)
 
 
@@ -219,21 +225,15 @@ def _chebyshev_sweep(hams, grids):
         yield ts, np.array(psi)
 
 
-def evolve(hams, ts, budget=DEFAULT_BOUNDARY_BUDGET, bases=None):
-    """e^{-i t H} applied to the delta at the origin, one time per row.
+def evolve(ham, t, budget=DEFAULT_BOUNDARY_BUDGET):
+    """e^{-i t H} applied to the delta at the origin on the box ham.
 
-    hams: BoxHamiltonians on one box, one row each.  Returns one state per
-    row, each certified on its own row.  bases: a dict that keeps the
-    box's eigendecompositions when it takes them (_dense_states).
+    One row and one time (_sweep), certified against budget.
     """
-    if not hams:
-        raise ValueError("need at least one row")
-    if len(ts) != len(hams):
-        raise ValueError("need one time per row")
-    if not all(0.0 <= t < math.inf for t in ts):
-        raise ValueError("times must be nonnegative and finite")
-    (_, psi), = _sweep(hams, [[t] for t in ts], bases)
-    return [_certify(t, row, budget) for t, row in zip(ts, psi)]
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be nonnegative and finite, got t={t}")
+    (_, (psi,)), = _sweep([ham], [[t]])
+    return _certify(t, psi, budget)
 
 
 def evolve_times(hams, grids):
@@ -264,27 +264,23 @@ def _eigenbasis(ham):
     return w, u, u[ham.l_box]
 
 
-def _dense_states(hams, grids, bases=None):
+def _dense_states(hams, grids):
     """psi of every row at each node of its grid: a (nodes, rows, sites) array.
 
-    Rows with equal potentials share one eigendecomposition, kept in bases
-    (keyed on the potential's bytes) when the caller passes a dict.  Row p
-    at time t is u @ (e^{-i t w} * u[center]), where u[center] are the
-    delta's eigenbasis amplitudes (u is real).  One exponential call covers
+    Each row reads its box's eigendecomposition (BoxHamiltonian.eigenbasis),
+    so rows that share a box object share one.  Row p at time t is
+    u @ (e^{-i t w} * u[center]), where u[center] are the delta's
+    eigenbasis amplitudes (u is real).  One exponential call covers
     a row's whole grid, and each node is two real matrix-vector products
     written straight into the real and imaginary parts of its block: u @ c
     would first cast u to a complex copy (4 MB at 513 sites) and run a
     slower loop, and one matrix product over all nodes would touch the
     BLAS's level-3 packing buffer, about 1 MB that stays resident.
     """
-    bases = {} if bases is None else bases
     psi = np.empty((len(grids[0]), len(hams), hams[0].size),
                    dtype=np.complex128)
     for p, (ham, ts) in enumerate(zip(hams, grids)):
-        key = ham.v.tobytes()
-        if key not in bases:
-            bases[key] = _eigenbasis(ham)
-        w, u, amps = bases[key]
+        w, u, amps = ham.eigenbasis
         c = np.exp(-1j * np.multiply.outer(np.asarray(ts, dtype=np.float64),
                                            w))
         c *= amps
@@ -298,8 +294,8 @@ def _dense_states(hams, grids, bases=None):
 def dense_evolve(ham, ts):
     """e^{-i t H} applied to the delta at the origin, one row per time.
 
-    The one-row use of _dense_states: one eigendecomposition of the box
-    serves every time.  Allowed up to 4097 sites, so that on boxes over
+    The one-row use of _dense_states: the box's eigendecomposition serves
+    every time.  Allowed up to 4097 sites, so that on boxes over
     DENSE_SITES it is an oracle for the Chebyshev sweep.
     """
     return _dense_states([ham], [ts])[:, 0]
@@ -417,21 +413,20 @@ def worst_case_box(phi_sup, t_max):
     return int(math.ceil((2.0 + phi_sup) * t_max * 1.05)) + 96
 
 
-def _front_time(ham, basis, t_end, budget):
+def _front_time(ham, t_end, budget):
     """First time up to t_end at which the delta's outer-percent mass on
     the box exceeds budget, or None if it does not by then.
 
-    Read from basis, the box's eigendecomposition (_eigenbasis), of which
-    only the edge rows are used: the edge amplitudes at a block of times
-    are two real matrix products over the cosines and sines of the phases.
-    The scan starts at l_box / 16, where a Lieb-Robinson bound keeps the
-    edge mass far below the budget, and runs one octave of time per block
-    in 16 geometric steps (66 kB of phases on 513 sites) up to the first
-    block that exceeds the budget; bisection then narrows the crossing to
-    1e-5 of its time.  The grid does not depend on t_end, so a scan to a
-    later t_end finds the same time.
+    Read from the box's eigendecomposition (BoxHamiltonian.eigenbasis), of
+    which only the edge rows are used: the edge amplitudes at a block of
+    times are two real matrix products over the cosines and sines of the
+    phases.  The scan starts at l_box / 16, where a Lieb-Robinson bound
+    keeps the edge mass far below the budget, and runs one octave of time
+    per block in 16 geometric steps (66 kB of phases on 513 sites) up to
+    the first block that exceeds the budget; bisection then narrows the
+    crossing to 1e-5 of its time.
     """
-    w, u, amps = basis
+    w, u, amps = ham.eigenbasis
     edge = _edge_sites(ham.size)
     rows = np.concatenate((u[:edge], u[-edge:])).T * amps[:, None]
 
@@ -464,37 +459,39 @@ def _front_time(ham, basis, t_end, budget):
 def auto_box(map_spec, theta, phi, t_maxes, orbit=None):
     """The doubling search's box for each time of t_maxes, from fewer probes.
 
-    The doubling search: the half-width l doubles from BOX_START.  At each
-    l, an open time whose light-cone ceiling (worst_case_box) is at most l
-    takes its ceiling box without a probe; the other open times are the
-    rows of one probe on the l box, an evolve of the delta to each t_max
-    that keeps the box of every row within PROBE_BUDGET.  That budget is
-    much smaller than a sweep's: near the ballistic edge the boundary mass
-    oscillates over a couple of orders of magnitude, so a box that barely
-    fits at t_max can overflow slightly earlier.  Every box samples one
-    orbit of theta, grown as the box doubles: orbit if given, which must be
-    an Orbit of theta under map_spec and phi.
+    The doubling search, for one t_max: the half-width l doubles from
+    BOX_START.  Once the time's light-cone ceiling (worst_case_box) is at
+    most l, it takes its ceiling box without a probe; below that, a probe
+    on the l box evolves the delta to t_max and passes if the box keeps it
+    within PROBE_BUDGET.  That budget is much smaller than a sweep's: near
+    the ballistic edge the boundary mass oscillates over a couple of orders
+    of magnitude, so a box that barely fits at t_max can overflow slightly
+    earlier.  Each distinct t_max is searched once, in ascending order, and
+    the times share their boxes and the front times below, keyed on
+    half-width.  Every box samples one orbit of theta: orbit if given,
+    which must be an Orbit of theta under map_spec and phi.  The ceiling
+    grows with t_max, so the orbit grows box by box.
 
     Front-law skipping: a wavefront moves at a finite speed, so the probes
     decided by eigendecomposition (boxes of at most DENSE_SITES sites)
-    show which larger probes cannot pass.  When rows fail two successive
+    show which larger probes cannot pass.  When a time fails two successive
     ones, the times at which the delta's outer-percent mass first exceeds
-    PROBE_BUDGET on the two boxes (_front_time, one scan per box) give a
-    power law, with its exponent capped at 1, that estimates the
-    half-width each row needs at its t_max.  When that exponent is at
-    least FRONT_EXPONENT the front is near ballistic: its log-log slope
-    still rises towards 1, the law falls short of the half-width needed,
-    and the row's probes below the estimate are skipped.  The loop still
-    passes every half-width, with its hard-cap check and ceiling boxes: a
-    row that skipped the half-widths below its ceiling takes it, as the
-    doubling search does once those probes fail.  Slower fronts can slow
-    down further, so that the law would overshoot them, and their rows
-    are probed at every half-width.  A row that passes a probe right above
+    PROBE_BUDGET on the two boxes (_front_time, one scan per box up to the
+    largest t_max) give a power law through the two fronts.  When its
+    exponent is at least FRONT_EXPONENT the front is near ballistic: its
+    log-log slope still rises towards 1, the law, with its exponent capped
+    at 1, falls short of the half-width needed at t_max, and the time's
+    probes below that estimate are skipped.  The search still passes every
+    half-width, with its hard-cap check and ceiling box: a time that
+    skipped the half-widths below its ceiling takes it, as the doubling
+    search does once those probes fail.  Slower fronts can slow down
+    further, so that the law would overshoot them, and their times are
+    probed at every half-width.  A time that passes a probe right above
     skipped half-widths walks back down over them, probing each, until one
     fails.  So every box is the doubling search's as long as a probe that
     fails implies that the probes on smaller boxes fail too, and a front
     that reads near ballistic on the dense boxes does not slow down before
-    its row's ceiling.
+    its time's ceiling.
 
     A probe state only decides yes or no and is then dropped, so a box is
     the same orbit sample whichever propagator decided it.  On at most
@@ -504,80 +501,53 @@ def auto_box(map_spec, theta, phi, t_maxes, orbit=None):
     """
     if orbit is None:
         orbit = Orbit(map_spec, theta, phi)
-    ceilings = [worst_case_box(phi.sup_bound or 0.0, t) for t in t_maxes]
-    built = {}
+    t_end = max(t_maxes)
+    boxes = {}                      # half-width -> box
+    fronts = {}                     # half-width -> front time, dense boxes
 
     def box(width):
-        if width not in built:
-            built[width] = build_hamiltonian(map_spec, theta, phi, width,
+        if width not in boxes:
+            boxes[width] = build_hamiltonian(map_spec, theta, phi, width,
                                              orbit)
-        return built[width]
+        return boxes[width]
 
-    def probe(width, rows):
-        """The rows that pass a probe on the width box, and the box's
-        eigendecomposition if the probe took one."""
-        bases = {}
-        states = evolve([box(width)] * len(rows),
-                        [t_maxes[i] for i in rows], PROBE_BUDGET, bases)
-        passed = [i for i, st in zip(rows, states) if st.valid]
-        return passed, next(iter(bases.values()), None)
+    def passes(width, t_max):
+        return evolve(box(width), t_max, PROBE_BUDGET).valid
 
-    boxes = [None] * len(t_maxes)
-    reach = [0.0] * len(t_maxes)     # skip the probes below this half-width
-    skipped = [0] * len(t_maxes)     # half-widths skipped right below l
-    fronts = {}                      # half-width -> front time, dense boxes
-    l = BOX_START
-    while True:
-        open_ = [i for i, ham in enumerate(boxes) if ham is None]
-        if not open_:
-            return boxes
-        if any(min(l, ceilings[i]) > BOX_CAP for i in open_):
-            raise ValueError("box size exceeds the hard cap")
-        # ascending, so the orbit grows box by box
-        for i in sorted(open_, key=ceilings.__getitem__):
-            if ceilings[i] <= l:
-                boxes[i] = box(ceilings[i])
-        probed = []
-        for i in open_:
-            if ceilings[i] > l:
-                if l < reach[i]:
-                    skipped[i] += 1
-                    # the orbit still grows by doubling: a longer step would
-                    # hold more torus points at once (peak RSS)
-                    orbit.potential(-l, l)
-                else:
-                    probed.append(i)
-        if probed:
-            passed, basis = probe(l, probed)
-            for i in passed:
-                boxes[i] = box(l)
-            failed = [i for i in probed if boxes[i] is None]
-            if failed and basis is not None:
-                t_end = max(t_maxes[i] for i in failed)
-                t1 = fronts.get(l // 2)
-                if t1 is not None:
-                    # a later front has an exponent below FRONT_EXPONENT
-                    t_end = min(t_end, t1 * 2.0 ** (1.0 / FRONT_EXPONENT))
-                t2 = fronts[l] = _front_time(box(l), basis, t_end,
-                                             PROBE_BUDGET)
-                if t1 is not None and t2 is not None and t2 > t1:
-                    exponent = min(1.0, math.log(2.0) / math.log(t2 / t1))
-                    for i in failed:
-                        reach[i] = l * (t_maxes[i] / t2) ** exponent
-            # the next probe takes its own, as the sweeps do (peak RSS)
-            del basis
-            width = l
-            down = [i for i in passed if skipped[i]]
-            while down:
-                width //= 2
-                down, _ = probe(width, down)
-                for i in down:
-                    boxes[i] = box(width)
-                    skipped[i] -= 1
-                down = [i for i in down if skipped[i]]
-            for i in probed:
-                skipped[i] = 0
-        l *= 2
+    found = {}
+    for t_max in sorted(set(t_maxes)):
+        ceiling = worst_case_box(phi.sup_bound or 0.0, t_max)
+        reach = 0.0                 # skip the probes below this half-width
+        skipped = 0                 # half-widths skipped right below l
+        l = BOX_START
+        while t_max not in found:
+            if min(l, ceiling) > BOX_CAP:
+                raise ValueError("box size exceeds the hard cap")
+            if ceiling <= l:
+                found[t_max] = box(ceiling)
+            elif l < reach:
+                skipped += 1
+                # the orbit still grows by doubling: a longer step would
+                # hold more torus points at once (peak RSS)
+                orbit.potential(-l, l)
+            elif passes(l, t_max):
+                width = l
+                while skipped and passes(width // 2, t_max):
+                    width //= 2
+                    skipped -= 1
+                found[t_max] = box(width)
+            else:
+                skipped = 0
+                if box(l).size <= DENSE_SITES:
+                    if l not in fronts:
+                        fronts[l] = _front_time(box(l), t_end, PROBE_BUDGET)
+                    t1, t2 = fronts.get(l // 2), fronts[l]
+                    if t1 is not None and t2 is not None and t2 > t1:
+                        exponent = math.log(2.0) / math.log(t2 / t1)
+                        if exponent >= FRONT_EXPONENT:
+                            reach = l * (t_max / t2) ** min(1.0, exponent)
+            l *= 2
+    return [found[t_max] for t_max in t_maxes]
 
 
 @dataclass

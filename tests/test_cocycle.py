@@ -281,6 +281,23 @@ def test_dt_integrand_bounded_by_one():
                            phi)
 
 
+@pytest.mark.parametrize("big_t, e_count, match", [
+    (0.0, 41, "T must be"), (-5.0, 41, "T must be"),
+    (math.inf, 41, "T must be"), (math.nan, 41, "T must be"),
+    (100.0, 0, "e_count=0"), (100.0, 1, "e_count=1")])
+def test_dt_integral_rejects_a_bad_t_or_energy_count(monkeypatch, big_t,
+                                                     e_count, match):
+    # unchecked, T = 0 divides by zero, T = -5 makes T^rho complex, inf
+    # overflows, nan fails in int(), and 0 or 1 energies integrate to 0.0
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the orbit was walked before the check")
+
+    monkeypatch.setattr(cc, "potential_sequence", no_walk)
+    with pytest.raises(ValueError, match=match):
+        cc.dt_integral(SHIFT1, TorusPoint((0.0,)), big_t, 0.3, e_count,
+                       9.0, cc.CosinePotential(3.0))
+
+
 def test_dt_integral_decays_for_localized_potential():
     phi = cc.CosinePotential(3.0)
     i1, _ = cc.dt_integral(SHIFT1, TorusPoint((0.0,)), 100.0, 0.3, 41, 9.0,

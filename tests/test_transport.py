@@ -41,6 +41,18 @@ def _chebyshev_sites(monkeypatch):
     return sites
 
 
+def _eigendecompositions(monkeypatch):
+    """The box of every _eigenbasis call from now on."""
+    boxes, basis = [], tp._eigenbasis
+
+    def counted(ham):
+        boxes.append(ham)
+        return basis(ham)
+
+    monkeypatch.setattr(tp, "_eigenbasis", counted)
+    return boxes
+
+
 def test_free_evolution_bessel_closed_form(monkeypatch):
     # on the eigendecomposition, then with the box forced onto Chebyshev
     ham = tp.build_hamiltonian(SHIFT1, THETA, ZERO, 96)
@@ -49,7 +61,7 @@ def test_free_evolution_bessel_closed_form(monkeypatch):
     chebyshev = _chebyshev_sites(monkeypatch)
     for dense_sites, applied in ((tp.DENSE_SITES, []), (0, [ham.size])):
         monkeypatch.setattr(tp, "DENSE_SITES", dense_sites)
-        st, = tp.evolve([ham], [7.0], budget=1.0)
+        st = tp.evolve(ham, 7.0, budget=1.0)
         assert chebyshev == applied
         assert np.max(np.abs(st.psi - exact)) < 1e-10
         assert st.norm_defect < 1e-12
@@ -60,7 +72,7 @@ def test_chebyshev_matches_dense_oracle(monkeypatch):
     ham = tp.build_hamiltonian(SHIFT1, THETA, phi, 64)
     monkeypatch.setattr(tp, "DENSE_SITES", 0)
     chebyshev = _chebyshev_sites(monkeypatch)
-    st, = tp.evolve([ham], [9.0], budget=1.0)
+    st = tp.evolve(ham, 9.0, budget=1.0)
     dense, = tp.dense_evolve(ham, [9.0])
     assert chebyshev == [ham.size]
     assert np.max(np.abs(st.psi - dense)) < 1e-10
@@ -74,7 +86,7 @@ def test_node_to_node_equals_single_shot(monkeypatch):
     chebyshev = _chebyshev_sites(monkeypatch)
     states = tp.evolve_times([ham], [[2.0, 5.0, 9.0]])
     assert chebyshev == [ham.size] * 3
-    direct, = tp.evolve([ham], [9.0], budget=1.0)
+    direct = tp.evolve(ham, 9.0, budget=1.0)
     assert states[-1].psi.shape == (1, ham.size)
     assert np.max(np.abs(states[-1].psi[0] - direct.psi)) < 1e-10
 
@@ -82,19 +94,25 @@ def test_node_to_node_equals_single_shot(monkeypatch):
 def test_certification_flags_small_box():
     # a box much smaller than the light cone must be flagged
     ham = tp.build_hamiltonian(SHIFT1, THETA, ZERO, 24)
-    st, = tp.evolve([ham], [40.0])
+    st = tp.evolve(ham, 40.0)
     assert not st.valid
     with pytest.raises(ValueError):
         tp.moment(st, 2.0)
 
 
-def test_moment_of_initial_state():
+def test_moment_of_initial_state(monkeypatch):
     ham = tp.build_hamiltonian(SHIFT1, THETA, ZERO, 16)
-    st, = tp.evolve([ham], [0.0])
+    st = tp.evolve(ham, 0.0)
     assert tp.moment(st, 2.0) == pytest.approx(1.0)
     # a block of one row has the moment of its row
     block, = tp.evolve_times([ham], [[0.0]])
     assert tp.moment(block, 2.0) == tp.moment(st, 2.0)
+    # on Chebyshev, a t = 0 evolution is the delta, with no kernel call
+    monkeypatch.setattr(tp, "DENSE_SITES", 0)
+    chebyshev = _chebyshev_sites(monkeypatch)
+    st = tp.evolve(ham, 0.0)
+    assert chebyshev == []
+    assert st.psi.tobytes() == tp.initial_state(ham).tobytes()
 
 
 def test_dense_oracle_rejects_large_boxes():
@@ -186,7 +204,7 @@ def test_worst_case_box_scales_with_time():
 
 def test_auto_box_state_passes_certification():
     ham, = tp.auto_box(SHIFT1, THETA, ZERO, [30.0])
-    st, = tp.evolve([ham], [30.0])
+    st = tp.evolve(ham, 30.0)
     assert st.valid
     assert ham.l_box <= tp.worst_case_box(0.0, 30.0)
 
@@ -232,6 +250,21 @@ def test_localized_beta_takes_no_chebyshev_term(monkeypatch):
     assert estimates[0].high <= 0.1
 
 
+def test_localized_sweeps_reuse_the_probe_eigendecomposition(monkeypatch):
+    # the box an auto_box probe decides is the box the estimator sweeps,
+    # and it keeps its eigendecomposition: beta takes one, and xi one more
+    # for the box at f(theta)
+    phi = cc.CosinePotential(3.0)
+    eigen = _eigendecompositions(monkeypatch)
+    tp.beta_estimate(SHIFT1, THETA, phi, 2.0,
+                     list(np.geomspace(5.0, 1e4, 12)))
+    assert len(eigen) == 1
+    eigen.clear()
+    tp.xi_estimate(SHIFT1, TorusPoint((0.41,)), phi, [0.25, 0.5],
+                   list(np.geomspace(30.0, 80.0, 9)))
+    assert [ham.size for ham in eigen] == [257, 257]
+
+
 def test_estimator_input_validation(monkeypatch):
     with pytest.raises(ValueError):
         tp.beta_estimate(SHIFT1, THETA, ZERO, 2.0, [1.0, 2.0, 3.0])
@@ -257,7 +290,7 @@ def test_estimator_input_validation(monkeypatch):
         tp.xi_estimate(SHIFT1, THETA, ZERO, [0.0, 0.5],
                        list(np.geomspace(5.0, 50.0, 8)))
     with pytest.raises(ValueError):
-        tp.evolve([tp.build_hamiltonian(SHIFT1, THETA, ZERO, 8)], [-1.0])
+        tp.evolve(tp.build_hamiltonian(SHIFT1, THETA, ZERO, 8), -1.0)
     # a repeated level would append twice per T to one front list
     with pytest.raises(ValueError, match="distinct"):
         tp.xi_estimate(SHIFT1, THETA, ZERO, [0.6, 0.6], [10.0, 20.0, 40.0])
@@ -367,18 +400,14 @@ def test_non_finite_times_are_rejected(monkeypatch, dense_sites, bad):
     # (dense), and inf an OverflowError or a RuntimeWarning
     monkeypatch.setattr(tp, "DENSE_SITES", dense_sites)
     chebyshev = _chebyshev_sites(monkeypatch)
-    bases = []
-    monkeypatch.setattr(tp, "_eigenbasis",
-                        lambda ham: bases.append(ham) or None)
+    eigen = _eigendecompositions(monkeypatch)
     ham = tp.build_hamiltonian(SHIFT1, THETA, ZERO, 64)
     with pytest.raises(ValueError, match="finite"):
-        tp.evolve([ham], [bad])
-    with pytest.raises(ValueError, match="finite"):
-        tp.evolve([ham, ham], [1.0, bad])
+        tp.evolve(ham, bad)
     with pytest.raises(ValueError, match="finite"):
         tp.evolve_times([ham], [[1.0, bad, 2.0]])
     # rejected before any propagation
-    assert chebyshev == bases == []
+    assert chebyshev == eigen == []
 
 
 # Chebyshev sweeps run on boxes over DENSE_SITES = 513 sites, so the
@@ -465,23 +494,16 @@ def test_dense_profile_matches_the_chebyshev_sweep(monkeypatch, phi, phase,
     ham = tp.build_hamiltonian(SHIFT1, th, phi, l_box)
     shifted = tp.build_hamiltonian(SHIFT1, tp.step(SHIFT1, th), phi, l_box)
     assert ham.size <= tp.DENSE_SITES
-    eigen = []
-    basis = tp._eigenbasis
-
-    def counted(h):
-        eigen.append(h.v.tobytes())
-        return basis(h)
-
-    monkeypatch.setattr(tp, "_eigenbasis", counted)
+    eigen = _eigendecompositions(monkeypatch)
     chebyshev = _chebyshev_sites(monkeypatch)
     # both phases at every T, in mixed order: one eigendecomposition per
-    # distinct potential, no Chebyshev term, and every row on its own rule
+    # box object (two free boxes with equal potentials take one each), no
+    # Chebyshev term, and every row on its own rule
     rows = [(h, t) for t in big_ts for h in (ham, shifted)][::-1]
     hams, row_ts = [h for h, _ in rows], [t for _, t in rows]
     got = tp.averaged_profile(hams, row_ts)
     assert got.shape == (len(rows), ham.size)
-    assert len(eigen) == len(set(eigen)) == len({ham.v.tobytes(),
-                                                 shifted.v.tobytes()})
+    assert sorted(map(id, eigen)) == sorted(map(id, (ham, shifted)))
     assert chebyshev == []
     monkeypatch.setattr(tp, "DENSE_SITES", 0)
     want = tp.averaged_profile(hams, row_ts)
@@ -527,8 +549,6 @@ def test_averaged_profile_rejects_a_bad_t(monkeypatch, big_t):
 
 def test_empty_row_lists_are_rejected():
     with pytest.raises(ValueError, match="at least one row"):
-        tp.evolve([], [])
-    with pytest.raises(ValueError, match="at least one row"):
         tp.averaged_profile([], [])
 
 
@@ -573,24 +593,6 @@ def test_shared_orbit_samples_equal_fresh_walks():
         assert ham.v.tobytes() == want.tobytes()
 
 
-def test_row_probes_equal_one_row_evolutions(monkeypatch):
-    # on the eigendecomposition, then forced onto Chebyshev, where each
-    # moving row takes one kernel call and the 0.0 row none: three calls
-    # for the block, then three for the one-row evolutions
-    ham = tp.build_hamiltonian(SHIFT1, THETA, cc.CosinePotential(1.0), 48)
-    times = [30.0, 4.0, 0.0, 12.5]
-    chebyshev = _chebyshev_sites(monkeypatch)
-    for dense_sites, applied in ((tp.DENSE_SITES, []), (0, [ham.size] * 6)):
-        monkeypatch.setattr(tp, "DENSE_SITES", dense_sites)
-        states = tp.evolve([ham] * len(times), times, budget=1e-6)
-        for t, st in zip(times, states):
-            one, = tp.evolve([ham], [t], budget=1e-6)
-            assert st.psi.tobytes() == one.psi.tobytes()
-            assert (st.t, st.valid, st.norm_defect, st.boundary_mass) == \
-                (one.t, one.valid, one.norm_defect, one.boundary_mass)
-        assert chebyshev == applied
-
-
 def _auto_box_reference(map_spec, theta, phi, t_max):
     """auto_box for one t_max: one probe per box, one box at a time.
 
@@ -600,8 +602,8 @@ def _auto_box_reference(map_spec, theta, phi, t_max):
     l = min(tp.BOX_START, ceiling)
     while True:
         ham = tp.build_hamiltonian(map_spec, theta, phi, l)
-        state, = tp.evolve([ham], [t_max],
-                           budget=1e-4 * tp.DEFAULT_BOUNDARY_BUDGET)
+        state = tp.evolve(ham, t_max,
+                          budget=1e-4 * tp.DEFAULT_BOUNDARY_BUDGET)
         if state.valid or l >= ceiling:
             return ham
         l = min(2 * l, ceiling)
@@ -657,17 +659,16 @@ def test_auto_box_rows_equal_the_one_time_loop(monkeypatch, phi, phase,
 
 
 def _probes(monkeypatch):
-    """The (half-width, t_maxes, passed) of every auto_box probe from now
-    on: evolve calls on one box at PROBE_BUDGET."""
+    """The (half-width, t_max, passed) of every auto_box probe from now on:
+    evolve calls at PROBE_BUDGET."""
     probes = []
     evolve = tp.evolve
 
-    def counted(hams, ts, budget=tp.DEFAULT_BOUNDARY_BUDGET, bases=None):
-        assert all(ham is hams[0] for ham in hams)
+    def counted(ham, t, budget=tp.DEFAULT_BOUNDARY_BUDGET):
         assert budget == tp.PROBE_BUDGET
-        states = evolve(hams, ts, budget, bases)
-        probes.append((hams[0].l_box, list(ts), [st.valid for st in states]))
-        return states
+        state = evolve(ham, t, budget)
+        probes.append((ham.l_box, t, state.valid))
+        return state
 
     monkeypatch.setattr(tp, "evolve", counted)
     return probes
@@ -676,16 +677,17 @@ def _probes(monkeypatch):
 def test_auto_box_never_probes_a_ceiling_box(monkeypatch):
     probes = _probes(monkeypatch)
     chebyshev = _chebyshev_sites(monkeypatch)
-    # free: 60 fails at 128 and takes its ceiling 222 unprobed, 20 passes
-    # at 128 and 200 at 512
+    # free, one time at a time: 20 passes at 128, 60 fails at 128 and
+    # takes its ceiling 222 unprobed, and 200 passes at 512
     t_maxes = [60.0, 20.0, 200.0]
     got = tp.auto_box(SHIFT1, THETA, ZERO, t_maxes)
     ceilings = [tp.worst_case_box(0.0, t) for t in t_maxes]
     assert got[0].l_box == ceilings[0]
-    assert [(l_box, ts) for l_box, ts, _ in probes] == \
-        [(128, t_maxes), (256, [200.0]), (512, [200.0])]
-    for l_box, times, _ in probes:
-        assert all(l_box < tp.worst_case_box(0.0, t) for t in times)
+    assert probes == [(128, 20.0, True), (128, 60.0, False),
+                      (128, 200.0, False), (256, 200.0, False),
+                      (512, 200.0, True)]
+    for l_box, t, _ in probes:
+        assert l_box < tp.worst_case_box(0.0, t)
     # the 257- and 513-site probes are eigendecompositions: the only
     # Chebyshev probe is the 1025-site one
     assert tp.DENSE_SITES == 513
@@ -708,9 +710,9 @@ def test_auto_box_skips_the_probes_the_front_law_fails(monkeypatch, t_maxes,
     chebyshev = _chebyshev_sites(monkeypatch)
     got = tp.auto_box(SHIFT1, THETA, ZERO, t_maxes)
     assert chebyshev == sites
-    # every Chebyshev probe fails but 200's at 512, and no row walks down
-    assert all(passed == [l_box == 512 and t == 200.0 for t in ts]
-               for l_box, ts, passed in probes if l_box > 256)
+    # every Chebyshev probe fails but 200's at 512, and no time walks down
+    assert all(passed == (l_box == 512 and t == 200.0)
+               for l_box, t, passed in probes if l_box > 256)
     assert [ham.l_box for ham in got] == [
         512 if t == 200.0 else tp.worst_case_box(0.0, t) for t in t_maxes]
 
@@ -720,14 +722,11 @@ def test_auto_box_skips_the_probes_the_front_law_fails(monkeypatch, t_maxes,
     ids=["free-128", "free-256", "critical-128"])
 def test_front_time_is_the_first_crossing_of_the_probe_budget(phi, l_box):
     ham = tp.build_hamiltonian(SHIFT1, TorusPoint((0.1,)), phi, l_box)
-    bases = {}
-    tp.evolve([ham], [0.0], bases=bases)
-    basis, = bases.values()
-    t = tp._front_time(ham, basis, 1e4, tp.PROBE_BUDGET)
-    assert tp._front_time(ham, basis, 0.5 * t, tp.PROBE_BUDGET) is None
+    t = tp._front_time(ham, 1e4, tp.PROBE_BUDGET)
+    assert tp._front_time(ham, 0.5 * t, tp.PROBE_BUDGET) is None
 
     def masses(ts):
-        return [st.boundary_mass for st in tp.evolve([ham] * len(ts), ts)]
+        return [tp.evolve(ham, t).boundary_mass for t in ts]
 
     # the evolved states cross the budget within 1e-5 of t, and not on a
     # grid of 0.25-wide steps before it
@@ -739,7 +738,7 @@ def test_front_time_is_the_first_crossing_of_the_probe_budget(phi, l_box):
 def test_auto_box_walks_down_over_skipped_half_widths(monkeypatch):
     # on boxes a quarter the size, with every front counted as near
     # ballistic, the slowing fronts of lambda 1.1 overshoot the front law:
-    # both rows skip 128 and pass at 256, then walk back down to 128, the
+    # both times skip 128 and pass at 256, then walk back down to 128, the
     # last half-width they skipped, where 400 passes and 500 fails
     th, phi = TorusPoint((0.1,)), cc.CosinePotential(1.1)
     t_maxes = [400.0, 500.0]
@@ -748,10 +747,10 @@ def test_auto_box_walks_down_over_skipped_half_widths(monkeypatch):
     monkeypatch.setattr(tp, "FRONT_EXPONENT", 0.1)
     probes = _probes(monkeypatch)
     got = tp.auto_box(SHIFT1, th, phi, t_maxes)
-    assert probes == [(32, t_maxes, [False, False]),
-                      (64, t_maxes, [False, False]),
-                      (256, t_maxes, [True, True]),
-                      (128, t_maxes, [True, False])]
+    assert probes == [(32, 400.0, False), (64, 400.0, False),
+                      (256, 400.0, True), (128, 400.0, True),
+                      (32, 500.0, False), (64, 500.0, False),
+                      (256, 500.0, True), (128, 500.0, False)]
     assert [ham.l_box for ham in got] == [128, 256]
     monkeypatch.setattr(tp, "DENSE_SITES", 0)
     for t_max, ham in zip(t_maxes, got):
@@ -772,10 +771,9 @@ def test_dense_probe_margins_agree_with_chebyshev(monkeypatch, phi, phase,
                                                   l_box, t_maxes):
     ham = tp.build_hamiltonian(SHIFT1, TorusPoint((phase,)), phi, l_box)
     assert ham.size <= tp.DENSE_SITES
-    hams = [ham] * len(t_maxes)
-    dense = tp.evolve(hams, t_maxes, tp.PROBE_BUDGET)
+    dense = [tp.evolve(ham, t, tp.PROBE_BUDGET) for t in t_maxes]
     monkeypatch.setattr(tp, "DENSE_SITES", 0)
-    chebyshev = tp.evolve(hams, t_maxes, tp.PROBE_BUDGET)
+    chebyshev = [tp.evolve(ham, t, tp.PROBE_BUDGET) for t in t_maxes]
     for d, c in zip(dense, chebyshev):
         assert d.t == c.t and d.valid == c.valid
         assert d.norm_defect <= 1e-8 and c.norm_defect <= 1e-8
