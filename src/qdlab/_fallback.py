@@ -563,40 +563,81 @@ def cocycle_lognorms_all(v, e, eta, inverse=False):
 # Chebyshev propagation
 # ---------------------------------------------------------------------------
 
+_WINDOW_TERMS = 32
+
+
 def cheb_apply(diag_scaled, off_scaled, coeffs, psi):
     """Sum_k coeffs[k] * T_k(Hs) psi for the scaled tridiagonal operator Hs.
 
     diag_scaled: (M,) float64 diagonal of Hs; off_scaled: its off-diagonal
     coupling, a float; coeffs: (K,) complex128; psi: (M,) complex128.
     Returns (M,).  The three-term recurrence T_k = 2 Hs T_{k-1} - T_{k-2}
-    runs in buffers allocated once per call.
+    runs in buffers allocated once per call, on a window that grows with
+    the terms: Hs couples neighbours only, so T_k psi is exactly +0 more
+    than k sites outside the sites of psi with a nonzero bit.  Each chunk
+    of _WINDOW_TERMS terms runs on those sites widened by the chunk's last
+    k, clipped to the array, so a window edge inside the array is a site
+    whose neighbours all hold +0 there, and once the window covers the
+    array the recurrence is the plain one.  A site outside the window
+    would only add c_k * 0 to its sum, a signed zero: a site that enters
+    the window, and at the end every site that never did, adds the running
+    sum of those zeros instead.  So the result equals the whole-array
+    recurrence bit for bit, signed zeros included, for every input.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     t0 = np.array(psi, dtype=np.complex128)
     acc = coeffs[0] * t0
-    if coeffs.shape[0] == 1:
+    count = coeffs.shape[0]
+    if count == 1:
         return acc
+    size = t0.shape[0]
     diag = np.asarray(diag_scaled, dtype=np.complex128)
-    t1, y, nb, term = (np.empty_like(t0) for _ in range(4))
-    y_lo, y_hi, nb_lo, nb_hi = y[:-1], y[1:], nb[:-1], nb[1:]
+    # t0 holds psi and t1 zeros off each window; y, nb and term are
+    # written before they are read
+    t1 = np.zeros_like(t0)
+    y, nb, term = (np.empty_like(t0) for _ in range(3))
+    bits = np.flatnonzero(t0.view(np.uint64)) // 2
+    lo, hi = (bits[0], bits[-1] + 1) if bits.size else (0, 0)
+    # skipped[k - 1]: the sum of c_1 * 0, ..., c_k * 0
+    skipped = np.add.accumulate(coeffs[1:] * np.zeros(1, np.complex128))
+    done_lo = done_hi = lo          # the window so far
+    k = 1
+    while k < count:
+        stop = min(k + _WINDOW_TERMS, count)
+        a, b = max(lo - stop, 0), min(hi + stop, size)
+        if a == 0 and b == size:
+            stop = count
+        if k > 1:
+            acc[a:done_lo] += skipped[k - 2]
+            acc[done_hi:b] += skipped[k - 2]
+        done_lo, done_hi = a, b
+        dv, x0, x1, yv, nbv, tv, av = (
+            arr[a:b] for arr in (diag, t0, t1, y, nb, term, acc))
+        y_lo, y_hi, nb_lo, nb_hi = yv[:-1], yv[1:], nbv[:-1], nbv[1:]
 
-    def hs(x):
-        # y = Hs x
-        np.multiply(diag, x, out=y)
-        np.multiply(off_scaled, x, out=nb)
-        np.add(y_lo, nb_hi, out=y_lo)
-        np.add(y_hi, nb_lo, out=y_hi)
+        def hs(x):
+            # yv = Hs x on the window
+            np.multiply(dv, x, out=yv)
+            np.multiply(off_scaled, x, out=nbv)
+            np.add(y_lo, nb_hi, out=y_lo)
+            np.add(y_hi, nb_lo, out=y_hi)
 
-    hs(t0)
-    np.copyto(t1, y)
-    np.multiply(coeffs[1], t1, out=term)
-    acc += term
-    # t0 is overwritten by T_k while t1 holds T_{k-1}; then they swap
-    for c in coeffs[2:]:
-        hs(t1)
-        y *= 2.0
-        np.subtract(y, t0, out=t0)
-        np.multiply(c, t0, out=term)
-        acc += term
-        t0, t1 = t1, t0
+        if k == 1:
+            hs(x0)
+            np.copyto(x1, yv)
+            np.multiply(coeffs[1], x1, out=tv)
+            av += tv
+            k = 2
+        # x0 is overwritten by T_k while x1 holds T_{k-1}; then they swap
+        for c in coeffs[k:stop]:
+            hs(x1)
+            yv *= 2.0
+            np.subtract(yv, x0, out=x0)
+            np.multiply(c, x0, out=tv)
+            av += tv
+            x0, x1 = x1, x0
+            t0, t1 = t1, t0
+        k = stop
+    acc[:done_lo] += skipped[-1]
+    acc[done_hi:] += skipped[-1]
     return acc

@@ -13,10 +13,19 @@ averaged_profile take a list of BoxHamiltonians on one box, one row each,
 with one time grid or T per row.  Times must be nonnegative and finite.
 A Chebyshev sweep advances each row on its own time grid and scale, one
 kernels.cheb_apply call per row and step, so a row of a block equals its
-one-row propagation bit for bit.  A box takes its eigendecomposition on
-first use and keeps it (BoxHamiltonian.eigenbasis), so the rows and calls
-that share a box object share it: a localized estimator's sweep reuses the
-one its auto_box probe took.  Three kinds of work share boxes:
+one-row propagation bit for bit.  Each step runs only on the sites the
+state can reach (_hop): a degree-(K - 1) step moves amplitude at most
+K - 1 sites, so the call covers the amplitudes above TRIM widened by K
+sites, and the kernel grows its own window term by term inside that.
+TRIM = COEFF_TOL^2 is derived, not a knob: the series truncation moves
+amplitudes by up to COEFF_TOL per step, and the dropped tails, at most
+M TRIM^2 of mass per step on M sites, show in the norm defect of the
+state that follows.  With TRIM = 0 the windows change no bit.
+
+A box takes its eigendecomposition on first use and keeps it
+(BoxHamiltonian.eigenbasis), so the rows and calls that share a box
+object share it: a localized estimator's sweep reuses the one its
+auto_box probe took.  Three kinds of work share boxes:
 
 - the auto_box search, one distinct t_max at a time, whose times share
   their boxes and the front times of the eigendecomposition boxes, from
@@ -24,7 +33,7 @@ one its auto_box probe took.  Three kinds of work share boxes:
 - the Abel sweeps of xi_estimate: every T whose box agrees, times the
   phase pair theta, f(theta) (one row per T when the potentials agree);
 - the boxes themselves, which all sample one two-sided Orbit of theta,
-  grown as the box doubles and shifted by one site for f(theta).
+  grown as larger boxes need it and shifted by one site for f(theta).
 
 Within one Chebyshev sweep the Bessel coefficients of each distinct step
 are evaluated once.
@@ -44,11 +53,15 @@ from .torus import step, inverse_step
 NORM_DEFECT_TOL = 1e-8
 DEFAULT_BOUNDARY_BUDGET = 1e-8
 COEFF_TOL = 1e-14
+# the tail a Chebyshev hop drops: amplitudes far below the COEFF_TOL
+# truncation error of every hop
+TRIM = COEFF_TOL ** 2
 BOX_START = 128
 BOX_CAP = 1 << 17
 DENSE_SITES = 513
 PROBE_BUDGET = 1e-4 * DEFAULT_BOUNDARY_BUDGET
 FRONT_EXPONENT = 0.75
+GROWTH_CHUNK = 1024
 ABEL_PANELS = 20
 ABEL_ORDER = 12
 
@@ -87,8 +100,10 @@ class EvolutionState:
 class Orbit:
     """The two-sided orbit f^n theta, |n| <= reach, and phi along it.
 
-    Grown on demand by exact torus steps from its two ends; phi sees each
-    new point once.  Boxes of growing size, and the boxes at theta and at
+    Grown on demand by exact torus steps from its two ends, in chunks of
+    GROWTH_CHUNK steps whose new points phi samples as each chunk is made,
+    so a long growth holds at most one chunk of points; phi sees each new
+    point once.  Boxes of growing size, and the boxes at theta and at
     f(theta), sample one orbit: on the k/2^53 lattice a step from f(theta)
     lands on the same point as two steps from theta, and phi is evaluated
     element by element, so every sample equals that of a fresh orbit.
@@ -109,16 +124,18 @@ class Orbit:
         """phi(f^n theta) for lo <= n <= hi, growing the orbit as needed."""
         grow = max(-lo, hi) - self.reach
         if grow > 0:
-            back, ahead = [], []
+            back, ahead = [], []        # sampled chunks, outwards
             low, high = self.ends
-            for _ in range(grow):
-                low = inverse_step(self.map_spec, low)
-                high = step(self.map_spec, high)
-                back.append(low)
-                ahead.append(high)
-            back.reverse()
-            self.v = np.concatenate((self._sample(back), self.v,
-                                     self._sample(ahead)))
+            for start in range(0, grow, GROWTH_CHUNK):
+                lows, highs = [], []
+                for _ in range(min(GROWTH_CHUNK, grow - start)):
+                    low = inverse_step(self.map_spec, low)
+                    high = step(self.map_spec, high)
+                    lows.append(low)
+                    highs.append(high)
+                back.append(self._sample(lows[::-1]))
+                ahead.append(self._sample(highs))
+            self.v = np.concatenate(back[::-1] + [self.v] + ahead)
             self.ends = [low, high]
             self.reach += grow
         return self.v[self.reach + lo:self.reach + hi + 1]
@@ -201,12 +218,12 @@ def _sweep(hams, grids):
 def _chebyshev_sweep(hams, grids):
     """_sweep by the Chebyshev expansion, node to node.
 
-    Each row whose time moves advances by one kernels.cheb_apply call at its
-    own scale, and a row whose time does not move keeps its state; the rows
-    are stacked into a fresh block at every node.  The coefficients of a
-    step are evaluated once per distinct scaled step tau (keyed on the exact
-    float) within the sweep: the Gauss-Legendre hops of an Abel rule repeat
-    bit for bit from panel to panel, and rows at one scale and T share them.
+    Each row whose time moves advances by one _hop at its own scale, and a
+    row whose time does not move keeps its state; the rows are stacked
+    into a fresh block at every node.  The coefficients of a step are
+    evaluated once per distinct scaled step tau (keyed on the exact float)
+    within the sweep: the Gauss-Legendre hops of an Abel rule repeat bit
+    for bit from panel to panel, and rows at one scale and T share them.
     """
     scales = [h.enclosure for h in hams]
     diags = [h.v / s for h, s in zip(hams, scales)]
@@ -219,10 +236,32 @@ def _chebyshev_sweep(hams, grids):
                 tau = (t - t0) * scale
                 if tau not in coefficients:
                     coefficients[tau] = _chebyshev_coefficients(tau)
-                psi[p] = kernels.cheb_apply(diags[p], 1.0 / scale,
-                                            coefficients[tau], psi[p])
+                psi[p] = _hop(diags[p], 1.0 / scale, coefficients[tau],
+                              psi[p])
         prev = ts
         yield ts, np.array(psi)
+
+
+def _hop(diag, off, coeffs, psi):
+    """One Chebyshev step of psi, on the sites it can reach.
+
+    The amplitudes from the first to the last with |psi_n| > TRIM are
+    copied into a zero state, and one kernels.cheb_apply call runs on them
+    widened by len(coeffs) sites on each side and clipped to the box: a
+    degree-(K - 1) step moves amplitude at most K - 1 sites, and the one
+    site more holds +0 throughout, so that the outermost reachable site
+    sums the neighbours it has on the whole box.  The result overwrites
+    that window.  With TRIM = 0 this is the whole-box step bit for bit; a
+    NaN state, with nothing above TRIM, steps on the whole box.
+    """
+    size = psi.shape[0]
+    kept = np.flatnonzero(np.abs(psi) > TRIM)
+    first, last = (kept[0], kept[-1] + 1) if kept.size else (0, size)
+    lo, hi = max(first - len(coeffs), 0), min(last + len(coeffs), size)
+    out = np.zeros_like(psi)
+    out[first:last] = psi[first:last]
+    out[lo:hi] = kernels.cheb_apply(diag[lo:hi], off, coeffs, out[lo:hi])
+    return out
 
 
 def evolve(ham, t, budget=DEFAULT_BOUNDARY_BUDGET):
@@ -527,9 +566,6 @@ def auto_box(map_spec, theta, phi, t_maxes, orbit=None):
                 found[t_max] = box(ceiling)
             elif l < reach:
                 skipped += 1
-                # the orbit still grows by doubling: a longer step would
-                # hold more torus points at once (peak RSS)
-                orbit.potential(-l, l)
             elif passes(l, t_max):
                 width = l
                 while skipped and passes(width // 2, t_max):

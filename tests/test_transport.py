@@ -41,6 +41,21 @@ def _chebyshev_sites(monkeypatch):
     return sites
 
 
+def _hop_sites(psi, tau):
+    """The sites of the Chebyshev hop by the scaled step tau from psi: the
+    amplitudes above TRIM, widened by the series length on each side and
+    clipped to the box."""
+    kept = np.flatnonzero(np.abs(psi) > tp.TRIM)
+    reach = len(tp._chebyshev_coefficients(tau))
+    return (min(kept[-1] + 1 + reach, psi.shape[-1])
+            - max(kept[0] - reach, 0))
+
+
+def _delta_sites(ham, t):
+    """The sites of the one Chebyshev hop from the delta to t on ham."""
+    return _hop_sites(tp.initial_state(ham), t * ham.enclosure)
+
+
 def _eigendecompositions(monkeypatch):
     """The box of every _eigenbasis call from now on."""
     boxes, basis = [], tp._eigenbasis
@@ -59,7 +74,10 @@ def test_free_evolution_bessel_closed_form(monkeypatch):
     sites = ham.sites()
     exact = (-1j) ** np.abs(sites) * jv(np.abs(sites), 14.0)
     chebyshev = _chebyshev_sites(monkeypatch)
-    for dense_sites, applied in ((tp.DENSE_SITES, []), (0, [ham.size])):
+    # the hop from the delta reaches 41 sites on each side of 96
+    window = _delta_sites(ham, 7.0)
+    assert window == 83
+    for dense_sites, applied in ((tp.DENSE_SITES, []), (0, [window])):
         monkeypatch.setattr(tp, "DENSE_SITES", dense_sites)
         st = tp.evolve(ham, 7.0, budget=1.0)
         assert chebyshev == applied
@@ -84,8 +102,16 @@ def test_node_to_node_equals_single_shot(monkeypatch):
     ham = tp.build_hamiltonian(SHIFT1, THETA, phi, 64)
     monkeypatch.setattr(tp, "DENSE_SITES", 0)
     chebyshev = _chebyshev_sites(monkeypatch)
-    states = tp.evolve_times([ham], [[2.0, 5.0, 9.0]])
-    assert chebyshev == [ham.size] * 3
+    ts = [2.0, 5.0, 9.0]
+    states = tp.evolve_times([ham], [ts])
+    # each hop runs on the sites its state can reach, which by t = 9
+    # cover the box
+    scale = ham.enclosure
+    starts = [tp.initial_state(ham)] + [st.psi[0] for st in states[:-1]]
+    steps = np.diff([0.0] + ts) * scale
+    assert chebyshev == [_hop_sites(psi, tau)
+                         for psi, tau in zip(starts, steps)]
+    assert chebyshev[0] < chebyshev[-1] == ham.size
     direct = tp.evolve(ham, 9.0, budget=1.0)
     assert states[-1].psi.shape == (1, ham.size)
     assert np.max(np.abs(states[-1].psi[0] - direct.psi)) < 1e-10
@@ -324,17 +350,34 @@ def _cheb_apply_reference(diag_scaled, off_scaled, coeffs, psi):
     return acc
 
 
+def _trimmed(psi):
+    """psi with the tails beyond its outermost amplitudes above TRIM zeroed."""
+    kept = np.flatnonzero(np.abs(psi) > tp.TRIM)
+    out = np.zeros_like(psi)
+    out[kept[0]:kept[-1] + 1] = psi[kept[0]:kept[-1] + 1]
+    return out
+
+
+def _states_reference(ham, ts, trim=True):
+    """The delta evolved node by node on the whole box, one row, with the
+    sweep's tail trim before each step if trim."""
+    scale = ham.enclosure
+    psi = tp.initial_state(ham)
+    prev = 0.0
+    for t in ts:
+        if t > prev:
+            coeffs = tp._chebyshev_coefficients((t - prev) * scale)
+            psi = _cheb_apply_reference(ham.v / scale, 1.0 / scale, coeffs,
+                                        _trimmed(psi) if trim else psi)
+        prev = t
+        yield psi
+
+
 def _profile_reference(ham, big_t):
     """averaged_profile of one Hamiltonian, node by node, one row."""
     nodes, weights = tp.abel_nodes(big_t)
-    scale = ham.enclosure
-    psi = tp.initial_state(ham)
     acc = np.zeros(ham.size)
-    prev = 0.0
-    for t, w in zip(nodes, weights):
-        coeffs = tp._chebyshev_coefficients((t - prev) * scale)
-        psi = _cheb_apply_reference(ham.v / scale, 1.0 / scale, coeffs, psi)
-        prev = t
+    for psi, w in zip(_states_reference(ham, nodes), weights):
         acc += w * np.abs(psi) ** 2
     return acc
 
@@ -362,6 +405,48 @@ def test_cheb_apply_rows_equal_the_one_row_recurrence(length):
     want = _cheb_apply_reference(diag, 1.0 / scale, coeffs, psi)
     assert got.shape == diag.shape
     assert got.tobytes() == want.tobytes()
+
+
+def _support(size, first, last):
+    psi = np.zeros(size, dtype=np.complex128)
+    rng = np.random.default_rng(size + first)
+    psi[first:last + 1] = (rng.normal(size=last + 1 - first)
+                           + 1j * rng.normal(size=last + 1 - first))
+    return psi
+
+
+# compact supports: the kernel grows its window from the sites of psi
+@pytest.mark.parametrize("psi, length", [
+    (tp.initial_state(tp.BoxHamiltonian(np.zeros(81), 40)), 60),
+    (_support(81, 0, 2), 60),
+    (_support(81, 78, 80), 60),
+    (_support(81, 30, 31), 60),
+    # 100 terms reach past both edges of 81 sites
+    (_support(81, 40, 44), 100),
+    (np.zeros(81, dtype=np.complex128), 60),
+    # purely real and imaginary entries, signed zeros among them
+    (np.array([0j] * 30 + [complex(-0.0, 1.0), complex(2.0, -0.0),
+                           complex(-0.0, -0.0)] + [0j] * 48), 60)],
+    ids=["centre-delta", "low-edge", "high-edge", "two-sites",
+         "longer-than-box", "all-zero", "signed-zeros"])
+@pytest.mark.parametrize("bessel", [False, True], ids=["generic", "bessel"])
+def test_cheb_apply_windows_equal_the_whole_recurrence(psi, length, bessel):
+    ham, = _hamiltonians(1)
+    scale = ham.enclosure
+    # a potential of both signs: v * 0 is -0 where v < 0
+    assert np.min(ham.v) < 0.0 < np.max(ham.v)
+    diag = ham.v / scale
+    rng = np.random.default_rng(length)
+    if bessel:
+        coeffs = tp._chebyshev_coefficients(length / 3.0)
+    else:
+        coeffs = rng.normal(size=length) + 1j * rng.normal(size=length)
+    got = kernels.cheb_apply(diag, 1.0 / scale, coeffs, psi)
+    want = _cheb_apply_reference(diag, 1.0 / scale, coeffs, psi)
+    # bit for bit, signed zeros included
+    assert got.tobytes() == want.tobytes()
+    if not np.any(psi):
+        assert not np.any(got)
 
 
 def test_repeated_times_keep_their_state(monkeypatch):
@@ -480,6 +565,82 @@ def test_abel_rows_at_several_t_equal_one_row_profiles():
 
 
 # ---------------------------------------------------------------------------
+# light-cone windows of the Chebyshev sweep
+# ---------------------------------------------------------------------------
+
+SWEEP_BOXES = pytest.mark.parametrize("phi, phase, l_box, big_t", [
+    (ZERO, 0.0, 300, 12.0),
+    (cc.CosinePotential(3.0), 0.335, 257, 30.0),
+    (cc.CosinePotential(1.0), 0.1, 300, 20.0)],
+    ids=["free", "localized", "critical"])
+
+
+@SWEEP_BOXES
+def test_untrimmed_windows_equal_the_whole_box_sweep(monkeypatch, phi, phase,
+                                                     l_box, big_t):
+    # with TRIM = 0 a hop drops nothing, and its window changes no bit
+    monkeypatch.setattr(tp, "DENSE_SITES", 0)
+    monkeypatch.setattr(tp, "TRIM", 0.0)
+    chebyshev = _chebyshev_sites(monkeypatch)
+    ham = tp.build_hamiltonian(SHIFT1, TorusPoint((phase,)), phi, l_box)
+    nodes, weights = tp.abel_nodes(big_t)
+    states = tp.evolve_times([ham], [nodes])
+    assert min(chebyshev) < ham.size
+    want = list(_states_reference(ham, nodes, trim=False))
+    for st, psi in zip(states, want):
+        assert st.psi[0].tobytes() == psi.tobytes()
+    profile = np.zeros(ham.size)
+    for psi, w in zip(want, weights):
+        profile += w * np.abs(psi) ** 2
+    got, = tp.averaged_profile([ham], [big_t])
+    assert got.tobytes() == profile.tobytes()
+
+
+@SWEEP_BOXES
+def test_trimmed_windows_agree_with_the_whole_box_sweep(monkeypatch, phi,
+                                                        phase, l_box, big_t):
+    # the default TRIM against the untrimmed whole-box sweep.  Measured on
+    # these boxes: states within 4.5e-15, norm defects within 5.3e-15,
+    # profiles within 1.2e-16, and within 1.6e-15 relative on entries above
+    # 1e-12: the rounding of a sweep whose far tails differ, against a
+    # truncation of up to COEFF_TOL per hop.  Boundary masses within
+    # 4.4e-39, where the dropped tail can be all of an early node's edge
+    # mass, 29 decades below the budget
+    monkeypatch.setattr(tp, "DENSE_SITES", 0)
+    ham = tp.build_hamiltonian(SHIFT1, TorusPoint((phase,)), phi, l_box)
+    nodes, weights = tp.abel_nodes(big_t)
+    states = tp.evolve_times([ham], [nodes])
+    want = list(_states_reference(ham, nodes, trim=False))
+    profile = np.zeros(ham.size)
+    for t, st, psi, w in zip(nodes, states, want, weights):
+        assert np.max(np.abs(st.psi[0] - psi)) <= 1e-14
+        exact = tp._certify(t, psi, tp.DEFAULT_BOUNDARY_BUDGET)
+        assert st.norm_defect == pytest.approx(exact.norm_defect, abs=1e-14)
+        assert st.boundary_mass == pytest.approx(exact.boundary_mass,
+                                                 abs=1e-37)
+        profile += w * np.abs(psi) ** 2
+    got, = tp.averaged_profile([ham], [big_t])
+    assert np.max(np.abs(got - profile)) <= 1e-15
+    above = profile > 1e-12
+    assert np.max(np.abs(got - profile)[above] / profile[above]) <= 1e-14
+
+
+def test_free_sweep_runs_on_the_light_cone(monkeypatch):
+    # 601 sites, whose edge the front 2t does not reach by t = 100
+    ham = tp.build_hamiltonian(SHIFT1, THETA, ZERO, 300)
+    assert ham.size > tp.DENSE_SITES
+    chebyshev = _chebyshev_sites(monkeypatch)
+    ts = [2.0, 10.0, 40.0, 100.0]
+    states = tp.evolve_times([ham], [ts])
+    # the early hops run on the sites the state can reach
+    assert chebyshev[0] < chebyshev[1] < chebyshev[2] < ham.size
+    n = np.abs(ham.sites())
+    for t, st in zip(ts, states):
+        exact = (-1j) ** n * jv(n, 2.0 * t)
+        assert np.max(np.abs(st.psi[0] - exact)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
 # Abel averages on small boxes, from eigendecompositions
 # ---------------------------------------------------------------------------
 
@@ -593,6 +754,21 @@ def test_shared_orbit_samples_equal_fresh_walks():
         assert ham.v.tobytes() == want.tobytes()
 
 
+def test_orbit_growth_in_chunks_equals_one_chunk(monkeypatch):
+    phi = cc.CosinePotential(1.5)
+    th = TorusPoint((0.3,))
+    chunks = [tp.GROWTH_CHUNK, 7]
+    monkeypatch.setattr(tp, "GROWTH_CHUNK", 1 << 20)
+    whole = tp.Orbit(SHIFT1, th, phi).potential(-2500, 2500)
+    for chunk in chunks:
+        monkeypatch.setattr(tp, "GROWTH_CHUNK", chunk)
+        orbit = tp.Orbit(SHIFT1, th, phi)
+        # one growth in several chunks, and a second one on top of it
+        part = orbit.potential(-300, 40)
+        assert part.tobytes() == whole[2200:2541].tobytes()
+        assert orbit.potential(-2500, 2500).tobytes() == whole.tobytes()
+
+
 def _auto_box_reference(map_spec, theta, phi, t_max):
     """auto_box for one t_max: one probe per box, one box at a time.
 
@@ -689,9 +865,10 @@ def test_auto_box_never_probes_a_ceiling_box(monkeypatch):
     for l_box, t, _ in probes:
         assert l_box < tp.worst_case_box(0.0, t)
     # the 257- and 513-site probes are eigendecompositions: the only
-    # Chebyshev probe is the 1025-site one
+    # Chebyshev probe is the 1025-site one, on the sites the delta reaches
     assert tp.DENSE_SITES == 513
-    assert chebyshev == [1025]
+    assert chebyshev == [_delta_sites(got[2], 200.0)]
+    assert chebyshev[0] < 1025
 
 
 @pytest.mark.parametrize("t_maxes, sites", [
@@ -709,7 +886,13 @@ def test_auto_box_skips_the_probes_the_front_law_fails(monkeypatch, t_maxes,
     probes = _probes(monkeypatch)
     chebyshev = _chebyshev_sites(monkeypatch)
     got = tp.auto_box(SHIFT1, THETA, ZERO, t_maxes)
-    assert chebyshev == sites
+    # one hop from the delta per Chebyshev probe, on the sites it reaches
+    boxes = [tp.build_hamiltonian(SHIFT1, THETA, ZERO, l_box)
+             for l_box, _, _ in probes]
+    assert [ham.size for ham in boxes if ham.size > tp.DENSE_SITES] == sites
+    assert chebyshev == [_delta_sites(ham, t)
+                         for ham, (_, t, _) in zip(boxes, probes)
+                         if ham.size > tp.DENSE_SITES]
     # every Chebyshev probe fails but 200's at 512, and no time walks down
     assert all(passed == (l_box == 512 and t == 200.0)
                for l_box, t, passed in probes if l_box > 256)
