@@ -8,12 +8,10 @@ the propagator (_sweep): a box of at most DENSE_SITES sites takes every
 state from its eigendecomposition, and a larger box runs the Chebyshev
 expansion of e^{-itH} with Bessel coefficients, truncated below 1e-14.
 
-evolve takes one BoxHamiltonian and one time; evolve_times and
-averaged_profile take a list of BoxHamiltonians on one box, one row each,
-with one time grid or T per row.  Times must be nonnegative and finite.
-A Chebyshev sweep advances each row on its own time grid and scale, one
-kernels.cheb_apply call per row and step, so a row of a block equals its
-one-row propagation bit for bit.  Each step runs only on the sites the
+Every call takes one BoxHamiltonian: evolve one time, evolve_times a
+nondecreasing time grid, averaged_profile one T.  Times must be
+nonnegative and finite.  A Chebyshev sweep advances the state by one
+kernels.cheb_apply call per step.  Each step runs only on the sites the
 state can reach (_hop): a degree-(K - 1) step moves amplitude at most
 K - 1 sites, so the call covers the amplitudes above TRIM widened by K
 sites, and the kernel grows its own window term by term inside that.
@@ -23,15 +21,15 @@ M TRIM^2 of mass per step on M sites, show in the norm defect of the
 state that follows.  With TRIM = 0 the windows change no bit.
 
 A box takes its eigendecomposition on first use and keeps it
-(BoxHamiltonian.eigenbasis), so the rows and calls that share a box
-object share it: a localized estimator's sweep reuses the one its
-auto_box probe took.  Three kinds of work share boxes:
+(BoxHamiltonian.eigenbasis), so the calls that share a box object share
+it: a localized estimator's sweep reuses the one its auto_box probe
+took.  Three kinds of work share boxes:
 
 - the auto_box search, one distinct t_max at a time, whose times share
   their boxes and the front times of the eigendecomposition boxes, from
   which it skips the probes that will fail;
-- the Abel sweeps of xi_estimate: every T whose box agrees, times the
-  phase pair theta, f(theta) (one row per T when the potentials agree);
+- the Abel averages of xi_estimate: every T whose box agrees, at theta
+  and at f(theta) (one average per T when the potentials agree);
 - the boxes themselves, which all sample one two-sided Orbit of theta,
   grown as larger boxes need it and shifted by one site for f(theta).
 
@@ -90,8 +88,8 @@ class BoxHamiltonian:
 
 @dataclass
 class EvolutionState:
-    t: float               # for a row block, the rows' times
-    psi: np.ndarray
+    t: float
+    psi: np.ndarray        # (sites,)
     norm_defect: float
     boundary_mass: float
     valid: bool
@@ -177,19 +175,21 @@ def _edge_sites(size):
     return max(1, int(math.ceil(0.01 * size)))
 
 
-def _certify(t, psi, budget):
-    """A state certified by its worst row: valid only if every row is.
+def _certify(ts, block, budget):
+    """One EvolutionState per node of a (nodes, sites) block at times ts.
 
-    Each row has a norm defect and a mass on the outer percent of sites.
+    Each node has a norm defect and a mass on the outer percent of sites,
+    taken for the whole block in one pass.
     """
-    prob = np.abs(np.atleast_2d(psi)) ** 2
-    edge = _edge_sites(prob.shape[-1])
+    prob = np.abs(block) ** 2
+    edge = _edge_sites(block.shape[-1])
     norm_defect = np.abs(np.sum(prob, axis=-1) - 1.0)
-    boundary = (np.sum(prob[..., :edge], axis=-1)
-                + np.sum(prob[..., -edge:], axis=-1))
+    boundary = (np.sum(prob[:, :edge], axis=-1)
+                + np.sum(prob[:, -edge:], axis=-1))
     valid = (norm_defect <= NORM_DEFECT_TOL) & (boundary <= budget)
-    return EvolutionState(t, psi, float(np.max(norm_defect)),
-                          float(np.max(boundary)), bool(np.all(valid)))
+    return [EvolutionState(t, psi, float(d), float(b), bool(ok))
+            for t, psi, d, b, ok in zip(ts, block, norm_defect, boundary,
+                                        valid)]
 
 
 def initial_state(ham):
@@ -198,48 +198,44 @@ def initial_state(ham):
     return psi
 
 
-def _sweep(hams, grids):
-    """psi of every row at each node of its own time grid.
+def _sweep(ham, ts):
+    """psi at each time of the nondecreasing grid ts, in node blocks.
 
-    hams: BoxHamiltonians on one box, one row each; grids: one
-    nondecreasing time grid per row, all of one length.  A box of at most
-    DENSE_SITES sites is propagated by its eigendecomposition
-    (_dense_states), which there costs milliseconds against up to a second
-    of Chebyshev terms at t = 1e4, and a larger box row by row by the
-    Chebyshev expansion (_chebyshev_sweep), where the cubic cost of an
-    eigendecomposition overtakes it.  Returns an iterator over the rows'
-    times and the (rows, sites) block at each node.
+    A box of at most DENSE_SITES sites is propagated by its
+    eigendecomposition (dense_evolve), which there costs milliseconds
+    against up to a second of Chebyshev terms at t = 1e4, in one block of
+    all its nodes; a larger box by the Chebyshev expansion (_chebyshev_sweep),
+    where the cubic cost of an eigendecomposition overtakes it, one node
+    at a time.  Yields each block's times and its (nodes, sites) array.
     """
-    if hams and hams[0].size <= DENSE_SITES:
-        return zip(zip(*grids), _dense_states(hams, grids))
-    return _chebyshev_sweep(hams, grids)
+    if ham.size <= DENSE_SITES:
+        yield ts, dense_evolve(ham, ts)
+    else:
+        yield from _chebyshev_sweep(ham, ts)
 
 
-def _chebyshev_sweep(hams, grids):
+def _chebyshev_sweep(ham, ts):
     """_sweep by the Chebyshev expansion, node to node.
 
-    Each row whose time moves advances by one _hop at its own scale, and a
-    row whose time does not move keeps its state; the rows are stacked
-    into a fresh block at every node.  The coefficients of a step are
-    evaluated once per distinct scaled step tau (keyed on the exact float)
-    within the sweep: the Gauss-Legendre hops of an Abel rule repeat bit
-    for bit from panel to panel, and rows at one scale and T share them.
+    A time that moves advances the state by one _hop, and a time that does
+    not keeps it; each node's block is a fresh copy of the state.  The
+    coefficients of a step are evaluated once per distinct scaled step tau
+    (keyed on the exact float) within the sweep: the Gauss-Legendre hops
+    of an Abel rule repeat bit for bit from panel to panel.
     """
-    scales = [h.enclosure for h in hams]
-    diags = [h.v / s for h, s in zip(hams, scales)]
-    psi = [initial_state(h) for h in hams]
+    scale = ham.enclosure
+    diag = ham.v / scale
+    psi = initial_state(ham)
     coefficients = {}
-    prev = [0.0] * len(hams)
-    for ts in zip(*grids):
-        for p, (t, t0, scale) in enumerate(zip(ts, prev, scales)):
-            if t > t0:
-                tau = (t - t0) * scale
-                if tau not in coefficients:
-                    coefficients[tau] = _chebyshev_coefficients(tau)
-                psi[p] = _hop(diags[p], 1.0 / scale, coefficients[tau],
-                              psi[p])
-        prev = ts
-        yield ts, np.array(psi)
+    prev = 0.0
+    for t in ts:
+        if t > prev:
+            tau = (t - prev) * scale
+            if tau not in coefficients:
+                coefficients[tau] = _chebyshev_coefficients(tau)
+            psi = _hop(diag, 1.0 / scale, coefficients[tau], psi)
+        prev = t
+        yield [t], np.array([psi])
 
 
 def _hop(diag, off, coeffs, psi):
@@ -267,32 +263,27 @@ def _hop(diag, off, coeffs, psi):
 def evolve(ham, t, budget=DEFAULT_BOUNDARY_BUDGET):
     """e^{-i t H} applied to the delta at the origin on the box ham.
 
-    One row and one time (_sweep), certified against budget.
+    One time (_sweep), certified against budget.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"time must be nonnegative and finite, got t={t}")
-    (_, (psi,)), = _sweep([ham], [[t]])
-    return _certify(t, psi, budget)
+    (ts, block), = _sweep(ham, [t])
+    state, = _certify(ts, block, budget)
+    return state
 
 
-def evolve_times(hams, grids):
-    """States at nondecreasing time grids, one per node (_sweep).
+def evolve_times(ham, ts):
+    """States at the nondecreasing time grid ts, one per node (_sweep).
 
-    hams: BoxHamiltonians on one box, swept as one row block; grids: one
-    grid per row, all of one length.  Each state's psi is (rows, sites),
-    its t the rows' times, and its norm defect and boundary mass the worst
-    row's.
+    Each state is certified at DEFAULT_BOUNDARY_BUDGET.
     """
-    grids = [list(g) for g in grids]
-    if len(grids) != len(hams) or len({len(g) for g in grids}) > 1:
-        raise ValueError("need one time grid per row, all of one length")
-    for g in grids:
-        if (not all(0.0 <= t < math.inf for t in g)
-                or any(b < a for a, b in zip(g, g[1:]))):
-            raise ValueError("time grid must be nonnegative, finite and "
-                             "nondecreasing")
-    return [_certify(t, psi, DEFAULT_BOUNDARY_BUDGET)
-            for t, psi in _sweep(hams, grids)]
+    ts = list(ts)
+    if (not all(0.0 <= t < math.inf for t in ts)
+            or any(b < a for a, b in zip(ts, ts[1:]))):
+        raise ValueError("time grid must be nonnegative, finite and "
+                         "nondecreasing")
+    return [state for times, block in _sweep(ham, ts)
+            for state in _certify(times, block, DEFAULT_BOUNDARY_BUDGET)]
 
 
 def _eigenbasis(ham):
@@ -303,51 +294,37 @@ def _eigenbasis(ham):
     return w, u, u[ham.l_box]
 
 
-def _dense_states(hams, grids):
-    """psi of every row at each node of its grid: a (nodes, rows, sites) array.
-
-    Each row reads its box's eigendecomposition (BoxHamiltonian.eigenbasis),
-    so rows that share a box object share one.  Row p at time t is
-    u @ (e^{-i t w} * u[center]), where u[center] are the delta's
-    eigenbasis amplitudes (u is real).  One exponential call covers
-    a row's whole grid, and each node is two real matrix-vector products
-    written straight into the real and imaginary parts of its block: u @ c
-    would first cast u to a complex copy (4 MB at 513 sites) and run a
-    slower loop, and one matrix product over all nodes would touch the
-    BLAS's level-3 packing buffer, about 1 MB that stays resident.
-    """
-    psi = np.empty((len(grids[0]), len(hams), hams[0].size),
-                   dtype=np.complex128)
-    for p, (ham, ts) in enumerate(zip(hams, grids)):
-        w, u, amps = ham.eigenbasis
-        c = np.exp(-1j * np.multiply.outer(np.asarray(ts, dtype=np.float64),
-                                           w))
-        c *= amps
-        parts = np.stack((c.real, c.imag))
-        for node, x, y in zip(psi[:, p], parts[0], parts[1]):
-            np.matmul(u, x, out=node.real)
-            np.matmul(u, y, out=node.imag)
-    return psi
-
-
 def dense_evolve(ham, ts):
     """e^{-i t H} applied to the delta at the origin, one row per time.
 
-    The one-row use of _dense_states: the box's eigendecomposition serves
-    every time.  Allowed up to 4097 sites, so that on boxes over
-    DENSE_SITES it is an oracle for the Chebyshev sweep.
+    Read from the box's eigendecomposition (BoxHamiltonian.eigenbasis), so
+    calls on one box object share it.  psi at time t is u @ c with
+    c = e^{-i t w} * u[center], where u[center] are the delta's eigenbasis
+    amplitudes (u is real).  One exponential call fills the rows with c
+    at every time, and each row is then overwritten by two real
+    matrix-vector products from a real copy of its c, written straight
+    into the real and imaginary parts of the row: u @ c would first cast u
+    to a complex copy (4 MB at 513 sites) and run a slower loop, and one
+    matrix product over all times would touch the BLAS's level-3 packing
+    buffer, about 1 MB that stays resident.  Allowed up to 4097 sites, so
+    that on boxes over DENSE_SITES it is an oracle for the Chebyshev sweep.
     """
-    return _dense_states([ham], [ts])[:, 0]
+    w, u, amps = ham.eigenbasis
+    psi = np.exp(-1j * np.multiply.outer(np.asarray(ts, dtype=np.float64),
+                                         w))
+    psi *= amps
+    parts = np.stack((psi.real, psi.imag))
+    for row, x, y in zip(psi, parts[0], parts[1]):
+        np.matmul(u, x, out=row.real)
+        np.matmul(u, y, out=row.imag)
+    return psi
 
 
 def moment(state, p):
-    """Position moment sum (1 + |n|)^p |psi(n)|^2 of a valid state.
-
-    psi may be one row or a block of one row.
-    """
+    """Position moment sum (1 + |n|)^p |psi(n)|^2 of a valid state."""
     if not state.valid:
         raise ValueError("state flagged invalid (norm defect or boundary mass)")
-    m = state.psi.shape[-1]
+    m = len(state.psi)
     sites = np.arange(m) - (m - 1) // 2
     return float(np.sum((1.0 + np.abs(sites)) ** p * np.abs(state.psi) ** 2))
 
@@ -371,56 +348,29 @@ def abel_nodes(big_t):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def averaged_profile(hams, big_ts):
+def averaged_profile(ham, big_t):
     """Abel-averaged site probabilities <a(n, t)>_T for the delta start.
 
-    hams: BoxHamiltonians on one box; big_ts: one T per row.  Each row is
-    averaged on its own Abel rule, and the profile has one row per
-    Hamiltonian; each T must be positive and finite, checked before any
-    evolution.  The node states are one evolve_times sweep of all rows,
-    from eigendecompositions on at most DENSE_SITES sites: on 257 sites
-    those agree with the Chebyshev sweep to 4e-14 up to T = 80 and to
-    5e-13 at T = 1000, where most of the gap is the sweep's own rounding.
-    Every node state is certified (norm defect and outer-percent mass at
+    T must be positive and finite, checked before any evolution.  The node
+    states are one evolve_times sweep of the box, from its
+    eigendecomposition on at most DENSE_SITES sites: on 257 sites that
+    agrees with the Chebyshev sweep to 4e-14 up to T = 80 and to 5e-13 at
+    T = 1000, where most of the gap is the sweep's own rounding.  Every
+    node state is certified (norm defect and outer-percent mass at
     DEFAULT_BOUNDARY_BUDGET), and the first node that fails raises a
-    ValueError naming the rows' latest time there.
+    ValueError naming its time.
     """
-    if not hams:
-        raise ValueError("need at least one row")
-    if len(big_ts) != len(hams):
-        raise ValueError("need one T per row")
-    for t in big_ts:
-        if not 0.0 < t < math.inf:
-            raise ValueError(f"T must be positive and finite, got T={t}")
-    rules = [abel_nodes(t) for t in big_ts]
-    states = evolve_times(hams, [nodes for nodes, _ in rules])
-    # one row per node: the rows' weights at that node
-    weights = np.array([w for _, w in rules]).T
-    acc = np.zeros(states[0].psi.shape)
-    for st, w in zip(states, weights):
+    if not 0.0 < big_t < math.inf:
+        raise ValueError(f"T must be positive and finite, got T={big_t}")
+    nodes, weights = abel_nodes(big_t)
+    acc = np.zeros(ham.size)
+    for st, w in zip(evolve_times(ham, nodes), weights):
         if not st.valid:
             raise ValueError(
-                f"evolution flagged at t={np.max(st.t):.3g} (defect "
+                f"evolution flagged at t={st.t:.3g} (defect "
                 f"{st.norm_defect:.2e}, boundary {st.boundary_mass:.2e})")
-        acc += w[:, None] * np.abs(st.psi) ** 2
+        acc += w * np.abs(st.psi) ** 2
     return acc
-
-
-def _phase_pair_cumsums(map_spec, th, phi, ham, big_ts, orbit=None):
-    """Cumulative averaged profiles at th (Hamiltonian ham) and at f(th).
-
-    One (cum at th, cum at f(th)) pair per T of big_ts.  Both phases at
-    every T are the rows of one sweep; equal potentials (a constant phi)
-    are one row per T whose profile serves both phases.  orbit: the Orbit
-    of th that ham samples, if any, to sample f(th)'s box from.
-    """
-    shifted = build_hamiltonian(map_spec, th, phi, ham.l_box, orbit, center=1)
-    pair = [ham] if np.array_equal(ham.v, shifted.v) else [ham, shifted]
-    count = len(big_ts)
-    profiles = averaged_profile([h for h in pair for _ in big_ts],
-                                list(big_ts) * len(pair))
-    cums = [_symmetric_cumsum(row, ham.l_box) for row in profiles]
-    return list(zip(cums[:count], cums[-count:]))
 
 
 def _symmetric_cumsum(profile, l_box):
@@ -639,7 +589,7 @@ def beta_estimate(map_spec, theta, phi, p, t_grid):
     """
     t_grid = _time_grid(t_grid, 8)
     ham, = auto_box(map_spec, theta, phi, [t_grid[-1]])
-    states = evolve_times([ham], [t_grid])
+    states = evolve_times(ham, t_grid)
     moments = [moment(st, p) for st in states]
     slopes = running_slopes(p * np.log(t_grid), np.log(moments))
     return ExponentEstimate(float(np.min(slopes)), float(np.max(slopes)))
@@ -655,8 +605,9 @@ def xi_estimate(map_spec, theta, phi, tau_levels, t_grid):
     """Spreading-front exponent bracket from ln L(tau, T) vs ln T slopes.
 
     The estimate is reported at the smallest tau level; larger levels are
-    returned as diagnostics.  The T whose boxes agree are swept as one
-    block with both phases of the pair.
+    returned as diagnostics.  The front at T reads the sum of the Abel
+    profiles at theta and at f(theta) on T's box; when the two potentials
+    are equal (a constant phi) one profile serves both.
     """
     tau_levels = sorted(float(t) for t in tau_levels)
     if not tau_levels or tau_levels[0] <= 0.0 or tau_levels[-1] >= 1.0:
@@ -666,13 +617,18 @@ def xi_estimate(map_spec, theta, phi, tau_levels, t_grid):
     t_grid = _time_grid(t_grid, 3)
     orbit = Orbit(map_spec, theta, phi)
     hams = auto_box(map_spec, theta, phi, [10.0 * t for t in t_grid], orbit)
-    totals = [None] * len(t_grid)
-    for l_box in sorted({ham.l_box for ham in hams}):
-        rows = [i for i, ham in enumerate(hams) if ham.l_box == l_box]
-        pairs = _phase_pair_cumsums(map_spec, theta, phi, hams[rows[0]],
-                                    [t_grid[i] for i in rows], orbit)
-        for i, (cum0, cum1) in zip(rows, pairs):
-            totals[i] = cum0 + cum1
+    shifted = {}                    # half-width -> box at f(theta)
+    totals = []
+    for ham, big_t in zip(hams, t_grid):
+        if ham.l_box not in shifted:
+            shifted[ham.l_box] = build_hamiltonian(
+                map_spec, theta, phi, ham.l_box, orbit, center=1)
+        pair = shifted[ham.l_box]
+        at_theta = averaged_profile(ham, big_t)
+        at_pair = (at_theta if np.array_equal(ham.v, pair.v)
+                   else averaged_profile(pair, big_t))
+        totals.append(_symmetric_cumsum(at_theta, ham.l_box)
+                      + _symmetric_cumsum(at_pair, ham.l_box))
     fronts = {tau: [max(xi_front(total, tau), 1) for total in totals]
               for tau in tau_levels}
     lead = tau_levels[0]

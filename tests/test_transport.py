@@ -2,10 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import jv
+from scipy.special import ellipk, jv
 
 import qdlab.cocycle as cc
 import qdlab.transport as tp
@@ -103,18 +104,18 @@ def test_node_to_node_equals_single_shot(monkeypatch):
     monkeypatch.setattr(tp, "DENSE_SITES", 0)
     chebyshev = _chebyshev_sites(monkeypatch)
     ts = [2.0, 5.0, 9.0]
-    states = tp.evolve_times([ham], [ts])
+    states = tp.evolve_times(ham, ts)
     # each hop runs on the sites its state can reach, which by t = 9
     # cover the box
     scale = ham.enclosure
-    starts = [tp.initial_state(ham)] + [st.psi[0] for st in states[:-1]]
+    starts = [tp.initial_state(ham)] + [st.psi for st in states[:-1]]
     steps = np.diff([0.0] + ts) * scale
     assert chebyshev == [_hop_sites(psi, tau)
                          for psi, tau in zip(starts, steps)]
     assert chebyshev[0] < chebyshev[-1] == ham.size
     direct = tp.evolve(ham, 9.0, budget=1.0)
-    assert states[-1].psi.shape == (1, ham.size)
-    assert np.max(np.abs(states[-1].psi[0] - direct.psi)) < 1e-10
+    assert states[-1].psi.shape == (ham.size,)
+    assert np.max(np.abs(states[-1].psi - direct.psi)) < 1e-10
 
 
 def test_certification_flags_small_box():
@@ -130,9 +131,9 @@ def test_moment_of_initial_state(monkeypatch):
     ham = tp.build_hamiltonian(SHIFT1, THETA, ZERO, 16)
     st = tp.evolve(ham, 0.0)
     assert tp.moment(st, 2.0) == pytest.approx(1.0)
-    # a block of one row has the moment of its row
-    block, = tp.evolve_times([ham], [[0.0]])
-    assert tp.moment(block, 2.0) == tp.moment(st, 2.0)
+    # a state of a time grid has the moment of the one-time state
+    node, = tp.evolve_times(ham, [0.0])
+    assert tp.moment(node, 2.0) == tp.moment(st, 2.0)
     # on Chebyshev, a t = 0 evolution is the delta, with no kernel call
     monkeypatch.setattr(tp, "DENSE_SITES", 0)
     chebyshev = _chebyshev_sites(monkeypatch)
@@ -181,12 +182,64 @@ def _spectral_profile(ham, big_t):
 def test_averaged_profile_against_the_spectral_sum(phi, l_box, big_t,
                                                    gl_error):
     ham = tp.build_hamiltonian(SHIFT1, THETA, phi, l_box)
-    profile, = tp.averaged_profile([ham], [big_t])
+    profile = tp.averaged_profile(ham, big_t)
     exact = _spectral_profile(ham, big_t)
     assert np.max(np.abs(profile - exact)) <= gl_error
     # the cut at 10 T drops e^{-20} of the mass, which the rule keeps
     assert profile.sum() == pytest.approx(1.0 - math.exp(-20.0), abs=1e-12)
     assert exact.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _free_abel_profile(l_box, big_t):
+    """The exact Abel profile of the free delta on Z, at |n| <= l_box.
+
+    a(n, T) = Q_{|n| - 1/2}(z) / (pi T) with z = 1 + 1/(2 T^2)
+    (Gradshteyn-Ryzhik 6.612.3 for psi(n, t) = (-i)^n J_n(2t)), Q the
+    Legendre function of the second kind.  q[m] = Q_{m - 1/2}(z) comes
+    from Miller's backward recurrence, started 40 T + 50 orders past the
+    box edge, and is normalized by Q_{-1/2}(z) = sqrt(2/(z+1)) K(2/(z+1)).
+    """
+    z = 1.0 + 0.5 / big_t ** 2
+    top = l_box + int(40 * big_t + 50)
+    q = np.zeros(top + 2)
+    q[top] = 1.0
+    for m in range(top, 0, -1):
+        q[m - 1] = (2 * m * z * q[m] - (m + 0.5) * q[m + 1]) / (m - 0.5)
+    k2 = 2.0 / (z + 1.0)
+    q *= math.sqrt(k2) * ellipk(k2) / q[0]
+    return q[np.abs(np.arange(-l_box, l_box + 1))] / (math.pi * big_t)
+
+
+@pytest.mark.parametrize("big_t, sites, gl_error, cum_error", [
+    # the Gauss-Legendre error of the 20 x 12 rule against the closed
+    # form, measured: 4.28e-4 at T = 20; 7.11e-3, and 7.47e-3 on the
+    # cumulative sums, at T = 40
+    (20.0, 1025, 4.3e-4, 4.3e-4), (40.0, 1873, 7.2e-3, 7.5e-3)],
+    ids=["T20", "T40"])
+def test_free_averaged_profile_against_the_closed_form(big_t, sites, gl_error,
+                                                       cum_error):
+    # the box auto_box gives xi_estimate at T, swept by Chebyshev
+    ham, = tp.auto_box(SHIFT1, THETA, ZERO, [10.0 * big_t])
+    assert ham.size == sites > tp.DENSE_SITES
+    exact = _free_abel_profile(ham.l_box, big_t)
+    # the oracle against mpmath, measured within 5.2e-14 relative, and its
+    # mass on the box, which misses a tail below 1.1e-11
+    z = 1.0 + 0.5 / big_t ** 2
+    for n in (0, 1, 7, 100, ham.l_box):
+        q = float(mpmath.re(mpmath.legenq(n - 0.5, 0, z, type=3)))
+        assert exact[ham.l_box + n] * math.pi * big_t == pytest.approx(
+            q, rel=1e-13)
+    assert exact.sum() == pytest.approx(1.0, abs=1e-10)
+    profile = tp.averaged_profile(ham, big_t)
+    assert np.max(np.abs(profile - exact)) <= gl_error
+    cum, cum_exact = (tp._symmetric_cumsum(p, ham.l_box)
+                      for p in (profile, exact))
+    assert np.max(np.abs(cum - cum_exact)) <= cum_error
+    # the cut at 10 T drops e^{-20} = 2.06e-9 of the mass; the second
+    # moment sum n^2 a(n, T) = T^2, measured -4.6e-7 relative at both T
+    assert abs(profile.sum() - 1.0) <= 2.1e-9
+    moment = np.sum(ham.sites() ** 2 * profile) / big_t ** 2
+    assert abs(moment - 1.0) <= 4.6e-7
 
 
 def test_symmetric_cumsum_totals():
@@ -323,7 +376,7 @@ def test_estimator_input_validation(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# row blocks against the one-row recurrence they replace
+# the kernel and the sweep against the one-row recurrence
 # ---------------------------------------------------------------------------
 
 def _cheb_apply_reference(diag_scaled, off_scaled, coeffs, psi):
@@ -382,17 +435,15 @@ def _profile_reference(ham, big_t):
     return acc
 
 
-def _hamiltonians(count, l_box=40):
-    phi = cc.CosinePotential(1.5)
-    return [tp.build_hamiltonian(SHIFT1, TorusPoint((0.17 * i,)), phi, l_box)
-            for i in range(count)]
+def _hamiltonian(l_box=40):
+    return tp.build_hamiltonian(SHIFT1, THETA, cc.CosinePotential(1.5), l_box)
 
 
 @pytest.mark.parametrize("length", [1, 2, 40, 60],
                          ids=["one-term", "two-terms", "forty-terms",
                               "sixty-terms"])
 def test_cheb_apply_rows_equal_the_one_row_recurrence(length):
-    ham, = _hamiltonians(1)
+    ham = _hamiltonian()
     scale = ham.enclosure
     diag = ham.v / scale
     # generic complex coefficients, both parts nonzero, so that a fused and
@@ -431,7 +482,7 @@ def _support(size, first, last):
          "longer-than-box", "all-zero", "signed-zeros"])
 @pytest.mark.parametrize("bessel", [False, True], ids=["generic", "bessel"])
 def test_cheb_apply_windows_equal_the_whole_recurrence(psi, length, bessel):
-    ham, = _hamiltonians(1)
+    ham = _hamiltonian()
     scale = ham.enclosure
     # a potential of both signs: v * 0 is -0 where v < 0
     assert np.min(ham.v) < 0.0 < np.max(ham.v)
@@ -450,9 +501,9 @@ def test_cheb_apply_windows_equal_the_whole_recurrence(psi, length, bessel):
 
 
 def test_repeated_times_keep_their_state(monkeypatch):
-    # row 0 stays at t = 5 for one node while row 1 moves on: its third
-    # state is its second, and its other nodes are those of the sweep
-    # without the repeat
+    # the sweep stays at t = 5 for one node: its third state is its second,
+    # a copy of its own, and its other nodes are those of the sweep without
+    # the repeat
     monkeypatch.setattr(tp, "DENSE_SITES", 0)
     calls, apply = [], kernels.cheb_apply
 
@@ -461,20 +512,17 @@ def test_repeated_times_keep_their_state(monkeypatch):
         return apply(diag, off, coeffs, psi)
 
     monkeypatch.setattr(kernels, "cheb_apply", counted)
-    ham, other = _hamiltonians(2)
-    states = tp.evolve_times([ham, other], [[2.0, 5.0, 5.0, 9.0],
-                                            [1.0, 3.0, 4.0, 6.0]])
-    assert len(calls) == 7
+    ham = _hamiltonian()
+    states = tp.evolve_times(ham, [2.0, 5.0, 5.0, 9.0])
+    assert len(calls) == 3
     # one row per call: the tracer counts term_sites as len(coeffs) *
     # len(psi), terms x sites
     assert set(calls) == {(1, 1)}
-    assert states[2].psi[0].tobytes() == states[1].psi[0].tobytes()
-    plain = tp.evolve_times([ham], [[2.0, 5.0, 9.0]])
+    assert states[2].psi.tobytes() == states[1].psi.tobytes()
+    assert not np.shares_memory(states[2].psi, states[1].psi)
+    plain = tp.evolve_times(ham, [2.0, 5.0, 9.0])
     for st, want in zip([states[0], states[1], states[3]], plain):
-        assert st.psi[0].tobytes() == want.psi[0].tobytes()
-    alone = tp.evolve_times([other], [[1.0, 3.0, 4.0, 6.0]])
-    for st, want in zip(states, alone):
-        assert st.psi[1].tobytes() == want.psi[0].tobytes()
+        assert st.psi.tobytes() == want.psi.tobytes()
 
 
 @pytest.mark.parametrize("dense_sites", [tp.DENSE_SITES, 0],
@@ -490,34 +538,55 @@ def test_non_finite_times_are_rejected(monkeypatch, dense_sites, bad):
     with pytest.raises(ValueError, match="finite"):
         tp.evolve(ham, bad)
     with pytest.raises(ValueError, match="finite"):
-        tp.evolve_times([ham], [[1.0, bad, 2.0]])
+        tp.evolve_times(ham, [1.0, bad, 2.0])
     # rejected before any propagation
     assert chebyshev == eigen == []
 
 
-# Chebyshev sweeps run on boxes over DENSE_SITES = 513 sites, so the
-# row-block tests below take half-widths of at least 257
-@pytest.mark.parametrize("phi, phase, l_box", [
-    # at 0.335 the shifted box gains its largest |v| at its new edge site
-    (cc.CosinePotential(3.0), 0.335, 257), (ZERO, 0.3, 300)],
+@pytest.mark.parametrize("phi, phase", [
+    # at 0.274 the shifted box gains its largest |v| at its new edge site
+    (cc.CosinePotential(3.0), 0.274), (ZERO, 0.3)],
     ids=["scales-differ", "free"])
-def test_phase_pair_profile_equals_two_one_row_profiles(phi, phase, l_box):
+def test_phase_pair_profile_equals_two_one_row_profiles(monkeypatch, phi,
+                                                        phase):
+    # xi_estimate's total at each T, on Chebyshev sweeps, is the sum of the
+    # cumulative profiles at theta and at f(theta) on T's box, each equal
+    # to its one-box reference bit for bit; equal potentials (free) take
+    # one profile for both
+    monkeypatch.setattr(tp, "DENSE_SITES", 0)
     th = TorusPoint((phase,))
-    ham = tp.build_hamiltonian(SHIFT1, th, phi, l_box)
-    shifted = tp.build_hamiltonian(SHIFT1, tp.step(SHIFT1, th), phi, l_box)
-    if phi is ZERO:
-        assert np.array_equal(ham.v, shifted.v)
-    else:
-        assert ham.enclosure != shifted.enclosure
-    big_t = 3.0
-    [(cum0, cum1)] = tp._phase_pair_cumsums(SHIFT1, th, phi, ham, [big_t])
-    for cum, h in ((cum0, ham), (cum1, shifted)):
-        want = tp._symmetric_cumsum(_profile_reference(h, big_t), l_box)
-        assert cum.tobytes() == want.tobytes()
-    if phi is not ZERO:
-        pair = tp.averaged_profile([ham, shifted], [big_t] * 2)
-        assert pair[1].tobytes() == _profile_reference(shifted,
-                                                       big_t).tobytes()
+    t_grid = [2.0, 3.0, 5.0]
+    hams = tp.auto_box(SHIFT1, th, phi, [10.0 * t for t in t_grid])
+    profiled, profile = [], tp.averaged_profile
+    totals, front = [], tp.xi_front
+
+    def recorded(ham, big_t):
+        profiled.append((ham.v.tobytes(), big_t))
+        return profile(ham, big_t)
+
+    def front_of(total, tau):
+        totals.append(total)
+        return front(total, tau)
+
+    monkeypatch.setattr(tp, "averaged_profile", recorded)
+    monkeypatch.setattr(tp, "xi_front", front_of)
+    tp.xi_estimate(SHIFT1, th, phi, [0.5], t_grid)
+    assert len(totals) == len(t_grid)
+    want = []
+    for ham, big_t, total in zip(hams, t_grid, totals):
+        shifted = tp.build_hamiltonian(SHIFT1, tp.step(SHIFT1, th), phi,
+                                       ham.l_box)
+        if phi is ZERO:
+            assert np.array_equal(ham.v, shifted.v)
+            want.append((ham.v.tobytes(), big_t))
+        else:
+            assert ham.enclosure != shifted.enclosure
+            want += [(h.v.tobytes(), big_t) for h in (ham, shifted)]
+        cum0, cum1 = (tp._symmetric_cumsum(_profile_reference(h, big_t),
+                                           ham.l_box)
+                      for h in (ham, shifted))
+        assert total.tobytes() == (cum0 + cum1).tobytes()
+    assert profiled == want
 
 
 def test_bessel_coefficients_once_per_distinct_step(monkeypatch):
@@ -529,39 +598,17 @@ def test_bessel_coefficients_once_per_distinct_step(monkeypatch):
         return original(tau)
 
     monkeypatch.setattr(tp, "_chebyshev_coefficients", counted)
-    hams = _hamiltonians(2, l_box=257)
-    assert hams[0].enclosure != hams[1].enclosure
+    ham = _hamiltonian(l_box=257)
     big_t = 3.0
     nodes, _ = tp.abel_nodes(big_t)
     steps = np.diff(np.concatenate(([0.0], nodes)))
-    distinct = {float(dt * h.enclosure) for dt in steps for h in hams}
-    assert len(distinct) < 2 * len(nodes)
-    tp.averaged_profile(hams, [big_t] * 2)
+    distinct = {float(dt * ham.enclosure) for dt in steps}
+    assert len(distinct) < len(nodes)
+    tp.averaged_profile(ham, big_t)
     assert sorted(calls) == sorted(distinct)
     # no cache outlives the call: a second profile evaluates them again
-    tp.averaged_profile(hams, [big_t] * 2)
+    tp.averaged_profile(ham, big_t)
     assert len(calls) == 2 * len(distinct)
-
-
-def test_abel_rows_at_several_t_equal_one_row_profiles():
-    # three T on one box, both phases of the pair: six rows at two scales
-    phi = cc.CosinePotential(3.0)
-    th = TorusPoint((0.335,))
-    l_box = 257
-    ham = tp.build_hamiltonian(SHIFT1, th, phi, l_box)
-    shifted = tp.build_hamiltonian(SHIFT1, tp.step(SHIFT1, th), phi, l_box)
-    assert ham.enclosure != shifted.enclosure
-    big_ts = [5.0, 2.0, 3.0]
-    pairs = tp._phase_pair_cumsums(SHIFT1, th, phi, ham, big_ts)
-    assert len(pairs) == len(big_ts)
-    for big_t, (cum0, cum1) in zip(big_ts, pairs):
-        for cum, h in ((cum0, ham), (cum1, shifted)):
-            want = _profile_reference(h, big_t)
-            assert cum.tobytes() == tp._symmetric_cumsum(want,
-                                                         l_box).tobytes()
-    rows = tp.averaged_profile([ham, shifted, ham], [3.0, 2.0, 5.0])
-    for row, h, big_t in zip(rows, (ham, shifted, ham), (3.0, 2.0, 5.0)):
-        assert row.tobytes() == _profile_reference(h, big_t).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -584,15 +631,15 @@ def test_untrimmed_windows_equal_the_whole_box_sweep(monkeypatch, phi, phase,
     chebyshev = _chebyshev_sites(monkeypatch)
     ham = tp.build_hamiltonian(SHIFT1, TorusPoint((phase,)), phi, l_box)
     nodes, weights = tp.abel_nodes(big_t)
-    states = tp.evolve_times([ham], [nodes])
+    states = tp.evolve_times(ham, nodes)
     assert min(chebyshev) < ham.size
     want = list(_states_reference(ham, nodes, trim=False))
     for st, psi in zip(states, want):
-        assert st.psi[0].tobytes() == psi.tobytes()
+        assert st.psi.tobytes() == psi.tobytes()
     profile = np.zeros(ham.size)
     for psi, w in zip(want, weights):
         profile += w * np.abs(psi) ** 2
-    got, = tp.averaged_profile([ham], [big_t])
+    got = tp.averaged_profile(ham, big_t)
     assert got.tobytes() == profile.tobytes()
 
 
@@ -609,17 +656,17 @@ def test_trimmed_windows_agree_with_the_whole_box_sweep(monkeypatch, phi,
     monkeypatch.setattr(tp, "DENSE_SITES", 0)
     ham = tp.build_hamiltonian(SHIFT1, TorusPoint((phase,)), phi, l_box)
     nodes, weights = tp.abel_nodes(big_t)
-    states = tp.evolve_times([ham], [nodes])
+    states = tp.evolve_times(ham, nodes)
     want = list(_states_reference(ham, nodes, trim=False))
     profile = np.zeros(ham.size)
     for t, st, psi, w in zip(nodes, states, want, weights):
-        assert np.max(np.abs(st.psi[0] - psi)) <= 1e-14
-        exact = tp._certify(t, psi, tp.DEFAULT_BOUNDARY_BUDGET)
+        assert np.max(np.abs(st.psi - psi)) <= 1e-14
+        exact, = tp._certify([t], psi[None], tp.DEFAULT_BOUNDARY_BUDGET)
         assert st.norm_defect == pytest.approx(exact.norm_defect, abs=1e-14)
         assert st.boundary_mass == pytest.approx(exact.boundary_mass,
                                                  abs=1e-37)
         profile += w * np.abs(psi) ** 2
-    got, = tp.averaged_profile([ham], [big_t])
+    got = tp.averaged_profile(ham, big_t)
     assert np.max(np.abs(got - profile)) <= 1e-15
     above = profile > 1e-12
     assert np.max(np.abs(got - profile)[above] / profile[above]) <= 1e-14
@@ -631,13 +678,13 @@ def test_free_sweep_runs_on_the_light_cone(monkeypatch):
     assert ham.size > tp.DENSE_SITES
     chebyshev = _chebyshev_sites(monkeypatch)
     ts = [2.0, 10.0, 40.0, 100.0]
-    states = tp.evolve_times([ham], [ts])
+    states = tp.evolve_times(ham, ts)
     # the early hops run on the sites the state can reach
     assert chebyshev[0] < chebyshev[1] < chebyshev[2] < ham.size
     n = np.abs(ham.sites())
     for t, st in zip(ts, states):
         exact = (-1j) ** n * jv(n, 2.0 * t)
-        assert np.max(np.abs(st.psi[0] - exact)) < 1e-12
+        assert np.max(np.abs(st.psi - exact)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -657,42 +704,40 @@ def test_dense_profile_matches_the_chebyshev_sweep(monkeypatch, phi, phase,
     assert ham.size <= tp.DENSE_SITES
     eigen = _eigendecompositions(monkeypatch)
     chebyshev = _chebyshev_sites(monkeypatch)
-    # both phases at every T, in mixed order: one eigendecomposition per
-    # box object (two free boxes with equal potentials take one each), no
-    # Chebyshev term, and every row on its own rule
-    rows = [(h, t) for t in big_ts for h in (ham, shifted)][::-1]
-    hams, row_ts = [h for h, _ in rows], [t for _, t in rows]
-    got = tp.averaged_profile(hams, row_ts)
-    assert got.shape == (len(rows), ham.size)
+    # both phases at every T: one eigendecomposition per box object (two
+    # free boxes with equal potentials take one each), no Chebyshev term
+    pairs = [(h, t) for t in big_ts for h in (ham, shifted)]
+    got = [tp.averaged_profile(h, t) for h, t in pairs]
     assert sorted(map(id, eigen)) == sorted(map(id, (ham, shifted)))
     assert chebyshev == []
     monkeypatch.setattr(tp, "DENSE_SITES", 0)
-    want = tp.averaged_profile(hams, row_ts)
+    for profile, (h, t) in zip(got, pairs):
+        assert profile.shape == (ham.size,)
+        assert np.max(np.abs(profile - tp.averaged_profile(h, t))) <= 1e-12
     assert chebyshev
-    assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def _flag_message(hams, big_ts):
+def _flag_message(ham, big_t):
     with pytest.raises(ValueError, match="evolution flagged at t=") as err:
-        tp.averaged_profile(hams, big_ts)
+        tp.averaged_profile(ham, big_t)
     return str(err.value)
 
 
 def test_dense_profile_flags_a_small_box(monkeypatch):
     # the free delta puts 1e-8 on the edge sites of a 49-site box near
-    # t = 7: the first node to fail is named with the latest time of the
-    # rows there, as the Chebyshev sweep names it
+    # t = 7: the first node to fail is named with its time, as the
+    # Chebyshev sweep names it
     ham = tp.build_hamiltonian(SHIFT1, THETA, ZERO, 24)
     shifted = tp.build_hamiltonian(SHIFT1, THETA, cc.CosinePotential(0.1), 24)
-    hams, big_ts = [ham, shifted, ham], [4.0, 2.0, 10.0]
-    dense = _flag_message(hams, big_ts)
+    cases = [(ham, 4.0), (shifted, 2.0), (ham, 10.0)]
+    dense = [_flag_message(h, t) for h, t in cases]
     monkeypatch.setattr(tp, "DENSE_SITES", 0)
-    chebyshev = _flag_message(hams, big_ts)
-    assert dense.split(" (")[0] == chebyshev.split(" (")[0]
+    chebyshev = [_flag_message(h, t) for h, t in cases]
+    for d, c in zip(dense, chebyshev):
+        assert d.split(" (")[0] == c.split(" (")[0]
     # a box that holds every node raises nothing
     monkeypatch.undo()
-    tp.averaged_profile([tp.build_hamiltonian(SHIFT1, THETA, ZERO, 128)],
-                        [4.0])
+    tp.averaged_profile(tp.build_hamiltonian(SHIFT1, THETA, ZERO, 128), 4.0)
 
 
 @pytest.mark.parametrize("big_t", [0.0, -5.0, math.inf, math.nan])
@@ -705,19 +750,14 @@ def test_averaged_profile_rejects_a_bad_t(monkeypatch, big_t):
     monkeypatch.setattr(tp, "evolve_times", no_sweep)
     ham = tp.build_hamiltonian(SHIFT1, THETA, ZERO, 16)
     with pytest.raises(ValueError, match="T must be positive and finite"):
-        tp.averaged_profile([ham, ham], [5.0, big_t])
-
-
-def test_empty_row_lists_are_rejected():
-    with pytest.raises(ValueError, match="at least one row"):
-        tp.averaged_profile([], [])
+        tp.averaged_profile(ham, big_t)
 
 
 @pytest.mark.parametrize("phase", np.random.default_rng(17).random(3).round(6),
                          ids=lambda p: f"{p:.6f}")
 def test_xi_fronts_equal_the_chebyshev_fronts(monkeypatch, phase):
     # the transport workload's localized front, on eigendecompositions and
-    # with every sweep and probe forced onto Chebyshev blocks
+    # with every sweep and probe forced onto Chebyshev
     phi = cc.CosinePotential(3.0)
     th = TorusPoint((float(phase),))
     t_grid = list(np.geomspace(30.0, 50.0, 9))
