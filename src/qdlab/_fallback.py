@@ -28,9 +28,10 @@ part 0 on the calling thread.  Each part runs the serial code on its own
 share and buffers, and the parts' results are combined by the same exact
 rule, so the split moves no bits.  numpy releases the GIL inside its
 loops, so the parts run side by side.  Work made of many small arrays is
-not split, as its threads mostly wait for the GIL: the Chebyshev rows
-(a 2-way row split took a transport pass from about 7 s to 11 s) and the
-exact d=2 scan.
+not split, as its threads mostly wait for the GIL: the Chebyshev
+recurrence, which steps one state per call (a 2-way split of row blocks,
+when it stepped those, took a transport pass from about 7 s to 11 s), and
+the exact d=2 scan.
 """
 
 import math

@@ -422,7 +422,10 @@ def _run_transport_beta(config):
     t_grid = _times(config, "params.t_grid", 8)
     theta = _point(config, "params.theta", mp["d"])
     within = _bracket(config)
-    est = tp.beta_estimate(mp["spec"], TorusPoint(theta), phi, p, t_grid)
+    try:
+        est = tp.beta_estimate(mp["spec"], TorusPoint(theta), phi, p, t_grid)
+    except tp.LightConeError as exc:
+        raise ConfigError("params.t_grid", str(exc)) from exc
     header = ["beta_low", "beta_high", "p", "t_max"]
     rows = [(est.low, est.high, p, max(t_grid))]
     summary = {"beta_low": est.low, "beta_high": est.high}
@@ -444,7 +447,12 @@ def _run_transport_xi(config):
     # one running slope needs at least 3 times
     t_grid = _times(config, "params.t_grid", 3)
     within = _bracket(config)
-    est = tp.xi_estimate(mp["spec"], TorusPoint(theta), phi, taus, t_grid)
+    try:
+        est = tp.xi_estimate(mp["spec"], TorusPoint(theta), phi, taus,
+                             t_grid)
+    except tp.LightConeError as exc:
+        raise ConfigError("params.t_grid", f"{exc}; xi averages each T up "
+                                           f"to t = 10 T") from exc
     header = ["T", "front_l", "tau"]
     lead = sorted(taus)[0]
     rows = [(t, front, lead)

@@ -1,40 +1,39 @@
-"""Finite-box quantum evolution and wavepacket transport estimators.
+"""Quantum evolution of the delta and wavepacket transport estimators.
 
-The Hamiltonian is the discrete Schrodinger operator on sites |n| <= L_box
-with unit hoppings and potential sampled along the two-sided orbit of the
-phase.  Every state is e^{-itH} applied to the delta at the origin, with
-the norm defect and the mass on the outer sites certified.  One rule picks
+The Hamiltonian is the discrete Schrodinger operator with unit hoppings
+and potential sampled along the two-sided orbit of the phase, on a box of
+sites |n| <= L_box (BoxHamiltonian) or on all of Z (OpenChain).  Every
+state is e^{-itH} applied to the delta at the origin, with its norm defect
+and a boundary mass certified: on a box the mass on its outer percent of
+sites, on an open chain the tail mass its hops dropped.  One rule picks
 the propagator (_sweep): a box of at most DENSE_SITES sites takes every
-state from its eigendecomposition, and a larger box runs the Chebyshev
+state from its eigendecomposition, and anything else runs the Chebyshev
 expansion of e^{-itH} with Bessel coefficients, truncated below 1e-14.
 
-Every call takes one BoxHamiltonian: evolve one time, evolve_times a
+Every call takes one Hamiltonian: evolve one time, evolve_times a
 nondecreasing time grid, averaged_profile one T.  Times must be
 nonnegative and finite.  A Chebyshev sweep advances the state by one
-kernels.cheb_apply call per step.  Each step runs only on the sites the
-state can reach (_hop): a degree-(K - 1) step moves amplitude at most
-K - 1 sites, so the call covers the amplitudes above TRIM widened by K
-sites, and the kernel grows its own window term by term inside that.
-TRIM = COEFF_TOL^2 is derived, not a knob: the series truncation moves
-amplitudes by up to COEFF_TOL per step, and the dropped tails, at most
-M TRIM^2 of mass per step on M sites, show in the norm defect of the
-state that follows.  With TRIM = 0 the windows change no bit.
+kernels.cheb_apply call per hop.  Each hop runs only on the sites the
+state can reach: a degree-(K - 1) step moves amplitude at most K - 1
+sites, so the call covers the amplitudes above TRIM widened by K sites,
+and the kernel grows its own window term by term inside that.  On a box
+the window is clipped to the box; an open chain keeps its state on a
+centred array that grows to hold the window, and samples its potential
+there, so the window is its box.  TRIM = COEFF_TOL^2 is derived, not a
+knob: the series truncation moves amplitudes by up to COEFF_TOL per hop,
+and the dropped tails, at most M TRIM^2 of mass per hop on M sites, show
+in the norm defect of the state that follows.  With TRIM = 0 the windows
+change no bit on a box.
 
 A box takes its eigendecomposition on first use and keeps it
 (BoxHamiltonian.eigenbasis), so the calls that share a box object share
 it: a localized estimator's sweep reuses the one its auto_box probe
-took.  Three kinds of work share boxes:
-
-- the auto_box search, one distinct t_max at a time, whose times share
-  their boxes and the front times of the eigendecomposition boxes, from
-  which it skips the probes that will fail;
-- the Abel averages of xi_estimate: every T whose box agrees, at theta
-  and at f(theta) (one average per T when the potentials agree);
-- the boxes themselves, which all sample one two-sided Orbit of theta,
-  grown as larger boxes need it and shifted by one site for f(theta).
-
-Within one Chebyshev sweep the Bessel coefficients of each distinct step
-are evaluated once.
+took.  The boxes and the open chains of one phase all sample one
+two-sided Orbit of theta, grown as they need it and shifted by one site
+for f(theta).  An estimator's times share their boxes and chain, and the
+Abel averages of xi_estimate read one profile for theta and f(theta)
+when the potentials agree on its sites.  Within one Chebyshev sweep the
+Bessel coefficients of each distinct step are evaluated once.
 """
 
 import math
@@ -55,10 +54,10 @@ COEFF_TOL = 1e-14
 # truncation error of every hop
 TRIM = COEFF_TOL ** 2
 BOX_START = 128
+# the widest light cone, in sites a side, that auto_box accepts
 BOX_CAP = 1 << 17
 DENSE_SITES = 513
 PROBE_BUDGET = 1e-4 * DEFAULT_BOUNDARY_BUDGET
-FRONT_EXPONENT = 0.75
 GROWTH_CHUNK = 1024
 ABEL_PANELS = 20
 ABEL_ORDER = 12
@@ -89,7 +88,7 @@ class BoxHamiltonian:
 @dataclass
 class EvolutionState:
     t: float
-    psi: np.ndarray        # (sites,)
+    psi: np.ndarray        # (sites,): the box, or a chain's centred window
     norm_defect: float
     boundary_mass: float
     valid: bool
@@ -101,7 +100,7 @@ class Orbit:
     Grown on demand by exact torus steps from its two ends, in chunks of
     GROWTH_CHUNK steps whose new points phi samples as each chunk is made,
     so a long growth holds at most one chunk of points; phi sees each new
-    point once.  Boxes of growing size, and the boxes at theta and at
+    point once.  Boxes of growing size and open chains, at theta and at
     f(theta), sample one orbit: on the k/2^53 lattice a step from f(theta)
     lands on the same point as two steps from theta, and phi is evaluated
     element by element, so every sample equals that of a fresh orbit.
@@ -137,6 +136,27 @@ class Orbit:
             self.ends = [low, high]
             self.reach += grow
         return self.v[self.reach + lo:self.reach + hi + 1]
+
+
+@dataclass
+class OpenChain:
+    """The operator on all of Z, sampled from orbit as a sweep reaches it.
+
+    Site n carries phi(f^(center + n) theta).  Its Chebyshev sweep runs at
+    the scale enclosure = 2 + sup|phi|, which bounds the spectrum wherever
+    the state goes, on a window that grows with the sites the state
+    reaches (_chebyshev_sweep).
+    """
+    orbit: Orbit
+    center: int = 0
+
+    @property
+    def enclosure(self):
+        return 2.0 + self.orbit.phi.sup_bound
+
+    def potential(self, half):
+        """The potential on the sites |n| <= half."""
+        return self.orbit.potential(self.center - half, self.center + half)
 
 
 def build_hamiltonian(map_spec, theta, phi, l_box, orbit=None, center=0):
@@ -175,17 +195,22 @@ def _edge_sites(size):
     return max(1, int(math.ceil(0.01 * size)))
 
 
-def _certify(ts, block, budget):
+def _certify(ts, block, budget, dropped=None):
     """One EvolutionState per node of a (nodes, sites) block at times ts.
 
-    Each node has a norm defect and a mass on the outer percent of sites,
-    taken for the whole block in one pass.
+    Each node has a norm defect and a boundary mass, taken for the whole
+    block in one pass: the tail mass that its hops dropped (dropped, one
+    per node, on an open chain), or else the mass on the outer percent of
+    the box's sites.
     """
     prob = np.abs(block) ** 2
-    edge = _edge_sites(block.shape[-1])
     norm_defect = np.abs(np.sum(prob, axis=-1) - 1.0)
-    boundary = (np.sum(prob[:, :edge], axis=-1)
-                + np.sum(prob[:, -edge:], axis=-1))
+    if dropped is None:
+        edge = _edge_sites(block.shape[-1])
+        boundary = (np.sum(prob[:, :edge], axis=-1)
+                    + np.sum(prob[:, -edge:], axis=-1))
+    else:
+        boundary = np.asarray(dropped)
     valid = (norm_defect <= NORM_DEFECT_TOL) & (boundary <= budget)
     return [EvolutionState(t, psi, float(d), float(b), bool(ok))
             for t, psi, d, b, ok in zip(ts, block, norm_defect, boundary,
@@ -193,8 +218,11 @@ def _certify(ts, block, budget):
 
 
 def initial_state(ham):
-    psi = np.zeros(ham.size, dtype=np.complex128)
-    psi[ham.l_box] = 1.0
+    """The delta at the origin, on the whole box or on an open chain's
+    one-site window."""
+    half = ham.l_box if isinstance(ham, BoxHamiltonian) else 0
+    psi = np.zeros(2 * half + 1, dtype=np.complex128)
+    psi[half] = 1.0
     return psi
 
 
@@ -204,12 +232,14 @@ def _sweep(ham, ts):
     A box of at most DENSE_SITES sites is propagated by its
     eigendecomposition (dense_evolve), which there costs milliseconds
     against up to a second of Chebyshev terms at t = 1e4, in one block of
-    all its nodes; a larger box by the Chebyshev expansion (_chebyshev_sweep),
-    where the cubic cost of an eigendecomposition overtakes it, one node
-    at a time.  Yields each block's times and its (nodes, sites) array.
+    all its nodes; a larger box, where the cubic cost of an
+    eigendecomposition overtakes the Chebyshev expansion, and an open
+    chain by the expansion (_chebyshev_sweep), one node at a time.  Yields
+    each block's times, its (nodes, sites) array and its nodes' dropped
+    tail masses, None on a box.
     """
-    if ham.size <= DENSE_SITES:
-        yield ts, dense_evolve(ham, ts)
+    if isinstance(ham, BoxHamiltonian) and ham.size <= DENSE_SITES:
+        yield ts, dense_evolve(ham, ts), None
     else:
         yield from _chebyshev_sweep(ham, ts)
 
@@ -217,58 +247,80 @@ def _sweep(ham, ts):
 def _chebyshev_sweep(ham, ts):
     """_sweep by the Chebyshev expansion, node to node.
 
-    A time that moves advances the state by one _hop, and a time that does
-    not keeps it; each node's block is a fresh copy of the state.  The
-    coefficients of a step are evaluated once per distinct scaled step tau
-    (keyed on the exact float) within the sweep: the Gauss-Legendre hops
-    of an Abel rule repeat bit for bit from panel to panel.
+    A time that moves advances the state by hops, and a time that does not
+    keeps it; each node's block is a fresh copy of the state.  A hop copies
+    the amplitudes from the first to the last with |psi_n| > TRIM into a
+    zero state, and one kernels.cheb_apply call runs on them widened by
+    K = len(coeffs) sites on each side: a degree-(K - 1) step moves
+    amplitude at most K - 1 sites, and the one site more holds +0
+    throughout, so that the outermost reachable site sums the neighbours it
+    has.  The result overwrites that window.  On a box the window is
+    clipped to the box: with TRIM = 0 this is the whole-box step bit for
+    bit, and a NaN state, with nothing above TRIM, steps on the whole box.
+    On an open chain the state's centred array grows to hold the window,
+    whose potential is sampled as it grows, and the hops' dropped tails
+    are summed for the certificate.
+
+    An open hop splits by a rule that follows from the scale s and the
+    kept width w = last - first.  A hop of K = s dt terms costs about
+    K (w + K) site-terms, as the kernel's window grows by a site a side
+    per term, while amplitude moves at most 2 dt a side (the light cone of
+    unit hoppings): about K (s - 2) dt = s (s - 2) dt^2 of that lies
+    beyond the light cone.  Splitting the hop cuts this part, but each
+    piece runs its own series tail, at least 48 terms past its tau
+    (12 * 4 in _chebyshev_coefficients), over the kept width.  So a hop
+    ends where the two balance, s (s - 2) dt^2 = 48 w.  A free chain
+    (s = 2) never splits, and on a box the clip bounds the waste.
+
+    The coefficients of a step are evaluated once per distinct scaled step
+    tau (keyed on the exact float) within the sweep: the Gauss-Legendre
+    hops of an Abel rule repeat bit for bit from panel to panel.
     """
     scale = ham.enclosure
-    diag = ham.v / scale
+    chain = isinstance(ham, OpenChain)
     psi = initial_state(ham)
+    diag = (ham.potential(0) if chain else ham.v) / scale
     coefficients = {}
+    dropped = 0.0
     prev = 0.0
     for t in ts:
-        if t > prev:
-            tau = (t - prev) * scale
+        while prev < t:
+            kept = np.flatnonzero(np.abs(psi) > TRIM)
+            first, last = ((kept[0], kept[-1] + 1) if kept.size
+                           else (0, psi.size))
+            end = t
+            if chain and scale > 2.0:
+                end = min(t, prev + math.sqrt(
+                    48.0 * (last - first) / (scale * (scale - 2.0))))
+            tau = (end - prev) * scale
             if tau not in coefficients:
                 coefficients[tau] = _chebyshev_coefficients(tau)
-            psi = _hop(diag, 1.0 / scale, coefficients[tau], psi)
-        prev = t
-        yield [t], np.array([psi])
-
-
-def _hop(diag, off, coeffs, psi):
-    """One Chebyshev step of psi, on the sites it can reach.
-
-    The amplitudes from the first to the last with |psi_n| > TRIM are
-    copied into a zero state, and one kernels.cheb_apply call runs on them
-    widened by len(coeffs) sites on each side and clipped to the box: a
-    degree-(K - 1) step moves amplitude at most K - 1 sites, and the one
-    site more holds +0 throughout, so that the outermost reachable site
-    sums the neighbours it has on the whole box.  The result overwrites
-    that window.  With TRIM = 0 this is the whole-box step bit for bit; a
-    NaN state, with nothing above TRIM, steps on the whole box.
-    """
-    size = psi.shape[0]
-    kept = np.flatnonzero(np.abs(psi) > TRIM)
-    first, last = (kept[0], kept[-1] + 1) if kept.size else (0, size)
-    lo, hi = max(first - len(coeffs), 0), min(last + len(coeffs), size)
-    out = np.zeros_like(psi)
-    out[first:last] = psi[first:last]
-    out[lo:hi] = kernels.cheb_apply(diag[lo:hi], off, coeffs, out[lo:hi])
-    return out
+            coeffs = coefficients[tau]
+            lo, hi = first - len(coeffs), last + len(coeffs)
+            grow = max(-lo, hi - psi.size, 0) if chain else 0
+            out = np.zeros(psi.size + 2 * grow, dtype=np.complex128)
+            out[first + grow:last + grow] = psi[first:last]
+            if chain:
+                dropped += (np.vdot(psi[:first], psi[:first]).real
+                            + np.vdot(psi[last:], psi[last:]).real)
+            if grow:
+                diag = ham.potential(out.size // 2) / scale
+            lo, hi = max(lo + grow, 0), min(hi + grow, out.size)
+            out[lo:hi] = kernels.cheb_apply(diag[lo:hi], 1.0 / scale, coeffs,
+                                            out[lo:hi])
+            psi, prev = out, end
+        yield [t], np.array([psi]), [dropped] if chain else None
 
 
 def evolve(ham, t, budget=DEFAULT_BOUNDARY_BUDGET):
-    """e^{-i t H} applied to the delta at the origin on the box ham.
+    """e^{-i t H} applied to the delta at the origin, on a box or a chain.
 
     One time (_sweep), certified against budget.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"time must be nonnegative and finite, got t={t}")
-    (ts, block), = _sweep(ham, [t])
-    state, = _certify(ts, block, budget)
+    (ts, block, dropped), = _sweep(ham, [t])
+    state, = _certify(ts, block, budget, dropped)
     return state
 
 
@@ -282,8 +334,9 @@ def evolve_times(ham, ts):
             or any(b < a for a, b in zip(ts, ts[1:]))):
         raise ValueError("time grid must be nonnegative, finite and "
                          "nondecreasing")
-    return [state for times, block in _sweep(ham, ts)
-            for state in _certify(times, block, DEFAULT_BOUNDARY_BUDGET)]
+    return [state for times, block, dropped in _sweep(ham, ts)
+            for state in _certify(times, block, DEFAULT_BOUNDARY_BUDGET,
+                                  dropped)]
 
 
 def _eigenbasis(ham):
@@ -352,25 +405,35 @@ def averaged_profile(ham, big_t):
     """Abel-averaged site probabilities <a(n, t)>_T for the delta start.
 
     T must be positive and finite, checked before any evolution.  The node
-    states are one evolve_times sweep of the box, from its
-    eigendecomposition on at most DENSE_SITES sites: on 257 sites that
-    agrees with the Chebyshev sweep to 4e-14 up to T = 80 and to 5e-13 at
-    T = 1000, where most of the gap is the sweep's own rounding.  Every
-    node state is certified (norm defect and outer-percent mass at
-    DEFAULT_BOUNDARY_BUDGET), and the first node that fails raises a
+    states are one evolve_times sweep of ham, from its eigendecomposition
+    on a box of at most DENSE_SITES sites: on 257 sites that agrees with
+    the Chebyshev sweep to 4e-14 up to T = 80 and to 5e-13 at T = 1000,
+    where most of the gap is the sweep's own rounding.  On an open chain
+    the profile is centred on the last node's window, the widest, as the
+    windows only grow.  Every node state is certified at
+    DEFAULT_BOUNDARY_BUDGET, and the first node that fails raises a
     ValueError naming its time.
     """
     if not 0.0 < big_t < math.inf:
         raise ValueError(f"T must be positive and finite, got T={big_t}")
     nodes, weights = abel_nodes(big_t)
-    acc = np.zeros(ham.size)
-    for st, w in zip(evolve_times(ham, nodes), weights):
+    states = evolve_times(ham, nodes)
+    acc = np.zeros(states[-1].psi.size)
+    for st, w in zip(states, weights):
         if not st.valid:
             raise ValueError(
                 f"evolution flagged at t={st.t:.3g} (defect "
                 f"{st.norm_defect:.2e}, boundary {st.boundary_mass:.2e})")
-        acc += w * np.abs(st.psi) ** 2
+        pad = (acc.size - st.psi.size) // 2
+        acc[pad:acc.size - pad] += w * np.abs(st.psi) ** 2
     return acc
+
+
+def _centred(values, size):
+    """values, a centred array, padded with zeros to size sites."""
+    if values.size >= size:
+        return values
+    return np.pad(values, (size - values.size) // 2)
 
 
 def _symmetric_cumsum(profile, l_box):
@@ -392,95 +455,28 @@ def _symmetric_cumsum(profile, l_box):
 # box sizing and exponent estimators
 # ---------------------------------------------------------------------------
 
-def worst_case_box(phi_sup, t_max):
-    """Ballistic light-cone rule: (2 + sup|v|) t_max plus margin.
-
-    The margin grows with t: the outer-percent certification window is
-    proportional to the box, so a fixed margin would eventually overlap the
-    wavefront's Airy transition region.
-    """
-    return int(math.ceil((2.0 + phi_sup) * t_max * 1.05)) + 96
-
-
-def _front_time(ham, t_end, budget):
-    """First time up to t_end at which the delta's outer-percent mass on
-    the box exceeds budget, or None if it does not by then.
-
-    Read from the box's eigendecomposition (BoxHamiltonian.eigenbasis), of
-    which only the edge rows are used: the edge amplitudes at a block of
-    times are two real matrix products over the cosines and sines of the
-    phases.  The scan starts at l_box / 16, where a Lieb-Robinson bound
-    keeps the edge mass far below the budget, and runs one octave of time
-    per block in 16 geometric steps (66 kB of phases on 513 sites) up to
-    the first block that exceeds the budget; bisection then narrows the
-    crossing to 1e-5 of its time.
-    """
-    w, u, amps = ham.eigenbasis
-    edge = _edge_sites(ham.size)
-    rows = np.concatenate((u[:edge], u[-edge:])).T * amps[:, None]
-
-    def mass(ts):
-        phase = np.multiply.outer(ts, w)
-        re = np.cos(phase) @ rows
-        im = np.sin(phase, out=phase) @ rows
-        return np.sum(re * re + im * im, axis=-1)
-
-    lo = 0.0
-    octave = ham.l_box / 16.0 * 2.0 ** (np.arange(1, 17) / 16.0)
-    while lo < t_end:
-        ts = np.minimum(octave, t_end)
-        over = np.flatnonzero(mass(ts) > budget)
-        if over.size:
-            k = over[0]
-            lo, hi = (ts[k - 1] if k else lo), ts[k]
-            while hi - lo > 1e-5 * hi:
-                mid = 0.5 * (lo + hi)
-                if mass(np.array([mid]))[0] > budget:
-                    hi = mid
-                else:
-                    lo = mid
-            return float(hi)
-        lo = ts[-1]
-        octave = 2.0 * octave
-    return None
+class LightConeError(ValueError):
+    """A time whose light cone is wider than BOX_CAP sites a side."""
 
 
 def auto_box(map_spec, theta, phi, t_maxes, orbit=None):
-    """The doubling search's box for each time of t_maxes, from fewer probes.
+    """The Hamiltonian each time of t_maxes is swept on: a box or the chain.
 
-    The doubling search, for one t_max: the half-width l doubles from
-    BOX_START.  Once the time's light-cone ceiling (worst_case_box) is at
-    most l, it takes its ceiling box without a probe; below that, a probe
-    on the l box evolves the delta to t_max and passes if the box keeps it
-    within PROBE_BUDGET.  That budget is much smaller than a sweep's: near
-    the ballistic edge the boundary mass oscillates over a couple of orders
-    of magnitude, so a box that barely fits at t_max can overflow slightly
-    earlier.  Each distinct t_max is searched once, in ascending order, and
-    the times share their boxes and the front times below, keyed on
-    half-width.  Every box samples one orbit of theta: orbit if given,
-    which must be an Orbit of theta under map_spec and phi.  The ceiling
-    grows with t_max, so the orbit grows box by box.
-
-    Front-law skipping: a wavefront moves at a finite speed, so the probes
-    decided by eigendecomposition (boxes of at most DENSE_SITES sites)
-    show which larger probes cannot pass.  When a time fails two successive
-    ones, the times at which the delta's outer-percent mass first exceeds
-    PROBE_BUDGET on the two boxes (_front_time, one scan per box up to the
-    largest t_max) give a power law through the two fronts.  When its
-    exponent is at least FRONT_EXPONENT the front is near ballistic: its
-    log-log slope still rises towards 1, the law, with its exponent capped
-    at 1, falls short of the half-width needed at t_max, and the time's
-    probes below that estimate are skipped.  The search still passes every
-    half-width, with its hard-cap check and ceiling box: a time that
-    skipped the half-widths below its ceiling takes it, as the doubling
-    search does once those probes fail.  Slower fronts can slow down
-    further, so that the law would overshoot them, and their times are
-    probed at every half-width.  A time that passes a probe right above
-    skipped half-widths walks back down over them, probing each, until one
-    fails.  So every box is the doubling search's as long as a probe that
-    fails implies that the probes on smaller boxes fail too, and a front
-    that reads near ballistic on the dense boxes does not slow down before
-    its time's ceiling.
+    Checked first, before any probe: phi must carry a sup_bound, which
+    scales the open sweep, and the light cone of the largest time, (2 +
+    sup|phi|) t_max sites a side, must lie within BOX_CAP, or a
+    LightConeError names the two.  Each distinct t_max, in ascending
+    order, then probes the boxes of half-widths BOX_START and 2 BOX_START
+    (257 and 513 sites, which their eigendecompositions decide in
+    milliseconds): a probe evolves the delta to t_max and passes if the box
+    keeps it within PROBE_BUDGET.  That budget is much smaller than a
+    sweep's: near the ballistic edge the boundary mass oscillates over a
+    couple of orders of magnitude, so a box that barely fits at t_max can
+    overflow slightly earlier.  A time takes the first box that passes,
+    and a time that fails both the open chain (OpenChain), whose sweep
+    grows its window with the state.  The times share the boxes and the
+    chain, which all sample one orbit of theta: orbit if given, which must
+    be an Orbit of theta under map_spec and phi.
 
     A probe state only decides yes or no and is then dropped, so a box is
     the same orbit sample whichever propagator decided it.  On at most
@@ -488,51 +484,29 @@ def auto_box(map_spec, theta, phi, t_maxes, orbit=None):
     relative at the budget, and the rows of the transport workloads there
     lie at least nine decades from PROBE_BUDGET.
     """
+    if phi.sup_bound is None:
+        raise ValueError("the potential has no sup_bound, which scales the "
+                         "Chebyshev sweep and bounds the light cone")
+    t_end = max(t_maxes)
+    reach = (2.0 + phi.sup_bound) * t_end
+    if reach > BOX_CAP:
+        raise LightConeError(
+            f"the light cone to t_max={t_end:g}, (2 + sup|phi|) t_max = "
+            f"{reach:.6g} sites a side, exceeds the hard cap of {BOX_CAP}")
     if orbit is None:
         orbit = Orbit(map_spec, theta, phi)
-    t_end = max(t_maxes)
     boxes = {}                      # half-width -> box
-    fronts = {}                     # half-width -> front time, dense boxes
-
-    def box(width):
-        if width not in boxes:
-            boxes[width] = build_hamiltonian(map_spec, theta, phi, width,
-                                             orbit)
-        return boxes[width]
-
-    def passes(width, t_max):
-        return evolve(box(width), t_max, PROBE_BUDGET).valid
-
+    chain = OpenChain(orbit)
     found = {}
     for t_max in sorted(set(t_maxes)):
-        ceiling = worst_case_box(phi.sup_bound or 0.0, t_max)
-        reach = 0.0                 # skip the probes below this half-width
-        skipped = 0                 # half-widths skipped right below l
-        l = BOX_START
-        while t_max not in found:
-            if min(l, ceiling) > BOX_CAP:
-                raise ValueError("box size exceeds the hard cap")
-            if ceiling <= l:
-                found[t_max] = box(ceiling)
-            elif l < reach:
-                skipped += 1
-            elif passes(l, t_max):
-                width = l
-                while skipped and passes(width // 2, t_max):
-                    width //= 2
-                    skipped -= 1
-                found[t_max] = box(width)
-            else:
-                skipped = 0
-                if box(l).size <= DENSE_SITES:
-                    if l not in fronts:
-                        fronts[l] = _front_time(box(l), t_end, PROBE_BUDGET)
-                    t1, t2 = fronts.get(l // 2), fronts[l]
-                    if t1 is not None and t2 is not None and t2 > t1:
-                        exponent = math.log(2.0) / math.log(t2 / t1)
-                        if exponent >= FRONT_EXPONENT:
-                            reach = l * (t_max / t2) ** min(1.0, exponent)
-            l *= 2
+        found[t_max] = chain
+        for width in (BOX_START, 2 * BOX_START):
+            if width not in boxes:
+                boxes[width] = build_hamiltonian(map_spec, theta, phi, width,
+                                                 orbit)
+            if evolve(boxes[width], t_max, PROBE_BUDGET).valid:
+                found[t_max] = boxes[width]
+                break
     return [found[t_max] for t_max in t_maxes]
 
 
@@ -606,8 +580,10 @@ def xi_estimate(map_spec, theta, phi, tau_levels, t_grid):
 
     The estimate is reported at the smallest tau level; larger levels are
     returned as diagnostics.  The front at T reads the sum of the Abel
-    profiles at theta and at f(theta) on T's box; when the two potentials
-    are equal (a constant phi) one profile serves both.
+    profiles at theta and at f(theta) on T's Hamiltonian (auto_box at the
+    Abel cut 10 T), over the union of their sites; when the two potentials
+    agree on the sites of theta's profile (a constant phi) one profile
+    serves both.
     """
     tau_levels = sorted(float(t) for t in tau_levels)
     if not tau_levels or tau_levels[0] <= 0.0 or tau_levels[-1] >= 1.0:
@@ -620,15 +596,22 @@ def xi_estimate(map_spec, theta, phi, tau_levels, t_grid):
     shifted = {}                    # half-width -> box at f(theta)
     totals = []
     for ham, big_t in zip(hams, t_grid):
-        if ham.l_box not in shifted:
-            shifted[ham.l_box] = build_hamiltonian(
-                map_spec, theta, phi, ham.l_box, orbit, center=1)
-        pair = shifted[ham.l_box]
         at_theta = averaged_profile(ham, big_t)
-        at_pair = (at_theta if np.array_equal(ham.v, pair.v)
-                   else averaged_profile(pair, big_t))
-        totals.append(_symmetric_cumsum(at_theta, ham.l_box)
-                      + _symmetric_cumsum(at_pair, ham.l_box))
+        half = at_theta.size // 2
+        v = orbit.potential(-half, half + 1)
+        if np.array_equal(v[:-1], v[1:]):
+            at_pair = at_theta
+        elif isinstance(ham, OpenChain):
+            at_pair = averaged_profile(OpenChain(orbit, center=1), big_t)
+        else:
+            if ham.l_box not in shifted:
+                shifted[ham.l_box] = build_hamiltonian(
+                    map_spec, theta, phi, ham.l_box, orbit, center=1)
+            at_pair = averaged_profile(shifted[ham.l_box], big_t)
+        size = max(at_theta.size, at_pair.size)
+        cum_theta, cum_pair = (_symmetric_cumsum(_centred(p, size), size // 2)
+                               for p in (at_theta, at_pair))
+        totals.append(cum_theta + cum_pair)
     fronts = {tau: [max(xi_front(total, tau), 1) for total in totals]
               for tau in tau_levels}
     lead = tau_levels[0]

@@ -7,6 +7,7 @@ import pytest
 
 import qdlab.covering as cov
 import qdlab.experiments as ex
+import qdlab.transport as tp
 from qdlab.arithmetic import parse_frequency
 from qdlab.cli import main
 from qdlab.torus import Shift, TorusPoint
@@ -454,6 +455,23 @@ def test_cli_bad_threshold_exits_two(tmp_path, capsys):
     config, field = BAD_INPUTS["max-slope-string"]
     assert main(["run", write_config(tmp_path, config)]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
+
+
+def test_cli_transport_past_the_hard_cap_exits_two(tmp_path, capsys,
+                                                  monkeypatch):
+    # the free light cone 2 t_max of t_max = 1e6 (beta at its largest t,
+    # xi at the Abel cut 10 T) is refused before any box is probed
+    def no_probe(*args):
+        raise AssertionError("a box was probed past the hard cap")
+
+    monkeypatch.setattr(tp, "evolve", no_probe)
+    times = [10.0 ** k for k in range(7)] + [20.0]
+    for config in (_beta(t_grid=times), _xi(t_grid=[10.0, 1e3, 1e5])):
+        assert main(["run", write_config(tmp_path, config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: params.t_grid:")
+        assert "t_max=1e+06" in err and f"cap of {tp.BOX_CAP}" in err
+        assert "Traceback" not in err
 
 
 def test_cli_underflowed_reference_integral_fails_without_a_ratio(

@@ -213,32 +213,33 @@ def _free_abel_profile(l_box, big_t):
 @pytest.mark.parametrize("big_t, sites, gl_error, cum_error", [
     # the Gauss-Legendre error of the 20 x 12 rule against the closed
     # form, measured: 4.28e-4 at T = 20; 7.11e-3, and 7.47e-3 on the
-    # cumulative sums, at T = 40
-    (20.0, 1025, 4.3e-4, 4.3e-4), (40.0, 1873, 7.2e-3, 7.5e-3)],
+    # cumulative sums, at T = 40.  sites: the window of the last node
+    (20.0, 1063, 4.3e-4, 4.3e-4), (40.0, 1925, 7.2e-3, 7.5e-3)],
     ids=["T20", "T40"])
 def test_free_averaged_profile_against_the_closed_form(big_t, sites, gl_error,
                                                        cum_error):
-    # the box auto_box gives xi_estimate at T, swept by Chebyshev
+    # the open chain auto_box gives xi_estimate at T, swept by Chebyshev
+    # on windows that grow with the state
     ham, = tp.auto_box(SHIFT1, THETA, ZERO, [10.0 * big_t])
-    assert ham.size == sites > tp.DENSE_SITES
-    exact = _free_abel_profile(ham.l_box, big_t)
-    # the oracle against mpmath, measured within 5.2e-14 relative, and its
-    # mass on the box, which misses a tail below 1.1e-11
-    z = 1.0 + 0.5 / big_t ** 2
-    for n in (0, 1, 7, 100, ham.l_box):
-        q = float(mpmath.re(mpmath.legenq(n - 0.5, 0, z, type=3)))
-        assert exact[ham.l_box + n] * math.pi * big_t == pytest.approx(
-            q, rel=1e-13)
-    assert exact.sum() == pytest.approx(1.0, abs=1e-10)
+    assert isinstance(ham, tp.OpenChain)
     profile = tp.averaged_profile(ham, big_t)
+    half = profile.size // 2
+    assert profile.size == sites > tp.DENSE_SITES
+    exact = _free_abel_profile(half, big_t)
+    # the oracle against mpmath, measured within 5.2e-14 relative, and its
+    # mass on the window, which misses a tail below 5.7e-12
+    z = 1.0 + 0.5 / big_t ** 2
+    for n in (0, 1, 7, 100, half):
+        q = float(mpmath.re(mpmath.legenq(n - 0.5, 0, z, type=3)))
+        assert exact[half + n] * math.pi * big_t == pytest.approx(q, rel=1e-13)
+    assert exact.sum() == pytest.approx(1.0, abs=1e-10)
     assert np.max(np.abs(profile - exact)) <= gl_error
-    cum, cum_exact = (tp._symmetric_cumsum(p, ham.l_box)
-                      for p in (profile, exact))
+    cum, cum_exact = (tp._symmetric_cumsum(p, half) for p in (profile, exact))
     assert np.max(np.abs(cum - cum_exact)) <= cum_error
     # the cut at 10 T drops e^{-20} = 2.06e-9 of the mass; the second
     # moment sum n^2 a(n, T) = T^2, measured -4.6e-7 relative at both T
     assert abs(profile.sum() - 1.0) <= 2.1e-9
-    moment = np.sum(ham.sites() ** 2 * profile) / big_t ** 2
+    moment = np.sum(np.arange(-half, half + 1) ** 2 * profile) / big_t ** 2
     assert abs(moment - 1.0) <= 4.6e-7
 
 
@@ -275,17 +276,12 @@ def test_xi_front_thresholding():
     assert tp.xi_front(cum, 0.99) == 4
 
 
-def test_worst_case_box_scales_with_time():
-    assert tp.worst_case_box(0.0, 10.0) >= 2 * 10
-    assert tp.worst_case_box(6.0, 100.0) >= 8 * 100
-    assert tp.worst_case_box(0.0, 200.0) > tp.worst_case_box(0.0, 100.0)
-
-
 def test_auto_box_state_passes_certification():
+    # free t = 30: the front 2t = 60 stays well inside the first probe box
     ham, = tp.auto_box(SHIFT1, THETA, ZERO, [30.0])
     st = tp.evolve(ham, 30.0)
     assert st.valid
-    assert ham.l_box <= tp.worst_case_box(0.0, 30.0)
+    assert ham.l_box == tp.BOX_START
 
 
 def test_free_moment_growth_is_ballistic():
@@ -809,69 +805,10 @@ def test_orbit_growth_in_chunks_equals_one_chunk(monkeypatch):
         assert orbit.potential(-2500, 2500).tobytes() == whole.tobytes()
 
 
-def _auto_box_reference(map_spec, theta, phi, t_max):
-    """auto_box for one t_max: one probe per box, one box at a time.
-
-    Called with DENSE_SITES = 0, so that every probe is a Chebyshev one.
-    """
-    ceiling = tp.worst_case_box(phi.sup_bound or 0.0, t_max)
-    l = min(tp.BOX_START, ceiling)
-    while True:
-        ham = tp.build_hamiltonian(map_spec, theta, phi, l)
-        state = tp.evolve(ham, t_max,
-                          budget=1e-4 * tp.DEFAULT_BOUNDARY_BUDGET)
-        if state.valid or l >= ceiling:
-            return ham
-        l = min(2 * l, ceiling)
-        if l > tp.BOX_CAP:
-            raise ValueError("box size exceeds the hard cap")
-
-
 # the transport_xi workload's localized probe: 10 T for 9 T in [30, 80]
 XI_PROBE = [10.0 * t for t in np.geomspace(30.0, 80.0, 9)]
 # and its free one: 10 T for 8 T in [20, 160]
 FREE_XI = [10.0 * t for t in np.geomspace(20.0, 160.0, 8)]
-
-
-@pytest.mark.parametrize("phi, phase, t_maxes, boxes", [
-    # 200: the 512 box passes below its ceiling of 516
-    (ZERO, 0.0, [200.0, 20.0, 60.0, 200.0], [512, 128, 222, 512]),
-    (cc.CosinePotential(3.0), 0.41, [300.0, 5.0, 2000.0], None),
-    # the boxes below are all decided by the eigendecomposition: the
-    # transport_beta workload's localized probe,
-    (cc.CosinePotential(3.0), 0.0, [1e4], [128]),
-    # a 9-row localized xi probe
-    (cc.CosinePotential(3.0), 0.41, XI_PROBE, [128] * 9),
-    # and a free time that fails at 128 and passes at 256, below its
-    # ceiling of 306;
-    (ZERO, 0.0, [100.0], [256]),
-    # the free probes that front-law skipping drops: the transport_beta
-    # workload's free t_max, which fails every probe up to its ceiling,
-    (ZERO, 0.0, [2000.0], [4296]),
-    # and the transport_xi workload's free rows, of which only 200 passes
-    # below its ceiling;
-    (ZERO, 0.0, FREE_XI, [512, 662, 857, 1120, 1475, 1951, 2593, 3456]),
-    # a near-critical front, whose exponent is below FRONT_EXPONENT
-    (cc.CosinePotential(1.03), 0.1, [1000.0, 3000.0], [512, 512])],
-    ids=["free", "localized", "localized-beta", "localized-xi", "free-256",
-         "free-beta", "free-xi", "near-critical"])
-def test_auto_box_rows_equal_the_one_time_loop(monkeypatch, phi, phase,
-                                              t_maxes, boxes):
-    th = TorusPoint((phase,))
-    got = tp.auto_box(SHIFT1, th, phi, t_maxes)
-    assert len(got) == len(t_maxes)
-    if boxes is not None:
-        assert [ham.l_box for ham in got] == boxes
-    if len(t_maxes) > 1:
-        one, = tp.auto_box(SHIFT1, th, phi, t_maxes[:1])
-        assert one.v.tobytes() == got[0].v.tobytes()
-    # the boxes decided above on at most DENSE_SITES sites are the ones
-    # the Chebyshev probes decide
-    monkeypatch.setattr(tp, "DENSE_SITES", 0)
-    for t_max, ham in zip(t_maxes, got):
-        want = _auto_box_reference(SHIFT1, th, phi, t_max)
-        assert ham.l_box == want.l_box
-        assert ham.v.tobytes() == want.v.tobytes()
 
 
 def _probes(monkeypatch):
@@ -890,95 +827,51 @@ def _probes(monkeypatch):
     return probes
 
 
-def test_auto_box_never_probes_a_ceiling_box(monkeypatch):
+@pytest.mark.parametrize("phi, phase, t_maxes, boxes", [
+    # free: 20 passes at 128, 60 at 256, and 200 fails both
+    (ZERO, 0.0, [200.0, 20.0, 60.0, 200.0], [None, 128, 256, None]),
+    (cc.CosinePotential(3.0), 0.41, [300.0, 5.0, 2000.0], [128, 128, 128]),
+    # the transport_beta workload's localized probe,
+    (cc.CosinePotential(3.0), 0.0, [1e4], [128]),
+    # a 9-row localized xi probe,
+    (cc.CosinePotential(3.0), 0.41, XI_PROBE, [128] * 9),
+    # a free time that fails at 128 and passes at 256,
+    (ZERO, 0.0, [100.0], [256]),
+    # the transport_beta and transport_xi workloads' free rows,
+    (ZERO, 0.0, [2000.0], [None]),
+    (ZERO, 0.0, FREE_XI, [None] * 8),
+    # and a near-critical front
+    (cc.CosinePotential(1.03), 0.1, [1000.0, 3000.0], [None, None])],
+    ids=["free", "localized", "localized-beta", "localized-xi", "free-256",
+         "free-beta", "free-xi", "near-critical"])
+def test_auto_box_rows_equal_the_one_time_loop(monkeypatch, phi, phase,
+                                              t_maxes, boxes):
+    # each distinct time, in ascending order, takes the first of the 257-
+    # and 513-site boxes whose probe passes, or else the open chain (None)
+    th = TorusPoint((phase,))
     probes = _probes(monkeypatch)
     chebyshev = _chebyshev_sites(monkeypatch)
-    # free, one time at a time: 20 passes at 128, 60 fails at 128 and
-    # takes its ceiling 222 unprobed, and 200 passes at 512
-    t_maxes = [60.0, 20.0, 200.0]
-    got = tp.auto_box(SHIFT1, THETA, ZERO, t_maxes)
-    ceilings = [tp.worst_case_box(0.0, t) for t in t_maxes]
-    assert got[0].l_box == ceilings[0]
-    assert probes == [(128, 20.0, True), (128, 60.0, False),
-                      (128, 200.0, False), (256, 200.0, False),
-                      (512, 200.0, True)]
-    for l_box, t, _ in probes:
-        assert l_box < tp.worst_case_box(0.0, t)
-    # the 257- and 513-site probes are eigendecompositions: the only
-    # Chebyshev probe is the 1025-site one, on the sites the delta reaches
-    assert tp.DENSE_SITES == 513
-    assert chebyshev == [_delta_sites(got[2], 200.0)]
-    assert chebyshev[0] < 1025
-
-
-@pytest.mark.parametrize("t_maxes, sites", [
-    # the doubling search probes 1025 (all eight rows), 2049 (five) and
-    # 4097 (two); the front law through the dense fronts (50.7 on 257
-    # sites, 109.9 on 513) keeps 200, which passes at 512, and 487.6, for
-    # which it estimates 976, while the free front needs about 1046 there
-    (FREE_XI, [1025, 2049]),
-    # the doubling search probes 1025, 2049, 4097 and 8193; the front law
-    # estimates 3460, below 4096
-    ([2000.0], [8193])],
-    ids=["free-xi", "free-beta"])
-def test_auto_box_skips_the_probes_the_front_law_fails(monkeypatch, t_maxes,
-                                                       sites):
-    probes = _probes(monkeypatch)
-    chebyshev = _chebyshev_sites(monkeypatch)
-    got = tp.auto_box(SHIFT1, THETA, ZERO, t_maxes)
-    # one hop from the delta per Chebyshev probe, on the sites it reaches
-    boxes = [tp.build_hamiltonian(SHIFT1, THETA, ZERO, l_box)
-             for l_box, _, _ in probes]
-    assert [ham.size for ham in boxes if ham.size > tp.DENSE_SITES] == sites
-    assert chebyshev == [_delta_sites(ham, t)
-                         for ham, (_, t, _) in zip(boxes, probes)
-                         if ham.size > tp.DENSE_SITES]
-    # every Chebyshev probe fails but 200's at 512, and no time walks down
-    assert all(passed == (l_box == 512 and t == 200.0)
-               for l_box, t, passed in probes if l_box > 256)
-    assert [ham.l_box for ham in got] == [
-        512 if t == 200.0 else tp.worst_case_box(0.0, t) for t in t_maxes]
-
-
-@pytest.mark.parametrize("phi, l_box", [
-    (ZERO, 128), (ZERO, 256), (cc.CosinePotential(1.0), 128)],
-    ids=["free-128", "free-256", "critical-128"])
-def test_front_time_is_the_first_crossing_of_the_probe_budget(phi, l_box):
-    ham = tp.build_hamiltonian(SHIFT1, TorusPoint((0.1,)), phi, l_box)
-    t = tp._front_time(ham, 1e4, tp.PROBE_BUDGET)
-    assert tp._front_time(ham, 0.5 * t, tp.PROBE_BUDGET) is None
-
-    def masses(ts):
-        return [tp.evolve(ham, t).boundary_mass for t in ts]
-
-    # the evolved states cross the budget within 1e-5 of t, and not on a
-    # grid of 0.25-wide steps before it
-    below, above = masses([t * (1.0 - 2e-5), t])
-    assert below <= tp.PROBE_BUDGET < above
-    assert max(masses(list(np.arange(0.0, 0.99 * t, 0.25)))) <= tp.PROBE_BUDGET
-
-
-def test_auto_box_walks_down_over_skipped_half_widths(monkeypatch):
-    # on boxes a quarter the size, with every front counted as near
-    # ballistic, the slowing fronts of lambda 1.1 overshoot the front law:
-    # both times skip 128 and pass at 256, then walk back down to 128, the
-    # last half-width they skipped, where 400 passes and 500 fails
-    th, phi = TorusPoint((0.1,)), cc.CosinePotential(1.1)
-    t_maxes = [400.0, 500.0]
-    monkeypatch.setattr(tp, "BOX_START", 32)
-    monkeypatch.setattr(tp, "DENSE_SITES", 129)
-    monkeypatch.setattr(tp, "FRONT_EXPONENT", 0.1)
-    probes = _probes(monkeypatch)
     got = tp.auto_box(SHIFT1, th, phi, t_maxes)
-    assert probes == [(32, 400.0, False), (64, 400.0, False),
-                      (256, 400.0, True), (128, 400.0, True),
-                      (32, 500.0, False), (64, 500.0, False),
-                      (256, 500.0, True), (128, 500.0, False)]
-    assert [ham.l_box for ham in got] == [128, 256]
+    assert [getattr(ham, "l_box", None) for ham in got] == boxes
+    want = []
+    for t in sorted(set(t_maxes)):
+        width = boxes[t_maxes.index(t)]
+        want += [(l_box, t, l_box == width) for l_box in (128, 256)
+                 if width is None or l_box <= width]
+    assert probes == want
+    # the probes are eigendecompositions, and the times share one chain
+    assert chebyshev == []
+    assert len({id(ham) for ham in got if isinstance(ham, tp.OpenChain)}) <= 1
+    # the boxes decided above on at most DENSE_SITES sites are the ones
+    # the Chebyshev probes decide, one time at a time
     monkeypatch.setattr(tp, "DENSE_SITES", 0)
     for t_max, ham in zip(t_maxes, got):
-        want = _auto_box_reference(SHIFT1, th, phi, t_max)
-        assert ham.v.tobytes() == want.v.tobytes()
+        one, = tp.auto_box(SHIFT1, th, phi, [t_max])
+        assert type(one) is type(ham)
+        if isinstance(ham, tp.BoxHamiltonian):
+            assert one.l_box == ham.l_box
+            assert one.v.tobytes() == ham.v.tobytes()
+    assert chebyshev
 
 
 @pytest.mark.parametrize("phi, phase, l_box, t_maxes", [
@@ -1011,14 +904,131 @@ def test_dense_probe_margins_agree_with_chebyshev(monkeypatch, phi, phase,
 
 
 def test_auto_box_raises_past_the_hard_cap(monkeypatch):
-    # free T=200 fails its probes at 128 and 256, below its ceiling 516;
-    # T=60 takes its ceiling 222, within the cap
-    monkeypatch.setattr(tp, "BOX_CAP", 256)
-    assert tp.worst_case_box(0.0, 200.0) > 256 >= tp.worst_case_box(0.0, 60.0)
-    with pytest.raises(ValueError, match="hard cap"):
-        tp.auto_box(SHIFT1, THETA, ZERO, [60.0, 200.0])
-    with pytest.raises(ValueError, match="hard cap"):
-        _auto_box_reference(SHIFT1, THETA, ZERO, 200.0)
-    ham, = tp.auto_box(SHIFT1, THETA, ZERO, [60.0])
-    assert ham.l_box == tp.worst_case_box(0.0, 60.0)
-    assert _auto_box_reference(SHIFT1, THETA, ZERO, 60.0).l_box == ham.l_box
+    # the light cone (2 + sup|phi|) t_max of the largest time is checked
+    # against BOX_CAP before any probe: 400 sites a side for free t = 200
+    # and for lambda = 3 at t = 50, whose probe would pass at 128
+    probes = _probes(monkeypatch)
+    chebyshev = _chebyshev_sites(monkeypatch)
+    monkeypatch.setattr(tp, "BOX_CAP", 399)
+    for phi, t in ((ZERO, 200.0), (cc.CosinePotential(3.0), 50.0)):
+        with pytest.raises(tp.LightConeError,
+                           match=rf"t_max={t:g}, .* 400 sites .* cap of 399"):
+            tp.auto_box(SHIFT1, THETA, phi, [20.0, t, 10.0])
+    assert issubclass(tp.LightConeError, ValueError)
+    assert probes == chebyshev == []
+    # a light cone of exactly the cap is accepted
+    monkeypatch.setattr(tp, "BOX_CAP", 400)
+    ham, = tp.auto_box(SHIFT1, THETA, ZERO, [200.0])
+    assert isinstance(ham, tp.OpenChain)
+    assert [p[:2] for p in probes] == [(128, 200.0), (256, 200.0)]
+
+
+def test_a_potential_without_sup_bound_is_refused_before_any_hop(
+        monkeypatch):
+    # an open sweep runs at the scale 2 + sup|phi|, and the light cone
+    # check needs it too
+    phi = cc.PiecewiseHolderPotential(
+        [(((0.0,), (1.0,)), lambda p: np.cos(2.0 * math.pi * p[:, 0]), 1.0,
+          1.0)])
+    assert phi.sup_bound is None
+    chebyshev = _chebyshev_sites(monkeypatch)
+    eigen = _eigendecompositions(monkeypatch)
+    with pytest.raises(ValueError, match="sup_bound"):
+        tp.beta_estimate(SHIFT1, THETA, phi, 2.0,
+                         list(np.geomspace(5.0, 500.0, 8)))
+    with pytest.raises(ValueError, match="sup_bound"):
+        tp.xi_estimate(SHIFT1, THETA, phi, [0.5], [10.0, 20.0, 40.0])
+    assert chebyshev == eigen == []
+
+
+# ---------------------------------------------------------------------------
+# open chains: the window is the box
+# ---------------------------------------------------------------------------
+
+def test_free_open_sweep_against_the_bessel_closed_form(monkeypatch):
+    # one kernel call per time that moves, as free hops never split
+    chebyshev = _chebyshev_sites(monkeypatch)
+    ts = [2.0, 40.0, 40.0, 300.0, 2000.0]
+    states = tp.evolve_times(tp.OpenChain(tp.Orbit(SHIFT1, THETA, ZERO)), ts)
+    assert len(chebyshev) == 4
+    assert [st.psi.size for st in states] == [47, 285, 285, 1481, 8535]
+    for st in states[3:]:
+        half = st.psi.size // 2
+        n = np.abs(np.arange(-half, half + 1))
+        exact = (-1j) ** n * jv(n, 2.0 * st.t)
+        # measured 1.16e-14 at t = 300 and 3.84e-14 at t = 2000, and
+        # norm defects of 6.0e-14 and 4.4e-13
+        assert np.max(np.abs(st.psi - exact)) <= 4e-14
+        assert st.valid and st.norm_defect <= 5e-13
+        # the hops dropped more mass than the closed form holds off the
+        # window: 5.4e-58 against 4.5e-59 at t = 300, and 3.8e-57 against
+        # 9.9e-61 at t = 2000
+        beyond = np.arange(half + 1, half + 2000)
+        assert 0.0 < 2.0 * np.sum(jv(beyond, 2.0 * st.t) ** 2) \
+            <= st.boundary_mass <= 1e-50
+
+
+def test_open_sweep_agrees_with_the_whole_box_sweep(monkeypatch):
+    # lambda = 0.9 on the open chain, which splits its hops and runs at
+    # 2 + sup|phi| = 3.8, against the trimmed whole-box sweep at the box's
+    # own scale on a box wider than the last window.  Measured: states
+    # within 1.43e-14 and norm defects within 1.04e-14, the rounding of
+    # two sweeps at two scales, and a box mass off the window of at most
+    # 8.6e-161, below the dropped mass of every state
+    chebyshev = _chebyshev_sites(monkeypatch)
+    phi, th = cc.CosinePotential(0.9), TorusPoint((0.3,))
+    orbit = tp.Orbit(SHIFT1, th, phi)
+    ts = list(np.geomspace(2.0, 300.0, 8))
+    states = tp.evolve_times(tp.OpenChain(orbit), ts)
+    assert len(chebyshev) > len(ts)
+    box = tp.build_hamiltonian(SHIFT1, th, phi, 1200, orbit)
+    assert states[-1].psi.size == 1417 < box.size
+    for st, psi in zip(states, _states_reference(box, ts, trim=True)):
+        half = st.psi.size // 2
+        window = psi[box.l_box - half:box.l_box + half + 1]
+        assert np.max(np.abs(st.psi - window)) <= 1.5e-14
+        exact, = tp._certify([st.t], psi[None], tp.DEFAULT_BOUNDARY_BUDGET)
+        assert st.norm_defect == pytest.approx(exact.norm_defect, abs=1.1e-14)
+        assert np.sum(np.abs(psi[:box.l_box - half]) ** 2) \
+            + np.sum(np.abs(psi[box.l_box + half + 1:]) ** 2) \
+            <= st.boundary_mass
+
+
+def test_free_xi_fronts_equal_the_box_sweep_fronts():
+    # the transport_xi workload's free fronts, on the open chain and on
+    # boxes about 2.1 (10 T) sites a side, which clip the windows of the
+    # later nodes
+    t_grid = list(np.geomspace(20.0, 160.0, 8))
+    got = tp.xi_estimate(SHIFT1, THETA, ZERO, [0.4, 0.6], t_grid)
+    totals = []
+    for big_t, l_box in zip(t_grid, [512, 662, 857, 1120, 1475, 1951, 2593,
+                                     3456]):
+        box = tp.build_hamiltonian(SHIFT1, THETA, ZERO, l_box)
+        cum = tp._symmetric_cumsum(tp.averaged_profile(box, big_t), l_box)
+        totals.append(cum + cum)
+    assert got.fronts == {tau: [max(tp.xi_front(total, tau), 1)
+                                for total in totals] for tau in (0.4, 0.6)}
+
+
+def test_slow_front_splits_its_hops(monkeypatch):
+    # lambda = 0.9 at phase 0.3: a ballistic front that starts slowly, to
+    # t = 1e4.  The hops split, and the last window is narrower than the
+    # last hop alone widens an unsplit sweep's; the bracket is the probe
+    # search's at the parent within 4.5e-14 and 1.1e-13 relative
+    phi, th = cc.CosinePotential(0.9), TorusPoint((0.3,))
+    t_grid = list(np.geomspace(5.0, 1e4, 12))
+    sizes, moment = [], tp.moment
+
+    def recorded(state, p):
+        sizes.append(state.psi.size)
+        return moment(state, p)
+
+    monkeypatch.setattr(tp, "moment", recorded)
+    chebyshev = _chebyshev_sites(monkeypatch)
+    est = tp.beta_estimate(SHIFT1, th, phi, 2.0, t_grid)
+    assert len(chebyshev) > len(t_grid)
+    unsplit = len(tp._chebyshev_coefficients(
+        (t_grid[-1] - t_grid[-2]) * (2.0 + phi.sup_bound)))
+    assert sizes[-1] < 2 * unsplit + 1
+    assert est.low == pytest.approx(0.9108070416767827, rel=1e-12)
+    assert est.high == pytest.approx(0.9633756374322838, rel=1e-12)
