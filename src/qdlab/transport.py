@@ -9,6 +9,10 @@ sites, on an open chain the tail mass its hops dropped.  One rule picks
 the propagator (_sweep): a box of at most DENSE_SITES sites takes every
 state from its eigendecomposition, and anything else runs the Chebyshev
 expansion of e^{-itH} with Bessel coefficients, truncated below 1e-14.
+The Abel averages a(n, T) = (2/T) int_0^inf e^{-2t/T} |psi(n, t)|^2 dt
+(averaged_profile) follow the same rule: on such a box they are the exact
+spectral sum over its eigenpairs, with no time step, and elsewhere a
+Gauss-Legendre rule over the states of one sweep on [0, 10 T].
 
 Every call takes one Hamiltonian: evolve one time, evolve_times a
 nondecreasing time grid, averaged_profile one T.  Times must be
@@ -226,6 +230,11 @@ def initial_state(ham):
     return psi
 
 
+def _dense(ham):
+    """Whether ham is a box small enough for its eigendecomposition."""
+    return isinstance(ham, BoxHamiltonian) and ham.size <= DENSE_SITES
+
+
 def _sweep(ham, ts):
     """psi at each time of the nondecreasing grid ts, in node blocks.
 
@@ -238,7 +247,7 @@ def _sweep(ham, ts):
     each block's times, its (nodes, sites) array and its nodes' dropped
     tail masses, None on a box.
     """
-    if isinstance(ham, BoxHamiltonian) and ham.size <= DENSE_SITES:
+    if _dense(ham):
         yield ts, dense_evolve(ham, ts), None
     else:
         yield from _chebyshev_sweep(ham, ts)
@@ -401,21 +410,64 @@ def abel_nodes(big_t):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def averaged_profile(ham, big_t):
-    """Abel-averaged site probabilities <a(n, t)>_T for the delta start.
+def _spectral_sum(ham, big_t):
+    """averaged_profile on a box, exact, from its eigendecomposition.
 
-    T must be positive and finite, checked before any evolution.  The node
-    states are one evolve_times sweep of ham, from its eigendecomposition
-    on a box of at most DENSE_SITES sites: on 257 sites that agrees with
-    the Chebyshev sweep to 4e-14 up to T = 80 and to 5e-13 at T = 1000,
-    where most of the gap is the sweep's own rounding.  On an open chain
-    the profile is centred on the last node's window, the widest, as the
-    windows only grow.  Every node state is certified at
-    DEFAULT_BOUNDARY_BUDGET, and the first node that fails raises a
-    ValueError naming its time.
+    With b = u * u[center] (BoxHamiltonian.eigenbasis), psi(n, t) is
+    sum_j b_nj e^{-i t E_j}, and its Abel average over all t >= 0 is
+    sum_jk b_nj K_jk b_nk with K_jk = 1 / (1 + (T (E_j - E_k) / 2)^2): one
+    (M, M) kernel and one matrix product.  At a large T the scaled gaps
+    overflow to inf, and K_jk is 0, its limit: at T = 1e200 a is the
+    infinite-time limit sum_j b_nj^2, with no warning.
+
+    The profile is certified as a state is, by |sum a - 1| against
+    NORM_DEFECT_TOL and its outer-percent mass against
+    DEFAULT_BOUNDARY_BUDGET, and so is the state at 10 T (one dense_evolve
+    row), where the Gauss-Legendre rule stops and xi_estimate's auto_box
+    probe sits: an average can be held by a box that the state leaves
+    later (the free delta on 49 sites at T = 1 puts 2.6e-11 of its average
+    and 1.2e-3 of its 10 T state on the edge sites).  A failure raises a
+    ValueError naming T and the four values.
+    """
+    w, u, amps = ham.eigenbasis
+    b = u * amps
+    with np.errstate(over="ignore"):
+        kernel = np.square(0.5 * big_t * np.subtract.outer(w, w))
+    kernel += 1.0
+    np.reciprocal(kernel, out=kernel)
+    profile = np.sum((b @ kernel) * b, axis=1)
+    defect = abs(float(np.sum(profile)) - 1.0)
+    edge = _edge_sites(profile.size)
+    boundary = float(np.sum(profile[:edge]) + np.sum(profile[-edge:]))
+    cut, = _certify([10.0 * big_t], dense_evolve(ham, [10.0 * big_t]),
+                    DEFAULT_BOUNDARY_BUDGET)
+    if not (defect <= NORM_DEFECT_TOL and boundary <= DEFAULT_BOUNDARY_BUDGET
+            and cut.valid):
+        raise ValueError(
+            f"Abel profile flagged at T={big_t:.3g} (defect {defect:.2e}, "
+            f"boundary {boundary:.2e}; state at t={cut.t:.3g}: defect "
+            f"{cut.norm_defect:.2e}, boundary {cut.boundary_mass:.2e})")
+    return profile
+
+
+def averaged_profile(ham, big_t):
+    """Abel-averaged site probabilities for the delta start:
+    a(n, T) = (2/T) int_0^inf e^{-2t/T} |psi(n, t)|^2 dt.
+
+    T must be positive and finite, checked before any evolution.  A box of
+    at most DENSE_SITES sites returns its exact spectral sum
+    (_spectral_sum), with no time step.  On an open chain or a larger box
+    the average is the 20 x 12 Gauss-Legendre rule of abel_nodes over one
+    evolve_times sweep of ham, which the tests measure against the free
+    closed form; an open chain's profile is centred on the last node's
+    window, the widest, as the windows only grow.  Every node state is
+    certified at DEFAULT_BOUNDARY_BUDGET, and the first node that fails
+    raises a ValueError naming its time.
     """
     if not 0.0 < big_t < math.inf:
         raise ValueError(f"T must be positive and finite, got T={big_t}")
+    if _dense(ham):
+        return _spectral_sum(ham, big_t)
     nodes, weights = abel_nodes(big_t)
     states = evolve_times(ham, nodes)
     acc = np.zeros(states[-1].psi.size)

@@ -1,6 +1,7 @@
 """Quantum evolution: unitarity, closed-form oracles, exponent estimators."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -67,6 +68,18 @@ def _eigendecompositions(monkeypatch):
 
     monkeypatch.setattr(tp, "_eigenbasis", counted)
     return boxes
+
+
+def _evolve_times_calls(monkeypatch):
+    """The Hamiltonian of every evolve_times call from now on."""
+    calls, sweep = [], tp.evolve_times
+
+    def counted(ham, ts):
+        calls.append(ham)
+        return sweep(ham, ts)
+
+    monkeypatch.setattr(tp, "evolve_times", counted)
+    return calls
 
 
 def test_free_evolution_bessel_closed_form(monkeypatch):
@@ -174,20 +187,71 @@ def _spectral_profile(ham, big_t):
 
 
 @pytest.mark.parametrize("phi, l_box, big_t, gl_error", [
-    # the Gauss-Legendre error of the 20 x 12 rule, measured: 2.69e-4
-    # and 4.29e-4, both at the origin
-    (cc.CosinePotential(3.0), 128, 300.0, 3e-4),
+    # the Gauss-Legendre error of the 20 x 12 rule on a Chebyshev box,
+    # measured: 4.29e-4 at the origin
     (ZERO, 512, 20.0, 5e-4)],
-    ids=["localized", "free"])
+    ids=["free"])
 def test_averaged_profile_against_the_spectral_sum(phi, l_box, big_t,
                                                    gl_error):
     ham = tp.build_hamiltonian(SHIFT1, THETA, phi, l_box)
+    assert ham.size > tp.DENSE_SITES
     profile = tp.averaged_profile(ham, big_t)
     exact = _spectral_profile(ham, big_t)
     assert np.max(np.abs(profile - exact)) <= gl_error
     # the cut at 10 T drops e^{-20} of the mass, which the rule keeps
     assert profile.sum() == pytest.approx(1.0 - math.exp(-20.0), abs=1e-12)
     assert exact.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _time_integral(ham, big_t, step):
+    """The Abel average by the trapezoid rule of the given step on
+    [0, 20 T], whose cut drops e^{-40} of the weight, from dense_evolve
+    in chunks of nodes; and the same rule at twice the step, from the
+    even nodes."""
+    count = int(round(20.0 * big_t / step)) + 1
+    fine, coarse = np.zeros(ham.size), np.zeros(ham.size)
+    for start in range(0, count, 2048):
+        k = np.arange(start, min(start + 2048, count))
+        weights = np.exp(-2.0 * k * step / big_t) * np.where(k == 0, 0.5, 1.0)
+        prob = np.abs(tp.dense_evolve(ham, k * step)) ** 2
+        fine += weights @ prob
+        coarse += weights[k % 2 == 0] @ prob[k % 2 == 0]
+    scale = 2.0 / big_t * step
+    return scale * fine, 2.0 * scale * coarse
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.3, 0.636962],
+                         ids=["0", "0.3", "seed0"])
+def test_dense_profile_against_a_brute_force_time_integral(phase):
+    # lambda = 3 on 257 sites at T = 30, where the 20 x 12 Gauss-Legendre
+    # rule on the node states was off by 9.4e-4, 1.0e-2 and 1.3e-2 at a
+    # site: |psi(n, t)|^2 oscillates at the frequencies E_j - E_k, up to
+    # about 16, for all t.  The trapezoid rule of step 0.1 resolves them;
+    # its step-halving gap, measured 1.12e-5 at the origin, is three times
+    # its error there (3.71e-6), as the rule converges as step^2
+    ham = tp.build_hamiltonian(SHIFT1, TorusPoint((phase,)),
+                               cc.CosinePotential(3.0), 128)
+    assert ham.size <= tp.DENSE_SITES
+    profile = tp.averaged_profile(ham, 30.0)
+    fine, coarse = _time_integral(ham, 30.0, 0.1)
+    halving = np.max(np.abs(fine - coarse))
+    assert halving <= 1.2e-5
+    assert np.max(np.abs(profile - fine)) <= halving / 2.0
+    assert profile.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_dense_profile_at_a_huge_t_is_the_infinite_time_limit():
+    # at T = 1e200 every off-diagonal term of the spectral sum vanishes,
+    # with no overflow warning: a(n) = sum_j (u_j(n) u_j(0))^2
+    ham = tp.build_hamiltonian(SHIFT1, TorusPoint((0.3,)),
+                               cc.CosinePotential(3.0), 128)
+    w, u = eigh_tridiagonal(ham.v, np.ones(ham.size - 1))
+    limit = np.sum((u * u[ham.l_box]) ** 2, axis=1)
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        profile = tp.averaged_profile(ham, 1e200)
+    assert np.max(np.abs(profile - limit)) <= 1e-14
+    assert profile.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def _free_abel_profile(l_box, big_t):
@@ -687,66 +751,83 @@ def test_free_sweep_runs_on_the_light_cone(monkeypatch):
 # Abel averages on small boxes, from eigendecompositions
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("phi, phase, l_box, big_ts", [
-    (cc.CosinePotential(3.0), 0.41, 128, [50.0, 30.0]),
-    (cc.CosinePotential(1.0), 0.3, 200, [8.0]),
-    (ZERO, 0.0, 256, [10.0, 4.0])],
+@pytest.mark.parametrize("phi, phase, l_box, big_ts, gl_error", [
+    # the Gauss-Legendre error of the Chebyshev profiles at both phases,
+    # measured: 2.69e-3, 1.75e-9 and 2.16e-10 at a site
+    (cc.CosinePotential(3.0), 0.41, 128, [50.0, 30.0], 2.7e-3),
+    (cc.CosinePotential(1.0), 0.3, 200, [8.0], 1.8e-9),
+    (ZERO, 0.0, 256, [10.0, 4.0], 2.2e-10)],
     ids=["localized", "critical", "free"])
 def test_dense_profile_matches_the_chebyshev_sweep(monkeypatch, phi, phase,
-                                                   l_box, big_ts):
+                                                   l_box, big_ts, gl_error):
     th = TorusPoint((phase,))
     ham = tp.build_hamiltonian(SHIFT1, th, phi, l_box)
     shifted = tp.build_hamiltonian(SHIFT1, tp.step(SHIFT1, th), phi, l_box)
     assert ham.size <= tp.DENSE_SITES
     eigen = _eigendecompositions(monkeypatch)
     chebyshev = _chebyshev_sites(monkeypatch)
+    sweeps = _evolve_times_calls(monkeypatch)
     # both phases at every T: one eigendecomposition per box object (two
-    # free boxes with equal potentials take one each), no Chebyshev term
+    # free boxes with equal potentials take one each), no time sweep and
+    # no Chebyshev term
     pairs = [(h, t) for t in big_ts for h in (ham, shifted)]
     got = [tp.averaged_profile(h, t) for h, t in pairs]
     assert sorted(map(id, eigen)) == sorted(map(id, (ham, shifted)))
-    assert chebyshev == []
+    assert chebyshev == sweeps == []
+    # the exact profiles against the Gauss-Legendre rule on Chebyshev
+    # sweeps of the same boxes
     monkeypatch.setattr(tp, "DENSE_SITES", 0)
     for profile, (h, t) in zip(got, pairs):
         assert profile.shape == (ham.size,)
-        assert np.max(np.abs(profile - tp.averaged_profile(h, t))) <= 1e-12
+        assert np.max(np.abs(profile - tp.averaged_profile(h, t))) <= gl_error
     assert chebyshev
-
-
-def _flag_message(ham, big_t):
-    with pytest.raises(ValueError, match="evolution flagged at t=") as err:
-        tp.averaged_profile(ham, big_t)
-    return str(err.value)
+    assert len(sweeps) == len(pairs)
 
 
 def test_dense_profile_flags_a_small_box(monkeypatch):
     # the free delta puts 1e-8 on the edge sites of a 49-site box near
-    # t = 7: the first node to fail is named with its time, as the
-    # Chebyshev sweep names it
+    # t = 7: the averages at T = 4, 2 and 10 put more than that on them,
+    # and at T = 1 only the state at 10 T does (2.6e-11 against 1.2e-3).
+    # Each is flagged with T and its values, and the Chebyshev sweep
+    # flags each at a node
     ham = tp.build_hamiltonian(SHIFT1, THETA, ZERO, 24)
     shifted = tp.build_hamiltonian(SHIFT1, THETA, cc.CosinePotential(0.1), 24)
-    cases = [(ham, 4.0), (shifted, 2.0), (ham, 10.0)]
-    dense = [_flag_message(h, t) for h, t in cases]
+    cases = [(ham, 4.0), (shifted, 2.0), (ham, 10.0), (ham, 1.0)]
+    number = r"-?\d\.\d\de[+-]\d+"
+    for h, t in cases:
+        with pytest.raises(ValueError, match=(
+                rf"^Abel profile flagged at T={t:g} \(defect {number}, "
+                rf"boundary {number}; state at t={10 * t:g}: defect "
+                rf"{number}, boundary {number}\)$")) as err:
+            tp.averaged_profile(h, t)
+        boundary = float(str(err.value).split("boundary ")[1].split(";")[0])
+        assert (boundary > tp.DEFAULT_BOUNDARY_BUDGET) == (t > 1.0)
     monkeypatch.setattr(tp, "DENSE_SITES", 0)
-    chebyshev = [_flag_message(h, t) for h, t in cases]
-    for d, c in zip(dense, chebyshev):
-        assert d.split(" (")[0] == c.split(" (")[0]
-    # a box that holds every node raises nothing
+    for h, t in cases:
+        with pytest.raises(ValueError, match="evolution flagged at t="):
+            tp.averaged_profile(h, t)
+    # a box that holds the average and the state at 10 T raises nothing
     monkeypatch.undo()
     tp.averaged_profile(tp.build_hamiltonian(SHIFT1, THETA, ZERO, 128), 4.0)
+    tp.averaged_profile(ham, 0.5)
 
 
 @pytest.mark.parametrize("big_t", [0.0, -5.0, math.inf, math.nan])
 def test_averaged_profile_rejects_a_bad_t(monkeypatch, big_t):
     # unchecked, T = 0 divides by zero in abel_nodes and the others reach
-    # evolve_times as a bad time grid
+    # evolve_times as a bad time grid; on a dense box the spectral sum
+    # would give the delta at T = 0, the T = 5 profile at T = -5, and nan
+    # at inf and nan
     def no_sweep(*args):
         raise AssertionError("evolved before T was checked")
 
     monkeypatch.setattr(tp, "evolve_times", no_sweep)
-    ham = tp.build_hamiltonian(SHIFT1, THETA, ZERO, 16)
-    with pytest.raises(ValueError, match="T must be positive and finite"):
-        tp.averaged_profile(ham, big_t)
+    eigen = _eigendecompositions(monkeypatch)
+    for l_box in (16, 300):
+        ham = tp.build_hamiltonian(SHIFT1, THETA, ZERO, l_box)
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            tp.averaged_profile(ham, big_t)
+    assert eigen == []
 
 
 @pytest.mark.parametrize("phase", np.random.default_rng(17).random(3).round(6),
